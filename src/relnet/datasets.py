@@ -8,6 +8,7 @@ then 1024 red, 1024 green, 1024 blue bytes, row-major).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,12 +75,38 @@ def _read_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return pixels, labels
 
 
+def _load_split(paths: list[Path], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Cast each file's pixels into one preallocated (records, 3072) array,
+    then scale it to [0,1] in place."""
+    x = np.empty((len(paths) * CIFAR_RECORDS_PER_FILE, CIFAR_DIM), dtype=dtype)
+    labels = []
+    for i, path in enumerate(paths):
+        pixels, file_labels = _read_cifar_file(path)
+        x[i * CIFAR_RECORDS_PER_FILE : (i + 1) * CIFAR_RECORDS_PER_FILE] = pixels
+        labels.append(file_labels)
+        del pixels  # release this file's bytes before reading the next
+    x /= 255.0
+    return x, np.concatenate(labels)
+
+
 def _channel_stats(features01: np.ndarray) -> tuple[list[float], list[float]]:
     # Channels are the three contiguous 1024-byte planes of each record.
     planes = features01.reshape(-1, 3, 1024)
     mean = planes.mean(axis=(0, 2), dtype=np.float64)
     std = planes.std(axis=(0, 2), dtype=np.float64)
     return mean.tolist(), std.tolist()
+
+
+def _cache_stats(path: Path, mean: list[float], std: list[float]) -> None:
+    """Write the statistics cache atomically: a temporary file in the same
+    directory, then a rename, so a concurrent reader sees the whole file or
+    none. A directory that refuses the write is left without a cache."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps({"mean": mean, "std": std}))
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
 
 
 def load_cifar10(
@@ -91,22 +118,20 @@ def load_cifar10(
 
     normalize="standard": scale to [0,1] then standardize each channel with
     training-set statistics, computed once and cached as JSON next to the
-    data. normalize="raw": stop at the [0,1] scaling.
+    data (written atomically; skipped when the directory is read-only).
+    normalize="raw": stop at the [0,1] scaling.
+
+    Every pass writes into the two feature arrays, so peak memory is those
+    arrays plus one raw file; only the first standard load, which computes
+    the statistics, adds a float64 temporary of the training set.
     """
     if normalize not in ("standard", "raw"):
         raise ValueError(f"unknown normalize mode {normalize!r}")
     root = Path(dir_path)
-    train_pixels = []
-    train_labels = []
-    for b in range(1, 6):
-        pixels, labels = _read_cifar_file(root / f"data_batch_{b}.bin")
-        train_pixels.append(pixels)
-        train_labels.append(labels)
-    test_pixels, test_labels = _read_cifar_file(root / "test_batch.bin")
-
-    x_train = np.concatenate(train_pixels).astype(dtype) / 255.0
-    x_test = test_pixels.astype(dtype) / 255.0
-    y_train = np.concatenate(train_labels)
+    x_train, y_train = _load_split(
+        [root / f"data_batch_{b}.bin" for b in range(1, 6)], dtype
+    )
+    x_test, y_test = _load_split([root / "test_batch.bin"], dtype)
 
     if normalize == "standard":
         stats_path = root / STATS_FILENAME
@@ -115,18 +140,16 @@ def load_cifar10(
             mean, std = stats["mean"], stats["std"]
         else:
             mean, std = _channel_stats(x_train)
-            stats_path.write_text(json.dumps({"mean": mean, "std": std}))
+            _cache_stats(stats_path, mean, std)
         mean_a = np.asarray(mean, dtype=dtype).reshape(1, 3, 1)
         std_a = np.asarray(std, dtype=dtype).reshape(1, 3, 1)
-        x_train = ((x_train.reshape(-1, 3, 1024) - mean_a) / std_a).reshape(
-            -1, CIFAR_DIM
-        )
-        x_test = ((x_test.reshape(-1, 3, 1024) - mean_a) / std_a).reshape(
-            -1, CIFAR_DIM
-        )
+        for x in (x_train, x_test):
+            planes = x.reshape(-1, 3, 1024)
+            planes -= mean_a
+            planes /= std_a
 
     train = Dataset(features=x_train, labels=y_train, n_classes=CIFAR_CLASSES)
-    test = Dataset(features=x_test, labels=test_labels, n_classes=CIFAR_CLASSES)
+    test = Dataset(features=x_test, labels=y_test, n_classes=CIFAR_CLASSES)
     return train, test
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,14 +145,25 @@ class MlpModel:
     def bias_arrays(self) -> list[np.ndarray]:
         return [self.input_b, *self.round_b, self.output_b]
 
+    @cached_property
+    def mask_values(self) -> np.ndarray:
+        """The mask as a 1.0/0.0 matrix in the model dtype."""
+        return self.mask.matrix.astype(self.dtype)
+
     def masked_entries_zero(self) -> bool:
         off = ~self.mask.matrix
         return all(not np.any(w[off]) for w in self.round_w)
 
     def apply_mask(self) -> None:
-        off = ~self.mask.matrix
+        """Zero the masked round-weight entries by multiplying with
+        `mask_values`; unmasked entries are unchanged bit for bit.
+
+        Under masked gradients the masked entries stay +0.0. A -0.0 can
+        appear only after an update with dense gradients moved a masked
+        entry below zero; it still compares equal to 0.
+        """
         for w in self.round_w:
-            w[off] = 0.0
+            w *= self.mask_values
 
 
 def init_model(
@@ -211,33 +223,36 @@ def init_model(
 
 @dataclass
 class ForwardCache:
-    """Intermediates retained for the backward pass."""
+    """Intermediates retained for the backward pass.
+
+    Pre-activations are not kept: the ReLU derivative is `act > 0`, which
+    equals `pre > 0` for every value, NaN included.
+    """
 
     x: np.ndarray
-    pre: list[np.ndarray]  # pre-activations: input layer then each round
-    act: list[np.ndarray]  # post-ReLU activations, same indexing
+    act: list[np.ndarray]  # post-ReLU activations: input layer then each round
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a (batch, in_dim) matrix; returns (logits, cache)."""
+    """Run the network on a (batch, in_dim) matrix; returns (logits, cache).
+
+    The bias and the ReLU are applied in place on each matmul output.
+    """
     x = np.asarray(batch, dtype=model.dtype)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ShapeError(f"batch shape {x.shape} incompatible with in_dim {model.in_dim}")
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite values in input batch")
-    pre: list[np.ndarray] = []
     act: list[np.ndarray] = []
-    a = x @ model.input_w + model.input_b
-    h = np.maximum(a, 0.0)
-    pre.append(a)
-    act.append(h)
-    for w, b in zip(model.round_w, model.round_b):
-        a = h @ w + b
-        h = np.maximum(a, 0.0)
-        pre.append(a)
+    h = x
+    for w, b in zip([model.input_w, *model.round_w], [model.input_b, *model.round_b]):
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         act.append(h)
-    logits = h @ model.output_w + model.output_b
-    return logits, ForwardCache(x=x, pre=pre, act=act)
+    logits = h @ model.output_w
+    logits += model.output_b
+    return logits, ForwardCache(x=x, act=act)
 
 
 # ---------------------------------------------------------------------------

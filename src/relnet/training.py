@@ -20,6 +20,9 @@ from .model import MlpModel, forward
 
 SCHEDULES = ("cosine", "constant")
 PRECISIONS = ("double", "single")
+# Elements per block of a weight update. One block each of w, v, grad and
+# the temporary is 1 MiB in float32 (2 MiB in float64), within a per-core L2.
+SGD_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,8 @@ def _softmax_stats(logits: np.ndarray, labels: np.ndarray):
 def loss_and_grads(model: MlpModel, batch_x, batch_y) -> tuple[float, Grads]:
     """Mean softmax cross-entropy and exact gradients for every parameter.
 
-    Masked round-weight entries come back with gradient exactly 0.
+    Masked round-weight entries come back with gradient exactly 0 (+0.0 or
+    -0.0: the gradient is multiplied by the 1.0/0.0 mask).
     """
     y = np.asarray(batch_y)
     if y.size and (y.min() < 0 or y.max() >= model.out_dim):
@@ -106,15 +110,16 @@ def loss_and_grads(model: MlpModel, batch_x, batch_y) -> tuple[float, Grads]:
     rounds = model.rounds
     d_round_w: list[np.ndarray] = [None] * rounds  # type: ignore[list-item]
     d_round_b: list[np.ndarray] = [None] * rounds  # type: ignore[list-item]
-    off = ~model.mask.matrix
     for r in range(rounds - 1, -1, -1):
-        da = dh * (cache.pre[r + 1] > 0)
+        da = dh
+        da *= cache.act[r + 1] > 0
         dw = cache.act[r].T @ da
-        dw[off] = 0.0
+        dw *= model.mask_values
         d_round_w[r] = dw
         d_round_b[r] = da.sum(axis=0)
         dh = da @ model.round_w[r].T
-    da = dh * (cache.pre[0] > 0)
+    da = dh
+    da *= cache.act[0] > 0
     d_input_w = cache.x.T @ da
     d_input_b = da.sum(axis=0)
 
@@ -163,15 +168,30 @@ def sgd_step(
     v <- momentum*v + grad + weight_decay*w for weights (decay skips
     biases), then w <- w - lr(step)*v; the round-weight mask is re-applied
     afterwards.
+
+    Each weight is walked in row blocks of at most SGD_CHUNK elements with
+    one preallocated temporary, so a block of w, v, grad and the temporary
+    stays in cache across the four operations. Every element still goes
+    through the same operations in the same order as whole-array updates,
+    so results are identical bit for bit.
     """
     lr = lr_at(config, step_index, total_steps)
     grad_w = [grads.input_w, *grads.round_w, grads.output_w]
+    # A block holds at least one row, however wide.
+    tmp = np.empty(max(SGD_CHUNK, model.width, model.out_dim), dtype=model.dtype)
     for w, g, v in zip(model.weight_arrays(), grad_w, state.vel_w):
-        v *= config.momentum
-        v += g
-        if config.weight_decay:
-            v += config.weight_decay * w
-        w -= lr * v
+        rows = max(1, SGD_CHUNK // w.shape[1])
+        for start in range(0, w.shape[0], rows):
+            block = slice(start, start + rows)
+            wb, vb = w[block], v[block]
+            t = tmp[: wb.size].reshape(wb.shape)
+            vb *= config.momentum
+            vb += g[block]
+            if config.weight_decay:
+                np.multiply(wb, config.weight_decay, out=t)
+                vb += t
+            np.multiply(vb, lr, out=t)
+            wb -= t
     if model.use_bias:
         grad_b = [grads.input_b, *grads.round_b, grads.output_b]
         for b, g, v in zip(model.bias_arrays(), grad_b, state.vel_b):

@@ -2,13 +2,15 @@
 
 Everything here is deliberately written from first principles (scalar loops,
 textbook formulas) rather than reusing library code under test, so that
-agreement is evidence and not tautology.
+agreement is evidence and not tautology. The last section holds whole-array
+expressions that the library's in-place passes must match byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import bisect
@@ -227,3 +229,119 @@ class DenseMlp:
             self.w[k] = self.w[k] - lr * self.vw[k]
             self.vb[k] = momentum * self.vb[k] + gb[k]
             self.b[k] = self.b[k] - lr * self.vb[k]
+
+
+# ---------------------------------------------------------------------------
+# Whole-array arithmetic oracles. The library makes its large passes in
+# place (CIFAR scaling, bias and ReLU, gradient and weight masking, the
+# blocked momentum update); these are the whole-array expressions those
+# passes must reproduce byte for byte, with their temporaries, the cached
+# pre-activations and boolean-index masking.
+
+
+def cifar10_arrays(root, normalize, dtype, stats=None):
+    """(x_train, y_train, x_test, y_test, stats) for a CIFAR-10 directory.
+
+    stats is {"mean": [...], "std": [...]}; when None it is computed from
+    the training set. The record count follows from each file's size.
+    """
+    root = Path(root)
+
+    def read(name):
+        records = np.frombuffer((root / name).read_bytes(), np.uint8).reshape(-1, 3073)
+        return records[:, 1:], records[:, 0].astype(np.int64)
+
+    train = [read(f"data_batch_{b}.bin") for b in range(1, 6)]
+    test_pixels, y_test = read("test_batch.bin")
+    x_train = np.concatenate([pixels for pixels, _ in train]).astype(dtype) / 255.0
+    x_test = test_pixels.astype(dtype) / 255.0
+    y_train = np.concatenate([labels for _, labels in train])
+    if normalize == "standard":
+        if stats is None:
+            planes = x_train.reshape(-1, 3, 1024)
+            stats = {
+                "mean": planes.mean(axis=(0, 2), dtype=np.float64).tolist(),
+                "std": planes.std(axis=(0, 2), dtype=np.float64).tolist(),
+            }
+        mean_a = np.asarray(stats["mean"], dtype=dtype).reshape(1, 3, 1)
+        std_a = np.asarray(stats["std"], dtype=dtype).reshape(1, 3, 1)
+        x_train = ((x_train.reshape(-1, 3, 1024) - mean_a) / std_a).reshape(-1, 3072)
+        x_test = ((x_test.reshape(-1, 3, 1024) - mean_a) / std_a).reshape(-1, 3072)
+    return x_train, y_train, x_test, y_test, stats
+
+
+def masked_mlp_forward(model, batch):
+    """Logits plus the pre- and post-ReLU activations of every hidden layer."""
+    x = np.asarray(batch, dtype=model.dtype)
+    pre = []
+    act = []
+    a = x @ model.input_w + model.input_b
+    h = np.maximum(a, 0.0)
+    pre.append(a)
+    act.append(h)
+    for w, b in zip(model.round_w, model.round_b):
+        a = h @ w + b
+        h = np.maximum(a, 0.0)
+        pre.append(a)
+        act.append(h)
+    logits = h @ model.output_w + model.output_b
+    return logits, x, pre, act
+
+
+def masked_mlp_loss_and_grads(model, batch_x, batch_y):
+    """Mean cross-entropy and gradients, as lists in weight_arrays() and
+    bias_arrays() order; masked round-weight gradients are set to 0.0."""
+    y = np.asarray(batch_y)
+    logits, x, pre, act = masked_mlp_forward(model, batch_x)
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    losses = lse[:, 0] - logits[np.arange(logits.shape[0]), y]
+    probs = np.exp(logits - lse)
+    loss = float(losses.mean())
+
+    batch = logits.shape[0]
+    dlogits = probs
+    dlogits[np.arange(batch), y] -= 1.0
+    dlogits /= batch
+
+    d_output_w = act[-1].T @ dlogits
+    d_output_b = dlogits.sum(axis=0)
+    dh = dlogits @ model.output_w.T
+    rounds = model.rounds
+    d_round_w = [None] * rounds
+    d_round_b = [None] * rounds
+    off = ~model.mask.matrix
+    for r in range(rounds - 1, -1, -1):
+        da = dh * (pre[r + 1] > 0)
+        dw = act[r].T @ da
+        dw[off] = 0.0
+        d_round_w[r] = dw
+        d_round_b[r] = da.sum(axis=0)
+        dh = da @ model.round_w[r].T
+    da = dh * (pre[0] > 0)
+    d_input_w = x.T @ da
+    d_input_b = da.sum(axis=0)
+    return (
+        loss,
+        [d_input_w, *d_round_w, d_output_w],
+        [d_input_b, *d_round_b, d_output_b],
+    )
+
+
+def masked_mlp_sgd_step(model, grad_w, grad_b, vel_w, vel_b, lr, momentum, weight_decay):
+    """Momentum SGD in four whole-array passes per weight, then boolean-index
+    masking of the round weights."""
+    for w, g, v in zip(model.weight_arrays(), grad_w, vel_w):
+        v *= momentum
+        v += g
+        if weight_decay:
+            v += weight_decay * w
+        w -= lr * v
+    if model.use_bias:
+        for b, g, v in zip(model.bias_arrays(), grad_b, vel_b):
+            v *= momentum
+            v += g
+            b -= lr * v
+    off = ~model.mask.matrix
+    for w in model.round_w:
+        w[off] = 0.0

@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relnet.datasets
+from _oracles import cifar10_arrays
 from relnet.datasets import (
     CIFAR_DIM,
     CIFAR_FILE_BYTES,
     CIFAR_RECORD_BYTES,
+    CIFAR_RECORDS_PER_FILE,
     STATS_FILENAME,
     Dataset,
     batch_iter,
@@ -21,9 +24,9 @@ from relnet.errors import FormatError
 FILES = [f"data_batch_{b}.bin" for b in range(1, 6)] + ["test_batch.bin"]
 
 
-def _synthetic_file(path: Path, seed: int) -> None:
+def _synthetic_file(path: Path, seed: int, records: int = CIFAR_RECORDS_PER_FILE) -> None:
     rng = np.random.default_rng(seed)
-    body = rng.integers(0, 256, size=CIFAR_FILE_BYTES, dtype=np.uint8)
+    body = rng.integers(0, 256, size=records * CIFAR_RECORD_BYTES, dtype=np.uint8)
     body = body.reshape(-1, CIFAR_RECORD_BYTES)
     body[:, 0] = rng.integers(0, 10, size=body.shape[0], dtype=np.uint8)
     path.write_bytes(body.tobytes())
@@ -156,6 +159,71 @@ class TestLoadCifar10:
         mean = train.features.reshape(-1, 3, 1024).mean(axis=(0, 2), dtype=np.float64)
         # published per-channel means of the CIFAR-10 training set
         assert np.abs(mean - [0.4914, 0.4822, 0.4465]).max() < 5e-3
+
+
+SMALL_RECORDS = 64
+
+
+@pytest.fixture
+def small_cifar_dir(tmp_path, monkeypatch) -> Path:
+    """CIFAR-10 files of SMALL_RECORDS records each, with the loader's record
+    count patched to match. Byte equality of the elementwise passes does not
+    depend on the record count, and the small files keep float64 cheap."""
+    monkeypatch.setattr(relnet.datasets, "CIFAR_RECORDS_PER_FILE", SMALL_RECORDS)
+    monkeypatch.setattr(
+        relnet.datasets, "CIFAR_FILE_BYTES", SMALL_RECORDS * CIFAR_RECORD_BYTES
+    )
+    for i, name in enumerate(FILES):
+        _synthetic_file(tmp_path / name, seed=2000 + i, records=SMALL_RECORDS)
+    return tmp_path
+
+
+def _assert_same_bytes(train, test, expected):
+    x_train, y_train, x_test, y_test, _ = expected
+    for got, want in [
+        (train.features, x_train),
+        (train.labels, y_train),
+        (test.features, x_test),
+        (test.labels, y_test),
+    ]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestLoaderMatchesWholeArrayArithmetic:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("normalize", ["standard", "raw"])
+    def test_fresh_stats(self, small_cifar_dir, normalize, dtype):
+        expected = cifar10_arrays(small_cifar_dir, normalize, dtype)
+        train, test = load_cifar10(small_cifar_dir, normalize=normalize, dtype=dtype)
+        _assert_same_bytes(train, test, expected)
+        stats_path = small_cifar_dir / STATS_FILENAME
+        if normalize == "standard":
+            assert json.loads(stats_path.read_text()) == expected[4]
+        else:
+            assert not stats_path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("normalize", ["standard", "raw"])
+    def test_cached_stats(self, small_cifar_dir, normalize, dtype):
+        stats = {"mean": [0.41, 0.52, 0.47], "std": [0.23, 0.29, 0.31]}
+        (small_cifar_dir / STATS_FILENAME).write_text(json.dumps(stats))
+        expected = cifar10_arrays(small_cifar_dir, normalize, dtype, stats)
+        train, test = load_cifar10(small_cifar_dir, normalize=normalize, dtype=dtype)
+        _assert_same_bytes(train, test, expected)
+
+    @pytest.mark.parametrize(
+        "target, name", [(Path, "write_text"), (os, "replace")]
+    )
+    def test_unwritable_cache_still_loads(self, small_cifar_dir, monkeypatch, target, name):
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only data directory")
+
+        expected = cifar10_arrays(small_cifar_dir, "standard", np.float32)
+        monkeypatch.setattr(target, name, refuse)
+        train, test = load_cifar10(small_cifar_dir, normalize="standard")
+        _assert_same_bytes(train, test, expected)
+        assert sorted(p.name for p in small_cifar_dir.iterdir()) == sorted(FILES)
 
 
 class TestDatasetValidation:

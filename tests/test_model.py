@@ -192,7 +192,7 @@ class TestForward:
     def test_cache_layer_count(self):
         model = init_model(ALMOST_K4, 8, 3, 6, 2, seed=0)
         _, cache = forward(model, np.zeros((1, 6)))
-        assert len(cache.pre) == 4 and len(cache.act) == 4
+        assert len(cache.act) == 4
 
 
 class TestCheckpoint:

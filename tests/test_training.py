@@ -1,10 +1,11 @@
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _oracles import DenseMlp
+from _oracles import DenseMlp, masked_mlp_loss_and_grads, masked_mlp_sgd_step
 from relnet.datasets import Dataset, synthetic_blobs
 from relnet.errors import NumericError, ShapeError
 from relnet.generators import gen_complete, gen_er
@@ -145,6 +146,41 @@ class TestLossAndGrads:
             oracle.step(gw, gb, lr, config.momentum, config.weight_decay)
         for a, b in zip(model.weight_arrays(), oracle.w):
             assert np.abs(a - b).max() <= 1e-12
+
+
+class TestMatchesWholeArrayArithmetic:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("graph", ["sparse", "complete"])
+    def test_twenty_steps_byte_for_byte(self, graph, precision):
+        # in_dim * width = 76,800 elements puts the input projection over
+        # two SGD blocks, the second one partial.
+        g = gen_complete(16) if graph == "complete" else gen_er(16, 0.3, seed=4)
+        config = TrainConfig(learning_rate=0.05, precision=precision)
+        model = init_model(g, 128, 3, 600, 10, seed=7, dtype=config.dtype)
+        ref = copy.deepcopy(model)
+        state = SgdState.zeros(model)
+        ref_state = SgdState.zeros(ref)
+        rng = np.random.default_rng(11)
+        total = 20
+        for step in range(total):
+            x = rng.standard_normal((32, 600)).astype(config.dtype)
+            y = rng.integers(0, 10, 32)
+            loss, grads = loss_and_grads(model, x, y)
+            ref_loss, gw, gb = masked_mlp_loss_and_grads(ref, x, y)
+            assert loss == ref_loss
+            sgd_step(model, grads, config, step, state, total)
+            masked_mlp_sgd_step(
+                ref, gw, gb, ref_state.vel_w, ref_state.vel_b,
+                lr_at(config, step, total), config.momentum, config.weight_decay,
+            )
+        got = [*model.weight_arrays(), *model.bias_arrays(), *state.vel_w, *state.vel_b]
+        want = [*ref.weight_arrays(), *ref.bias_arrays(), *ref_state.vel_w, *ref_state.vel_b]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        off = ~model.mask.matrix
+        assert off.any() == (graph == "sparse")
+        for w in model.round_w:
+            assert (w[off] == 0).all() and not np.signbit(w[off]).any()
 
 
 class TestSgdStep:
