@@ -22,12 +22,13 @@ from .errors import RelnetError
 from .generators import FAMILIES, GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
 from .model import init_model, save_checkpoint
-from .seeding import child_seed
+from .seeding import _GRAPH_STREAM, _MODEL_STREAM, _SHUFFLE_STREAM, child_seed
 from .sweep import (
     SweepSpec,
     aggregate,
     build_dataset,
     correlation_report,
+    cut_partial_row,
     existing_keys,
     read_records_csv,
     run_sweep,
@@ -35,10 +36,6 @@ from .sweep import (
     write_records_csv,
 )
 from .training import SCHEDULES, PRECISIONS, TrainConfig, train
-
-_GRAPH_STREAM = 101
-_MODEL_STREAM = 102
-_SHUFFLE_STREAM = 103
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser, require_family: bool) -> None:
@@ -173,8 +170,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = SweepSpec.from_json(args.spec)
-    skip = existing_keys(args.out) if args.resume else set()
-    if not args.resume:
+    if args.resume:
+        cut_partial_row(args.out)
+        skip = existing_keys(args.out)
+    else:
+        skip = set()
         write_records_csv([], args.out)  # fresh header
 
     done = {"ok": 0, "failed": 0}

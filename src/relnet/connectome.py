@@ -27,13 +27,10 @@ class ConnectomeSource:
     declared_nodes: expected node count; a mismatch is logged, not fatal,
         since published connectome exports vary in how they count isolated
         neurons.
-    symmetrize: directed entries are collapsed to undirected edges. Storage
-        is undirected either way; the flag documents the source convention.
     """
 
     path: str
     declared_nodes: int | None = None
-    symmetrize: bool = True
 
 
 def import_connectome(src: ConnectomeSource) -> Graph:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,11 +29,18 @@ STATS_FILENAME = "cifar10_stats.json"
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (N, D) with integer labels in [0, n_classes)."""
+    """Stored rows (N, D) with integer labels in [0, n_classes).
+
+    `features` holds the rows as stored. When `decode` is set, it maps any
+    block of stored rows to the feature values (CIFAR-10 keeps its uint8
+    pixels and standardizes each block as it is read); read feature values
+    through `rows`.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
+    decode: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
@@ -51,9 +60,17 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    def rows(self, index) -> np.ndarray:
+        """Feature values of the rows selected by `index` (a slice or an index
+        array); a fresh array when decoded."""
+        x = self.features[index]
+        return x if self.decode is None else self.decode(x)
+
     def astype(self, dtype) -> "Dataset":
+        """The same dataset with its feature values cast to dtype, stored
+        decoded."""
         return Dataset(
-            features=self.features.astype(dtype, copy=False),
+            features=self.rows(slice(None)).astype(dtype, copy=False),
             labels=self.labels,
             n_classes=self.n_classes,
         )
@@ -75,18 +92,35 @@ def _read_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return pixels, labels
 
 
-def _load_split(paths: list[Path], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Cast each file's pixels into one preallocated (records, 3072) array,
-    then scale it to [0,1] in place."""
-    x = np.empty((len(paths) * CIFAR_RECORDS_PER_FILE, CIFAR_DIM), dtype=dtype)
+def _load_split(paths: list[Path]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy each file's pixels into one preallocated (records, 3072) uint8
+    array."""
+    pixels = np.empty((len(paths) * CIFAR_RECORDS_PER_FILE, CIFAR_DIM), dtype=np.uint8)
     labels = []
     for i, path in enumerate(paths):
-        pixels, file_labels = _read_cifar_file(path)
-        x[i * CIFAR_RECORDS_PER_FILE : (i + 1) * CIFAR_RECORDS_PER_FILE] = pixels
+        file_pixels, file_labels = _read_cifar_file(path)
+        pixels[i * CIFAR_RECORDS_PER_FILE : (i + 1) * CIFAR_RECORDS_PER_FILE] = file_pixels
         labels.append(file_labels)
-        del pixels  # release this file's bytes before reading the next
+        del file_pixels  # release this file's bytes before reading the next
+    return pixels, np.concatenate(labels)
+
+
+def decode_pixels(pixels: np.ndarray, dtype, mean=None, std=None) -> np.ndarray:
+    """Feature values of a block of CIFAR-10 pixel rows, as a new array.
+
+    Casts to dtype and scales to [0,1]; with mean and std (dtype arrays of
+    shape (1, 3, 1)) it then standardizes each channel in place. Each pass
+    is one correctly rounded operation per element whose result depends only
+    on the pixel byte and its channel, so a block equals the same rows of the
+    whole decoded split bit for bit.
+    """
+    x = pixels.astype(dtype)
     x /= 255.0
-    return x, np.concatenate(labels)
+    if mean is not None:
+        planes = x.reshape(-1, 3, 1024)
+        planes -= mean
+        planes /= std
+    return x
 
 
 def _channel_stats(features01: np.ndarray) -> tuple[list[float], list[float]]:
@@ -116,40 +150,39 @@ def load_cifar10(
 ) -> tuple[Dataset, Dataset]:
     """Load the six binary batches under dir_path.
 
-    normalize="standard": scale to [0,1] then standardize each channel with
+    Each split keeps its pixels as a (N, 3072) uint8 array (0.18 GB in all)
+    and decodes rows to dtype features as they are read (`decode_pixels`):
+    normalize="standard" scales to [0,1] then standardizes each channel with
     training-set statistics, computed once and cached as JSON next to the
     data (written atomically; skipped when the directory is read-only).
     normalize="raw": stop at the [0,1] scaling.
 
-    Every pass writes into the two feature arrays, so peak memory is those
-    arrays plus one raw file; only the first standard load, which computes
-    the statistics, adds a float64 temporary of the training set.
+    Only the first standard load, which computes the statistics, decodes the
+    whole training set once, plus a float64 temporary of it.
     """
     if normalize not in ("standard", "raw"):
         raise ValueError(f"unknown normalize mode {normalize!r}")
     root = Path(dir_path)
-    x_train, y_train = _load_split(
-        [root / f"data_batch_{b}.bin" for b in range(1, 6)], dtype
-    )
-    x_test, y_test = _load_split([root / "test_batch.bin"], dtype)
+    x_train, y_train = _load_split([root / f"data_batch_{b}.bin" for b in range(1, 6)])
+    x_test, y_test = _load_split([root / "test_batch.bin"])
 
+    decode = partial(decode_pixels, dtype=dtype)
     if normalize == "standard":
         stats_path = root / STATS_FILENAME
         if stats_path.exists():
             stats = json.loads(stats_path.read_text())
             mean, std = stats["mean"], stats["std"]
         else:
-            mean, std = _channel_stats(x_train)
+            mean, std = _channel_stats(decode(x_train))
             _cache_stats(stats_path, mean, std)
-        mean_a = np.asarray(mean, dtype=dtype).reshape(1, 3, 1)
-        std_a = np.asarray(std, dtype=dtype).reshape(1, 3, 1)
-        for x in (x_train, x_test):
-            planes = x.reshape(-1, 3, 1024)
-            planes -= mean_a
-            planes /= std_a
+        decode = partial(
+            decode,
+            mean=np.asarray(mean, dtype=dtype).reshape(1, 3, 1),
+            std=np.asarray(std, dtype=dtype).reshape(1, 3, 1),
+        )
 
-    train = Dataset(features=x_train, labels=y_train, n_classes=CIFAR_CLASSES)
-    test = Dataset(features=x_test, labels=y_test, n_classes=CIFAR_CLASSES)
+    train = Dataset(x_train, y_train, CIFAR_CLASSES, decode)
+    test = Dataset(x_test, y_test, CIFAR_CLASSES, decode)
     return train, test
 
 
@@ -181,7 +214,8 @@ def synthetic_blobs(
 def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int):
     """Yield (x, y) minibatches under a fresh shuffle per (seed, epoch).
 
-    The trailing partial batch is kept.
+    x holds feature values (`Dataset.rows`), decoded per batch for a coded
+    dataset. The trailing partial batch is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -189,4 +223,4 @@ def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int):
     order = rng.permutation(ds.n)
     for start in range(0, ds.n, batch_size):
         idx = order[start : start + batch_size]
-        yield ds.features[idx], ds.labels[idx]
+        yield ds.rows(idx), ds.labels[idx]

@@ -10,6 +10,12 @@ from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 
+# Per-run child streams: one run seed fans out into independent graph,
+# model-init, and shuffle seeds.
+_GRAPH_STREAM = 101
+_MODEL_STREAM = 102
+_SHUFFLE_STREAM = 103
+
 
 def splitmix64(x: int) -> int:
     """One splitmix64 output step; a well-mixed 64-bit hash of x."""

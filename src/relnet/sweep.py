@@ -19,21 +19,15 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .datasets import Dataset, load_cifar10, synthetic_blobs
-from .errors import FitError, RelnetError
+from .errors import FitError, FormatError, RelnetError
 from .generators import GeneratorSpec, generate_with_info
 from .graphs import compute_metrics
 from .model import init_model
-from .seeding import child_seed
+from .seeding import _GRAPH_STREAM, _MODEL_STREAM, _SHUFFLE_STREAM, child_seed
 from .training import TrainConfig, train
 
 AXIS_NAMES = ("p", "gamma", "m", "mu")
 SWEEP_FAMILIES = ("er", "static_sf")
-
-# Per-run child streams: one run seed fans out into independent graph,
-# model-init, and shuffle seeds.
-_GRAPH_STREAM = 101
-_MODEL_STREAM = 102
-_SHUFFLE_STREAM = 103
 
 CSV_HEADER = [
     "family",
@@ -518,6 +512,10 @@ def write_records_csv(records: list[ExperimentRecord], path, append: bool = Fals
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:
+    """Records of a CSV written by write_records_csv. A wrong header, or a row
+    whose field count differs from the header's (a row cut mid-write), raises
+    FormatError naming the line."""
+
     def as_int(s):
         return int(s) if s else None
 
@@ -526,7 +524,19 @@ def read_records_csv(path) -> list[ExperimentRecord]:
 
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.reader(fh)
+        header = next(reader, CSV_HEADER)  # an empty file has no rows
+        if header != CSV_HEADER:
+            raise FormatError(f"{path}: line 1 is not the records CSV header")
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(CSV_HEADER):
+                raise FormatError(
+                    f"{path}: line {reader.line_num} has {len(fields)} fields, "
+                    f"not {len(CSV_HEADER)}"
+                )
+            row = dict(zip(CSV_HEADER, fields))
             records.append(
                 ExperimentRecord(
                     family=row["family"],
@@ -551,6 +561,18 @@ def read_records_csv(path) -> list[ExperimentRecord]:
                 )
             )
     return records
+
+
+def cut_partial_row(path) -> None:
+    """Cut a last line that lacks its newline (a row cut mid-write) back to
+    the previous newline, so that cell re-runs and the next append starts on
+    a fresh line."""
+    if not os.path.exists(path):
+        return
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def existing_keys(path) -> set[tuple[str, ...]]:

@@ -202,11 +202,15 @@ def sgd_step(
 
 
 def evaluate(model: MlpModel, dataset: Dataset, batch_size: int = 1000) -> EvalResult:
-    """Top-1 error and mean loss; argmax ties resolve to the lowest class."""
+    """Top-1 error and mean loss; argmax ties resolve to the lowest class.
+
+    Reads the feature values in blocks of batch_size rows (`Dataset.rows`),
+    so a coded dataset is decoded one block at a time.
+    """
     wrong = 0
     loss_sum = 0.0
     for start in range(0, dataset.n, batch_size):
-        x = dataset.features[start : start + batch_size]
+        x = dataset.rows(slice(start, start + batch_size))
         y = dataset.labels[start : start + batch_size]
         logits, _ = forward(model, x)
         pred = np.argmax(logits, axis=1)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from relnet.cli import main
+from relnet.errors import FormatError
 from relnet.graphs import read_edge_list
 from relnet.model import load_checkpoint
 from relnet.sweep import CSV_HEADER, read_records_csv
@@ -257,6 +258,56 @@ class TestSweepReport:
         assert code == 0
         assert last_json(stdout) == {"ok": 3, "failed": 0, "skipped": 3}
         assert len(read_records_csv(out)) == 6
+
+    @staticmethod
+    def rows_without_wall_ms(path):
+        wall = CSV_HEADER.index("wall_ms")
+        lines = path.read_text().splitlines()
+        return [line.split(",")[:wall] for line in lines]
+
+    def test_resume_after_row_cut_mid_write(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path)
+        whole = tmp_path / "whole.csv"
+        run(capsys, "sweep", "--spec", str(spec), "--out", str(whole))
+        data = whole.read_bytes()
+        row_ends = [i for i, b in enumerate(data) if b == ord("\n")]
+        assert len(row_ends) == 7
+        # inside the header, mid-row, just before and after a row's "\r\n",
+        # and inside the last row
+        offsets = [5, row_ends[1] + 20, row_ends[2] - 1, row_ends[2] + 1,
+                   row_ends[3], len(data) - 3]
+        for offset in offsets:
+            out = tmp_path / f"cut_{offset}.csv"
+            out.write_bytes(data[:offset])
+            code, stdout, _ = run(
+                capsys, "sweep", "--spec", str(spec), "--out", str(out), "--resume"
+            )
+            assert code == 0
+            summary = last_json(stdout)
+            assert summary["ok"] + summary["skipped"] == 6
+            assert self.rows_without_wall_ms(out) == self.rows_without_wall_ms(whole)
+
+    def test_row_cut_mid_write_is_a_format_error(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text(",".join(CSV_HEADER) + "\ner,2,0.3,,,0.2,16,1,0,ok,8")
+        with pytest.raises(FormatError, match=r"out.csv: line 2 has 11 fields, not 19"):
+            read_records_csv(out)
+        out.write_text(",".join(reversed(CSV_HEADER)) + "\n")
+        with pytest.raises(FormatError, match="line 1 is not the records CSV header"):
+            read_records_csv(out)
+
+    def test_report_on_malformed_middle_row_exits_2(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path)
+        out = tmp_path / "out.csv"
+        run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        lines = out.read_text().splitlines()
+        lines[3] = lines[3][: len(lines[3]) // 2]
+        out.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run(capsys, "report", "--csv", str(out), "--x", "p")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and "line 4" in err
+        assert "Traceback" not in err
 
     def test_report(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path)

@@ -20,6 +20,9 @@ from relnet.datasets import (
     synthetic_blobs,
 )
 from relnet.errors import FormatError
+from relnet.generators import gen_er
+from relnet.model import init_model
+from relnet.training import TrainConfig, evaluate, train
 
 FILES = [f"data_batch_{b}.bin" for b in range(1, 6)] + ["test_batch.bin"]
 
@@ -73,15 +76,16 @@ class TestLoadCifar10:
 
     def test_raw_mode_range_and_values(self, cifar_dir):
         train, _ = load_cifar10(cifar_dir, normalize="raw")
-        assert train.features.min() >= 0.0
-        assert train.features.max() <= 1.0
+        features = train.rows(slice(None))
+        assert features.min() >= 0.0
+        assert features.max() <= 1.0
         # rows 0..199 come from the first training file, in record order
         raw = _file_pixels01(cifar_dir / "data_batch_1.bin", rows=200)
-        assert np.abs(train.features[:200] - raw).max() <= 1e-6
+        assert np.abs(features[:200] - raw).max() <= 1e-6
 
     def test_standard_mode_statistics(self, cifar_dir):
         train, _ = load_cifar10(cifar_dir, normalize="standard")
-        planes = train.features.reshape(-1, 3, 1024)
+        planes = train.rows(slice(None)).reshape(-1, 3, 1024)
         mean = planes.mean(axis=(0, 2), dtype=np.float64)
         std = planes.std(axis=(0, 2), dtype=np.float64)
         assert np.abs(mean).max() <= 1e-6
@@ -106,7 +110,8 @@ class TestLoadCifar10:
         train, _ = load_cifar10(root, normalize="standard")
         raw = _file_pixels01(root / "data_batch_1.bin", rows=200)
         expected = (raw.reshape(-1, 3, 1024) - 0.5) / 2.0
-        assert np.abs(train.features[:200] - expected.reshape(-1, CIFAR_DIM)).max() <= 1e-6
+        features = train.rows(slice(None))
+        assert np.abs(features[:200] - expected.reshape(-1, CIFAR_DIM)).max() <= 1e-6
 
     def test_test_set_uses_train_statistics(self, cifar_dir):
         _, test = load_cifar10(cifar_dir, normalize="standard")
@@ -116,7 +121,8 @@ class TestLoadCifar10:
         expected = (planes - np.array(stats["mean"]).reshape(1, 3, 1)) / np.array(
             stats["std"]
         ).reshape(1, 3, 1)
-        assert np.abs(test.features[:200] - expected.reshape(-1, CIFAR_DIM)).max() <= 1e-5
+        features = test.rows(slice(None))
+        assert np.abs(features[:200] - expected.reshape(-1, CIFAR_DIM)).max() <= 1e-5
 
     def test_truncated_file_reports_counts(self, cifar_dir, tmp_path):
         root = tmp_path / "trunc"
@@ -156,7 +162,8 @@ class TestLoadCifar10:
     )
     def test_real_channel_means(self):
         train, _ = load_cifar10(os.environ["RELNET_CIFAR10_DIR"], normalize="raw")
-        mean = train.features.reshape(-1, 3, 1024).mean(axis=(0, 2), dtype=np.float64)
+        planes = train.rows(slice(None)).reshape(-1, 3, 1024)
+        mean = planes.mean(axis=(0, 2), dtype=np.float64)
         # published per-channel means of the CIFAR-10 training set
         assert np.abs(mean - [0.4914, 0.4822, 0.4465]).max() < 5e-3
 
@@ -181,9 +188,9 @@ def small_cifar_dir(tmp_path, monkeypatch) -> Path:
 def _assert_same_bytes(train, test, expected):
     x_train, y_train, x_test, y_test, _ = expected
     for got, want in [
-        (train.features, x_train),
+        (train.rows(slice(None)), x_train),
         (train.labels, y_train),
-        (test.features, x_test),
+        (test.rows(slice(None)), x_test),
         (test.labels, y_test),
     ]:
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -224,6 +231,68 @@ class TestLoaderMatchesWholeArrayArithmetic:
         train, test = load_cifar10(small_cifar_dir, normalize="standard")
         _assert_same_bytes(train, test, expected)
         assert sorted(p.name for p in small_cifar_dir.iterdir()) == sorted(FILES)
+
+
+def _oracle_datasets(root, normalize, dtype):
+    """Plain (train, test) Datasets holding the whole-array oracle's values."""
+    x_train, y_train, x_test, y_test, _ = cifar10_arrays(root, normalize, dtype)
+    return Dataset(x_train, y_train, 10), Dataset(x_test, y_test, 10)
+
+
+class TestCodedDataset:
+    def test_full_size_split_stored_as_bytes(self, cifar_dir):
+        train, test = load_cifar10(cifar_dir, normalize="raw")
+        assert train.features.dtype == np.uint8
+        assert train.features.nbytes == 50000 * CIFAR_DIM
+        assert test.features.dtype == np.uint8
+        assert test.features.nbytes == 10000 * CIFAR_DIM
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("normalize", ["standard", "raw"])
+    def test_batches_match_oracle_rows(self, small_cifar_dir, normalize, dtype):
+        train, _ = load_cifar10(small_cifar_dir, normalize=normalize, dtype=dtype)
+        oracle, _ = _oracle_datasets(small_cifar_dir, normalize, dtype)
+        got = list(batch_iter(train, 48, seed=3, epoch=1))
+        want = list(batch_iter(oracle, 48, seed=3, epoch=1))
+        assert len(got) == len(want) == 7
+        for (x, y), (ox, oy) in zip(got, want):
+            assert x.dtype == ox.dtype and x.shape == ox.shape
+            assert x.tobytes() == ox.tobytes()
+            assert y.tobytes() == oy.tobytes()
+
+    def test_astype_casts_decoded_values(self, small_cifar_dir):
+        train, _ = load_cifar10(small_cifar_dir, normalize="standard")
+        cast = train.astype(np.float64)
+        want = train.rows(slice(None)).astype(np.float64)
+        assert cast.decode is None
+        assert cast.features.dtype == np.float64
+        assert cast.rows(slice(None)).tobytes() == want.tobytes()
+        assert cast.labels is train.labels and cast.n_classes == train.n_classes
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_training_matches_oracle_dataset(self, small_cifar_dir, precision):
+        config = TrainConfig(
+            epochs=2, batch_size=48, learning_rate=0.05, seed=5, precision=precision
+        )
+        coded = load_cifar10(small_cifar_dir, dtype=config.dtype)
+        plain = _oracle_datasets(small_cifar_dir, "standard", config.dtype)
+        runs = []
+        for train_set, test_set in (coded, plain):
+            model = init_model(
+                gen_er(16, 0.3, seed=4), 32, 2, CIFAR_DIM, 10, seed=7, dtype=config.dtype
+            )
+            result, log = train(model, train_set, test_set, config)
+            small_blocks = evaluate(model, test_set, batch_size=24)
+            runs.append((model, result, log, small_blocks))
+        (model, result, log, blocks), (ref, ref_result, ref_log, ref_blocks) = runs
+        for a, b in zip(
+            [*model.weight_arrays(), *model.bias_arrays()],
+            [*ref.weight_arrays(), *ref.bias_arrays()],
+        ):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert result == ref_result and blocks == ref_blocks
+        assert [e["train_loss"] for e in log] == [e["train_loss"] for e in ref_log]
+        assert [e["test_top1"] for e in log] == [e["test_top1"] for e in ref_log]
 
 
 class TestDatasetValidation:
