@@ -8,6 +8,7 @@ then 1024 red, 1024 green, 1024 blue bytes, row-major).
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -31,10 +32,12 @@ STATS_FILENAME = "cifar10_stats.json"
 class Dataset:
     """Stored rows (N, D) with integer labels in [0, n_classes).
 
-    `features` holds the rows as stored. When `decode` is set, it maps any
-    block of stored rows to the feature values (CIFAR-10 keeps its uint8
-    pixels and standardizes each block as it is read); read feature values
-    through `rows`.
+    `features` holds the rows as stored: an array, or an array-like with
+    `shape`, `dtype`, `nbytes` and `[index]`. When `decode` is set, it maps
+    any block of stored rows to the feature values (CIFAR-10 keeps its uint8
+    pixels in the page cache, one copy per machine shared by every process
+    that loads them, and standardizes each block as it is read); read
+    feature values through `rows`.
     """
 
     features: np.ndarray
@@ -76,33 +79,69 @@ class Dataset:
         )
 
 
-def _read_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    raw = path.read_bytes()
-    if len(raw) != CIFAR_FILE_BYTES:
-        raise FormatError(
-            f"{path}: expected {CIFAR_FILE_BYTES} bytes, found {len(raw)}"
-        )
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(
-        CIFAR_RECORDS_PER_FILE, CIFAR_RECORD_BYTES
-    )
-    labels = records[:, 0].astype(np.int64)
-    if labels.max() > 9:
-        raise FormatError(f"{path}: label byte {labels.max()} exceeds 9")
-    pixels = records[:, 1:]
-    return pixels, labels
+class MappedPixels:
+    """The (N, 3072) uint8 pixel rows of a CIFAR-10 split, read-only, over
+    the read-only mappings of its files, each a (records, 3073) array.
+
+    `[index]` takes a slice or an integer array, as numpy does. A slice of
+    consecutive rows inside one file returns a read-only view; anything else
+    gathers the rows into a new array.
+    """
+
+    dtype = np.dtype(np.uint8)
+
+    def __init__(self, files: list[np.ndarray]):
+        self._pixels = [records[:, 1:] for records in files]
+        self._records = files[0].shape[0]
+        self.shape = (len(files) * self._records, CIFAR_DIM)
+        self.nbytes = self.shape[0] * CIFAR_DIM
+
+    def __getitem__(self, index) -> np.ndarray:
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self.shape[0])
+            file = start // self._records
+            if step == 1 and file == (stop - 1) // self._records:
+                offset = file * self._records
+                return self._pixels[file][start - offset : stop - offset]
+            index = np.arange(start, stop, step)
+        index = np.asarray(index)
+        if index.size and index.dtype.kind not in "iu":
+            raise IndexError(f"rows are selected by a slice or integers, not {index.dtype}")
+        n = self.shape[0]
+        flat = index.reshape(-1).astype(np.intp, copy=False)
+        if flat.size and (flat.min() < -n or flat.max() >= n):
+            raise IndexError(f"row index out of range for {n} rows")
+        file, row = np.divmod(flat % n, self._records)
+        out = np.empty((flat.size, CIFAR_DIM), dtype=np.uint8)
+        for f, pixels in enumerate(self._pixels):
+            hit = file == f
+            out[hit] = pixels[row[hit]]
+        return out.reshape(index.shape + (CIFAR_DIM,))
 
 
-def _load_split(paths: list[Path]) -> tuple[np.ndarray, np.ndarray]:
-    """Copy each file's pixels into one preallocated (records, 3072) uint8
-    array."""
-    pixels = np.empty((len(paths) * CIFAR_RECORDS_PER_FILE, CIFAR_DIM), dtype=np.uint8)
-    labels = []
-    for i, path in enumerate(paths):
-        file_pixels, file_labels = _read_cifar_file(path)
-        pixels[i * CIFAR_RECORDS_PER_FILE : (i + 1) * CIFAR_RECORDS_PER_FILE] = file_pixels
+def _map_cifar_file(path: Path) -> np.ndarray:
+    """The file's (records, 3073) bytes, mapped read-only; checks its size
+    before mapping it."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != CIFAR_FILE_BYTES:
+            raise FormatError(f"{path}: expected {CIFAR_FILE_BYTES} bytes, found {size}")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.frombuffer(mapped, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+
+
+def _load_split(paths: list[Path]) -> tuple[MappedPixels, np.ndarray]:
+    """Map each file read-only; its pixel rows stay in the page cache, and
+    its labels are checked and copied."""
+    files, labels = [], []
+    for path in paths:
+        records = _map_cifar_file(path)
+        file_labels = records[:, 0].astype(np.int64)
+        if file_labels.max() > 9:
+            raise FormatError(f"{path}: label byte {file_labels.max()} exceeds 9")
+        files.append(records)
         labels.append(file_labels)
-        del file_pixels  # release this file's bytes before reading the next
-    return pixels, np.concatenate(labels)
+    return MappedPixels(files), np.concatenate(labels)
 
 
 def decode_pixels(pixels: np.ndarray, dtype, mean=None, std=None) -> np.ndarray:
@@ -150,8 +189,11 @@ def load_cifar10(
 ) -> tuple[Dataset, Dataset]:
     """Load the six binary batches under dir_path.
 
-    Each split keeps its pixels as a (N, 3072) uint8 array (0.18 GB in all)
-    and decodes rows to dtype features as they are read (`decode_pixels`):
+    Each split keeps its pixels as a read-only (N, 3072) uint8 array-like
+    over the mapped files (`MappedPixels`): no load-time copy, and every
+    process on the machine that loads the same files shares the one copy the
+    page cache holds (0.18 GB in all). Rows decode to dtype features as they
+    are read (`decode_pixels`):
     normalize="standard" scales to [0,1] then standardizes each channel with
     training-set statistics, computed once and cached as JSON next to the
     data (written atomically; skipped when the directory is read-only).
@@ -159,6 +201,11 @@ def load_cifar10(
 
     Only the first standard load, which computes the statistics, decodes the
     whole training set once, plus a float64 temporary of it.
+
+    The files must not change while the datasets are in use: after one is
+    rewritten in place (a copy over it, a truncation), reading a row past its
+    new end kills the process with SIGBUS, and rewritten rows change under
+    it. Replacing a file by a rename is safe: the mapping keeps the old file.
     """
     if normalize not in ("standard", "raw"):
         raise ValueError(f"unknown normalize mode {normalize!r}")
@@ -173,7 +220,7 @@ def load_cifar10(
             stats = json.loads(stats_path.read_text())
             mean, std = stats["mean"], stats["std"]
         else:
-            mean, std = _channel_stats(decode(x_train))
+            mean, std = _channel_stats(decode(x_train[:]))
             _cache_stats(stats_path, mean, std)
         decode = partial(
             decode,

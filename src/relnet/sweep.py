@@ -10,6 +10,8 @@ failures become error rows, never aborts, so long sweeps stay resumable.
 from __future__ import annotations
 
 import csv
+import ctypes
+import io
 import json
 import os
 import time
@@ -311,8 +313,34 @@ def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> Experi
 _WORKER_DATA: tuple[Dataset, Dataset] | None = None
 
 
-def _worker_init(dataset_spec: dict | None, precision: str) -> None:
+def _openblas_function(name: str):
+    """The function `name` (such as "set_num_threads") of the OpenBLAS this
+    process has loaded, as a ctypes function; None when no OpenBLAS is among
+    its mapped libraries. numpy's wheels prefix and suffix the symbol
+    name ("scipy_openblas_set_num_threads64_")."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for symbol in (f"openblas_{name}", f"scipy_openblas_{name}64_"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _worker_init(dataset_spec: dict | None, precision: str, workers: int) -> None:
+    """Load the worker's datasets. Unless OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS is set, give the worker's OpenBLAS an equal share of the
+    usable CPUs, so the pool's BLAS threads do not outnumber the cores."""
     global _WORKER_DATA
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        set_threads = _openblas_function("set_num_threads")
+        if set_threads is not None:
+            set_threads(max(1, len(os.sched_getaffinity(0)) // workers))
     dtype = np.float64 if precision == "double" else np.float32
     _WORKER_DATA = build_dataset(dataset_spec, dtype=dtype)
 
@@ -371,7 +399,7 @@ def run_sweep(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(spec.dataset, spec.train.precision),
+            initargs=(spec.dataset, spec.train.precision, workers),
         ) as pool:
             for record in pool.map(_worker_run, tasks):
                 records.append(record)
@@ -512,9 +540,9 @@ def write_records_csv(records: list[ExperimentRecord], path, append: bool = Fals
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:
-    """Records of a CSV written by write_records_csv. A wrong header, or a row
-    whose field count differs from the header's (a row cut mid-write), raises
-    FormatError naming the line."""
+    """Records of a CSV written by write_records_csv. A wrong header, a row
+    whose field count differs from the header's, or a last line without its
+    newline (a row cut mid-write) raises FormatError naming the line."""
 
     def as_int(s):
         return int(s) if s else None
@@ -524,7 +552,9 @@ def read_records_csv(path) -> list[ExperimentRecord]:
 
     records = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+        cut_line = text.count("\n") + 1 if text and not text.endswith("\n") else None
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, CSV_HEADER)  # an empty file has no rows
         if header != CSV_HEADER:
             raise FormatError(f"{path}: line 1 is not the records CSV header")
@@ -560,6 +590,8 @@ def read_records_csv(path) -> list[ExperimentRecord]:
                     wall_ms=as_float(row["wall_ms"]) or 0.0,
                 )
             )
+    if cut_line is not None:
+        raise FormatError(f"{path}: line {cut_line} ends without a newline (cut mid-write)")
     return records
 
 

@@ -296,6 +296,23 @@ class TestSweepReport:
         with pytest.raises(FormatError, match="line 1 is not the records CSV header"):
             read_records_csv(out)
 
+    def test_report_on_last_row_cut_mid_write_exits_2(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path)
+        whole = tmp_path / "whole.csv"
+        run(capsys, "sweep", "--spec", str(spec), "--out", str(whole))
+        data = whole.read_bytes()
+        last_row = data.rindex(b"\n", 0, len(data) - 1) + 1
+        cut = tmp_path / "cut.csv"
+        for offset in range(last_row + 1, len(data)):
+            cut.write_bytes(data[:offset])
+            code, stdout, err = run(capsys, "report", "--csv", str(cut), "--x", "p")
+            assert (code, stdout) == (2, ""), offset
+            assert err.startswith("error:") and "line 7" in err, (offset, err)
+            assert "Traceback" not in err
+        code, stdout, _ = run(capsys, "report", "--csv", str(whole), "--x", "p")
+        assert code == 0 and stdout
+        assert len(read_records_csv(whole)) == 6
+
     def test_report_on_malformed_middle_row_exits_2(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path)
         out = tmp_path / "out.csv"

@@ -1,6 +1,8 @@
 import json
 import math
+import mmap
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +295,124 @@ class TestCodedDataset:
         assert result == ref_result and blocks == ref_blocks
         assert [e["train_loss"] for e in log] == [e["train_loss"] for e in ref_log]
         assert [e["test_top1"] for e in log] == [e["test_top1"] for e in ref_log]
+
+
+def _split_pixels(root: Path, names: list[str]) -> np.ndarray:
+    """The split's (N, 3072) pixel rows, copied from the concatenated file
+    bytes."""
+    raw = np.concatenate([np.frombuffer((root / n).read_bytes(), np.uint8) for n in names])
+    return raw.reshape(-1, CIFAR_RECORD_BYTES)[:, 1:]
+
+
+def _anonymous_kb() -> int:
+    with open("/proc/self/smaps_rollup") as fh:
+        for line in fh:
+            if line.startswith("Anonymous:"):
+                return int(line.split()[1])
+    raise AssertionError("no Anonymous line in smaps_rollup")
+
+
+class TestMappedPixels:
+    @pytest.fixture(scope="class")
+    def mapped(self, cifar_dir):
+        train, test = load_cifar10(cifar_dir, normalize="raw")
+        return train.features, _split_pixels(cifar_dir, FILES[:5])
+
+    def assert_rows(self, got, want):
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_shape_dtype_nbytes(self, mapped):
+        pixels, want = mapped
+        assert pixels.shape == want.shape == (50000, CIFAR_DIM)
+        assert pixels.dtype == np.uint8
+        assert pixels.nbytes == want.nbytes
+
+    def test_index_arrays_across_all_files(self, mapped):
+        pixels, want = mapped
+        index = np.random.default_rng(8).permutation(50000)[:700]
+        index[:6] = [0, 9999, 10000, 29999, 40000, 49999]
+        assert set(index // CIFAR_RECORDS_PER_FILE) == set(range(5))
+        self.assert_rows(pixels[index], want[index])
+        self.assert_rows(pixels[list(index[:5])], want[index[:5]])
+        grid = index[:12].reshape(3, 4)
+        self.assert_rows(pixels[grid], want[grid])
+
+    @pytest.mark.parametrize(
+        "index",
+        [slice(9990, 10010), slice(None), slice(-10, None), slice(49990, 60000),
+         slice(3, 40000, 4999), slice(30005, 9990, -7), slice(10, 20),
+         slice(20000, 30000), slice(5, 5), slice(10010, 9990), slice(60000, 70000)],
+    )
+    def test_slices(self, mapped, index):
+        pixels, want = mapped
+        self.assert_rows(pixels[index], want[index])
+
+    def test_slice_inside_one_file_is_a_view(self, mapped):
+        pixels, _ = mapped
+        assert np.shares_memory(pixels[10:20], pixels[15:25])
+        assert np.shares_memory(pixels[20000:30000], pixels[29999:30000])
+        # a slice across a file boundary is gathered anew
+        assert not np.shares_memory(pixels[9990:10010], pixels[9990:10010])
+
+    def test_negative_and_empty_indices(self, mapped):
+        pixels, want = mapped
+        index = np.array([-1, -10000, -10001, -50000, 3, -3])
+        self.assert_rows(pixels[index], want[index])
+        for empty in ([], np.array([], dtype=np.int64), np.array([], dtype=np.uint32)):
+            self.assert_rows(pixels[empty], want[:0])
+
+    @pytest.mark.parametrize(
+        "index", [[50000], [-50001], np.array([0.0, 1.0]), np.array([True, False])]
+    )
+    def test_bad_indices_raise(self, mapped, index):
+        pixels, _ = mapped
+        with pytest.raises(IndexError):
+            pixels[index]
+
+    def test_stored_pixels_cannot_be_written(self, mapped):
+        pixels, want = mapped
+        with pytest.raises(TypeError):
+            pixels[0] = 0
+        for view in (pixels[10:20], pixels[10:20][:, 5:], pixels[10:20].T):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0, 0] = 0
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
+        gathered = pixels[np.array([10, 10010])]
+        gathered[:] = 0
+        self.assert_rows(pixels[np.array([10, 10010])], want[[10, 10010]])
+        self.assert_rows(pixels[10:20], want[10:20])
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self/smaps_rollup"
+    )
+    def test_load_copies_no_pixels(self, cifar_dir):
+        before = _anonymous_kb()
+        splits = load_cifar10(cifar_dir, normalize="raw")
+        grown = _anonymous_kb() - before
+        copy_kb = sum(ds.features.nbytes for ds in splits) // 1024  # 184 MB
+        assert grown < copy_kb // 10, f"{grown} kB anonymous memory after the load"
+
+    def test_wrong_size_file_fails_before_it_is_mapped(self, cifar_dir, tmp_path, monkeypatch):
+        for name in FILES:
+            os.link(cifar_dir / name, tmp_path / name)
+        os.unlink(tmp_path / "data_batch_3.bin")
+        (tmp_path / "data_batch_3.bin").write_bytes(
+            (cifar_dir / "data_batch_3.bin").read_bytes()[:-7]
+        )
+        mapped_sizes = []
+        real_mmap = mmap.mmap
+
+        def recording_mmap(fileno, *args, **kwargs):
+            mapped_sizes.append(os.fstat(fileno).st_size)
+            return real_mmap(fileno, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", recording_mmap)
+        with pytest.raises(FormatError, match="data_batch_3.bin: expected"):
+            load_cifar10(tmp_path, normalize="raw")
+        assert mapped_sizes == [CIFAR_FILE_BYTES, CIFAR_FILE_BYTES]
 
 
 class TestDatasetValidation:

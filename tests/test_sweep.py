@@ -1,11 +1,16 @@
 import itertools
 import json
 import math
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relnet.sweep
 from relnet.errors import FitError
 from relnet.sweep import (
     AGG_HEADER,
@@ -238,6 +243,48 @@ class TestRunSweep:
         inline = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=1)]
         pooled = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=2)]
         assert inline == pooled
+
+
+def _blas_threads_once_both_arrive(arrivals: str) -> int:
+    """This pool worker's OpenBLAS thread count, reported after both workers
+    of the pool have arrived, so each worker answers once."""
+    Path(arrivals, str(os.getpid())).touch()
+    deadline = time.monotonic() + 60
+    while len(os.listdir(arrivals)) < 2:
+        if time.monotonic() > deadline:
+            raise TimeoutError("the second pool worker never arrived")
+        time.sleep(0.01)
+    return relnet.sweep._openblas_function("get_num_threads")()
+
+
+@pytest.mark.skipif(
+    relnet.sweep._openblas_function("get_num_threads") is None,
+    reason="no OpenBLAS loaded",
+)
+class TestPoolBlasThreads:
+    def pool_counts(self, tmp_path):
+        with ProcessPoolExecutor(
+            max_workers=2,
+            initializer=relnet.sweep._worker_init,
+            initargs=(TINY_DATASET, "single", 2),
+        ) as pool:
+            counts = list(pool.map(_blas_threads_once_both_arrive, [str(tmp_path)] * 2))
+        assert len(os.listdir(tmp_path)) == 2  # two workers answered
+        return counts
+
+    def test_workers_share_the_usable_cpus(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        expected = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert self.pool_counts(tmp_path) == [expected, expected]
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_set_variable_is_left_to_openblas(self, tmp_path, monkeypatch, variable):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        parent = relnet.sweep._openblas_function("get_num_threads")()
+        monkeypatch.setenv(variable, str(parent))
+        assert self.pool_counts(tmp_path) == [parent, parent]
 
 
 class TestAggregate:
