@@ -144,7 +144,9 @@ def _cmd_train(args) -> int:
         use_bias=not args.no_bias,
     )
     tic = time.perf_counter()
-    result, log = train(model, train_ds, test_ds, config)
+    result, log = train(
+        model, train_ds, test_ds, config, eval_every_epoch=args.log is not None
+    )
     wall_ms = (time.perf_counter() - tic) * 1000.0
 
     if args.log is not None:

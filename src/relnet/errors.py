@@ -58,3 +58,7 @@ class NumericError(RelnetError):
 
 class FitError(RelnetError):
     """A least-squares fit is rank-deficient or under-determined."""
+
+
+class WorkerLost(RelnetError):
+    """A sweep pool worker died before delivering its cell's record."""

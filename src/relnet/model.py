@@ -233,26 +233,32 @@ class ForwardCache:
     act: list[np.ndarray]  # post-ReLU activations: input layer then each round
 
 
-def forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward(
+    model: MlpModel, batch: np.ndarray, keep_cache: bool = True
+) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network on a (batch, in_dim) matrix; returns (logits, cache).
 
-    The bias and the ReLU are applied in place on each matmul output.
+    The bias and the ReLU are applied in place on each matmul output. With
+    keep_cache False (inference) the cache is None and nothing is kept: each
+    layer's input, the batch included, is released as soon as that layer's
+    output exists, provided the caller holds no other reference to it.
     """
-    x = np.asarray(batch, dtype=model.dtype)
-    if x.ndim != 2 or x.shape[1] != model.in_dim:
-        raise ShapeError(f"batch shape {x.shape} incompatible with in_dim {model.in_dim}")
-    if not np.all(np.isfinite(x)):
+    h = np.asarray(batch, dtype=model.dtype)
+    del batch
+    if h.ndim != 2 or h.shape[1] != model.in_dim:
+        raise ShapeError(f"batch shape {h.shape} incompatible with in_dim {model.in_dim}")
+    if not np.all(np.isfinite(h)):
         raise NumericError("non-finite values in input batch")
-    act: list[np.ndarray] = []
-    h = x
+    cache = ForwardCache(x=h, act=[]) if keep_cache else None
     for w, b in zip([model.input_w, *model.round_w], [model.input_b, *model.round_b]):
         h = h @ w
         h += b
         np.maximum(h, 0.0, out=h)
-        act.append(h)
+        if cache is not None:
+            cache.act.append(h)
     logits = h @ model.output_w
     logits += model.output_b
-    return logits, ForwardCache(x=x, act=act)
+    return logits, cache
 
 
 # ---------------------------------------------------------------------------

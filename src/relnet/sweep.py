@@ -16,12 +16,13 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .datasets import Dataset, load_cifar10, synthetic_blobs
-from .errors import FitError, FormatError, RelnetError
+from .errors import FitError, FormatError, RelnetError, WorkerLost
 from .generators import GeneratorSpec, generate_with_info
 from .graphs import compute_metrics
 from .model import init_model
@@ -280,7 +281,7 @@ def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> Experi
             dtype=config.dtype,
             use_bias=task.use_bias,
         )
-        result, _ = train(model, train_ds, test_ds, config)
+        result, _ = train(model, train_ds, test_ds, config, eval_every_epoch=False)
         return ExperimentRecord(
             **base,
             status="ok",
@@ -380,7 +381,10 @@ def run_sweep(
     """Execute every cell of the sweep; returns records in grid order.
 
     skip_keys (from record_key of prior rows) supports resumption;
-    `progress`, when given, is called with each finished record.
+    `progress`, when given, is called with each finished record. A pool
+    worker that dies (killed by a signal, say) raises WorkerLost naming the
+    first cell not delivered; every record delivered before it has been
+    passed to `progress`.
     """
     spec.validate()
     tasks = _cell_tasks(spec)
@@ -401,10 +405,21 @@ def run_sweep(
             initializer=_worker_init,
             initargs=(spec.dataset, spec.train.precision, workers),
         ) as pool:
-            for record in pool.map(_worker_run, tasks):
-                records.append(record)
-                if progress:
-                    progress(record)
+            try:
+                for record in pool.map(_worker_run, tasks):
+                    records.append(record)
+                    if progress:
+                        progress(record)
+            except BrokenProcessPool as exc:
+                cell = " ".join(
+                    f"{name}={value}"
+                    for name, value in zip(KEY_FIELDS, _task_key(tasks[len(records)]))
+                    if value
+                )
+                raise WorkerLost(
+                    f"a sweep worker died; cell {cell} and the cells after it "
+                    "were not delivered (--resume re-runs them)"
+                ) from exc
     return records
 
 

@@ -205,14 +205,16 @@ def evaluate(model: MlpModel, dataset: Dataset, batch_size: int = 1000) -> EvalR
     """Top-1 error and mean loss; argmax ties resolve to the lowest class.
 
     Reads the feature values in blocks of batch_size rows (`Dataset.rows`),
-    so a coded dataset is decoded one block at a time.
+    so a coded dataset is decoded one block at a time. Each block goes
+    straight into a `forward` that keeps no cache, so at most one block and
+    two layers' activations are alive at once.
     """
     wrong = 0
     loss_sum = 0.0
     for start in range(0, dataset.n, batch_size):
-        x = dataset.rows(slice(start, start + batch_size))
-        y = dataset.labels[start : start + batch_size]
-        logits, _ = forward(model, x)
+        block = slice(start, start + batch_size)
+        logits, _ = forward(model, dataset.rows(block), keep_cache=False)
+        y = dataset.labels[block]
         pred = np.argmax(logits, axis=1)
         wrong += int((pred != y).sum())
         losses, _ = _softmax_stats(logits, y)
@@ -230,12 +232,20 @@ def train(
     train_set: Dataset,
     test_set: Dataset,
     config: TrainConfig,
+    eval_every_epoch: bool = True,
 ) -> tuple[EvalResult, list[dict]]:
     """Run the full schedule; returns the final test result and a per-epoch log.
 
     Log entries: {"epoch", "train_loss", "test_top1", "lr", "wall_ms"};
-    "lr" is the rate used by the last step of the epoch. Runs are
-    deterministic for a fixed config seed.
+    "lr" is the rate used by the last step of the epoch. The test set is
+    evaluated after the last epoch, and after every epoch when
+    eval_every_epoch is set; "test_top1" is None for an epoch not evaluated.
+    Evaluation does not touch the model, so the final result and the
+    weights are the same either way. Runs are deterministic for a fixed
+    config seed.
+
+    Besides the model, a run holds the momentum buffers, one step's
+    gradients (released once applied) and one step's activations.
     """
     config.validate()
     if train_set.dim != model.in_dim or test_set.dim != model.in_dim:
@@ -265,17 +275,20 @@ def train(
                 ) from exc
             last_lr = lr_at(config, step, total_steps)
             sgd_step(model, grads, config, step, state, total_steps)
+            del grads  # not kept through the next step's forward and backward
             loss_sum += loss
             n_batches += 1
             step += 1
         if not model.masked_entries_zero():
             raise NumericError(f"mask violated at epoch {epoch}")
-        result = evaluate(model, test_set)
+        evaluated = eval_every_epoch or epoch == config.epochs - 1
+        if evaluated:
+            result = evaluate(model, test_set)
         log.append(
             {
                 "epoch": epoch,
                 "train_loss": loss_sum / n_batches,
-                "test_top1": result.top1_error_percent,
+                "test_top1": result.top1_error_percent if evaluated else None,
                 "lr": last_lr,
                 "wall_ms": (time.perf_counter() - tic) * 1000.0,
             }

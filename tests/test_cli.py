@@ -1,7 +1,13 @@
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
+import relnet.sweep
+import relnet.training
 from relnet.cli import main
 from relnet.errors import FormatError
 from relnet.graphs import read_edge_list
@@ -214,6 +220,29 @@ class TestTrain:
             results.append((summary["top1_error"], summary["loss"]))
         assert results[0] == results[1]
 
+    def test_log_asks_for_every_epoch_evaluation(self, capsys, tmp_path, monkeypatch):
+        evaluations = []
+        evaluate = relnet.training.evaluate
+
+        def counting_evaluate(*args, **kwargs):
+            evaluations.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(relnet.training, "evaluate", counting_evaluate)
+        log = tmp_path / "log.jsonl"
+        _, stdout, _ = run(capsys, *self.BASE, "--log", str(log))
+        with_log = last_json(stdout)
+        assert len(evaluations) == 2
+        entries = [json.loads(line) for line in log.read_text().splitlines()]
+        assert all(e["test_top1"] is not None for e in entries)
+        assert entries[-1]["test_top1"] == with_log["top1_error"]
+        _, stdout, _ = run(capsys, *self.BASE)
+        assert len(evaluations) == 2 + 1
+        without_log = last_json(stdout)
+        assert (without_log["top1_error"], without_log["loss"]) == (
+            with_log["top1_error"], with_log["loss"]
+        )
+
 
 class TestSweepReport:
     def write_spec(self, tmp_path):
@@ -355,6 +384,46 @@ class TestSweepReport:
         code, _, err = run(capsys, "report", "--csv", str(out), "--x", "p")
         assert code == 2
         assert "needs >= 3 distinct" in err
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the killing cell function reaches the workers only by fork",
+    )
+    def test_killed_worker_exits_2_and_resumes(self, capsys, tmp_path, monkeypatch):
+        spec = self.write_spec(tmp_path)
+        whole = tmp_path / "whole.csv"
+        run(capsys, "sweep", "--spec", str(spec), "--out", str(whole))
+        out = tmp_path / "out.csv"
+        execute_cell = relnet.sweep._execute_cell
+
+        def killed_on_third_cell(task, *datasets):
+            # p=0.5, seed 0 is the third cell in grid order. Wait until the
+            # two before it are in the CSV, so it is the first not delivered.
+            if (task.p, task.seed) == (0.5, 0):
+                deadline = time.monotonic() + 60
+                while out.read_text().count("\n") < 3 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return execute_cell(task, *datasets)
+
+        monkeypatch.setattr(relnet.sweep, "_execute_cell", killed_on_third_cell)
+        code, _, err = run(
+            capsys, "sweep", "--spec", str(spec), "--out", str(out), "--workers", "2"
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert "cell family=er communities=2 p=0.5 mu=0.2 width=16 rounds=1 seed=0 " in line
+        assert self.rows_without_wall_ms(out) == self.rows_without_wall_ms(whole)[:3]
+
+        monkeypatch.setattr(relnet.sweep, "_execute_cell", execute_cell)
+        code, stdout, _ = run(
+            capsys, "sweep", "--spec", str(spec), "--out", str(out),
+            "--workers", "2", "--resume",
+        )
+        assert code == 0
+        assert last_json(stdout) == {"ok": 4, "failed": 0, "skipped": 2}
+        assert self.rows_without_wall_ms(out) == self.rows_without_wall_ms(whole)
 
     def test_sweep_missing_spec_exits_2(self, capsys, tmp_path):
         code, _, err = run(

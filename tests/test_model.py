@@ -194,6 +194,25 @@ class TestForward:
         _, cache = forward(model, np.zeros((1, 6)))
         assert len(cache.act) == 4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_cache_same_logits(self, dtype):
+        model = init_model(ALMOST_K4, 12, 3, 6, 4, seed=5, dtype=dtype)
+        for b in model.bias_arrays():
+            b += np.linspace(-0.1, 0.1, b.size, dtype=dtype)
+        x = np.random.default_rng(1).standard_normal((9, 6))
+        logits, cache = forward(model, x)
+        bare, none = forward(model, x, keep_cache=False)
+        assert none is None and cache is not None
+        assert bare.dtype == logits.dtype == dtype
+        assert bare.tobytes() == logits.tobytes()
+
+    def test_no_cache_keeps_the_input_checks(self):
+        model = init_model(ALMOST_K4, 8, 1, 6, 3, seed=0)
+        with pytest.raises(ShapeError):
+            forward(model, np.zeros((2, 5)), keep_cache=False)
+        with pytest.raises(NumericError):
+            forward(model, np.full((2, 6), np.nan), keep_cache=False)
+
 
 class TestCheckpoint:
     def make_model(self):

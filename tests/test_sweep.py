@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import relnet.sweep
+import relnet.training
 from relnet.errors import FitError
 from relnet.sweep import (
     AGG_HEADER,
@@ -243,6 +244,33 @@ class TestRunSweep:
         inline = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=1)]
         pooled = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=2)]
         assert inline == pooled
+
+    def test_cell_evaluates_once(self, monkeypatch):
+        """A sweep reads only the final result, so a 3-epoch cell evaluates
+        the test set once; its record equals the one from evaluating after
+        every epoch, apart from wall_ms."""
+        spec = tiny_spec(
+            axis1=Axis("p", (0.6,)), axis2=None, seeds=(3,),
+            train=replace(TINY_TRAIN, epochs=3),
+        )
+        evaluations = []
+        evaluate, train = relnet.training.evaluate, relnet.sweep.train
+
+        def counting_evaluate(*args, **kwargs):
+            evaluations.append(args)
+            return evaluate(*args, **kwargs)
+
+        def train_every_epoch(*args, **kwargs):
+            return train(*args, **{**kwargs, "eval_every_epoch": True})
+
+        monkeypatch.setattr(relnet.training, "evaluate", counting_evaluate)
+        (once,) = run_sweep(spec)
+        assert len(evaluations) == 1
+        monkeypatch.setattr(relnet.sweep, "train", train_every_epoch)
+        (every,) = run_sweep(spec)
+        assert len(evaluations) == 1 + 3
+        assert once.status == "ok"
+        assert replace(once, wall_ms=0.0) == replace(every, wall_ms=0.0)
 
 
 def _blas_threads_once_both_arrive(arrivals: str) -> int:

@@ -1,12 +1,14 @@
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _oracles import DenseMlp, masked_mlp_loss_and_grads, masked_mlp_sgd_step
-from relnet.datasets import Dataset, synthetic_blobs
+import relnet.training
+from relnet.datasets import Dataset, decode_pixels, synthetic_blobs
 from relnet.errors import NumericError, ShapeError
 from relnet.generators import gen_complete, gen_er
 from relnet.graphs import from_edge_pairs
@@ -420,6 +422,97 @@ class TestTrain:
         ]
         assert len(increases) <= 1
         assert all(inc < 1e-6 for inc in increases)
+
+
+class TestEvalCadence:
+    """Evaluation never touches the model, so evaluating only after the last
+    epoch leaves every weight, velocity and the final result unchanged."""
+
+    def run(self, monkeypatch, precision, eval_every_epoch):
+        states, evaluations = [], []
+        sgd_step, evaluate = relnet.training.sgd_step, relnet.training.evaluate
+
+        def recording_sgd_step(model, grads, config, step, state, total):
+            states.append(state)
+            return sgd_step(model, grads, config, step, state, total)
+
+        def counting_evaluate(*args, **kwargs):
+            evaluations.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(relnet.training, "sgd_step", recording_sgd_step)
+        monkeypatch.setattr(relnet.training, "evaluate", counting_evaluate)
+        config = TrainConfig(
+            epochs=4, batch_size=16, learning_rate=0.05, precision=precision, seed=2
+        )
+        ds = synthetic_blobs(30, 4, 10, spread=1.5, seed=6, dtype=config.dtype)
+        model = init_model(gen_er(6, 0.6, seed=8), 12, 2, 10, 4, seed=8, dtype=config.dtype)
+        result, log = train(model, ds, ds, config, eval_every_epoch=eval_every_epoch)
+        return model, states[-1], result, log, len(evaluations)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_last_epoch_only_is_bit_for_bit(self, monkeypatch, precision):
+        every = self.run(monkeypatch, precision, True)
+        last = self.run(monkeypatch, precision, False)
+        (model, state, result, log, calls), (m2, s2, r2, log2, calls2) = every, last
+        assert (calls, calls2) == (4, 1)
+        for a, b in zip(
+            [*model.weight_arrays(), *model.bias_arrays(), *state.vel_w, *state.vel_b],
+            [*m2.weight_arrays(), *m2.bias_arrays(), *s2.vel_w, *s2.vel_b],
+        ):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert result == r2
+        assert [e["test_top1"] for e in log2] == [None, None, None, result.top1_error_percent]
+        assert all(e["test_top1"] is not None for e in log)
+        for a, b in zip(log, log2):
+            assert set(a) == set(b)
+            assert (a["epoch"], a["train_loss"], a["lr"]) == (b["epoch"], b["train_loss"], b["lr"])
+        assert log[-1]["test_top1"] == log2[-1]["test_top1"]
+
+
+class TestMemoryBound:
+    """Peaks seen by tracemalloc, which traces numpy's buffers."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_holds_one_gradient_set(self, dtype):
+        # The input projection dominates the parameters. Besides the model a
+        # run needs momentum and one gradient set; a step's activations, its
+        # batch, the mask and the update's temporary are small next to them.
+        precision = "double" if dtype == np.float64 else "single"
+        config = TrainConfig(
+            epochs=2, batch_size=16, learning_rate=0.01, precision=precision, seed=3
+        )
+        ds = synthetic_blobs(8, 4, 4096, spread=1.0, seed=0, dtype=dtype)
+        model = init_model(gen_er(8, 0.5, seed=1), 256, 1, 4096, 4, seed=1, dtype=dtype)
+        params = sum(a.nbytes for a in [*model.weight_arrays(), *model.bias_arrays()])
+        tracemalloc.start()
+        try:
+            train(model, ds, ds, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the parameters themselves were allocated before tracing began
+        assert params + peak < 3.5 * params
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_evaluate_holds_one_block(self, dtype):
+        rng = np.random.default_rng(0)
+        coded = Dataset(
+            features=rng.integers(0, 256, size=(2500, 768), dtype=np.uint8),
+            labels=rng.integers(0, 10, size=2500),
+            n_classes=10,
+            decode=lambda pixels: decode_pixels(pixels, dtype),
+        )
+        model = init_model(gen_er(8, 0.5, seed=1), 256, 5, 768, 10, seed=1, dtype=dtype)
+        item = np.dtype(dtype).itemsize
+        block, hidden = 1000 * 768 * item, 1000 * 256 * item
+        tracemalloc.start()
+        try:
+            evaluate(model, coded)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block + 2 * hidden + hidden // 2
 
 
 class TestPermutationEquivariance:
