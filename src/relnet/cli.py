@@ -15,14 +15,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .connectome import ConnectomeSource, import_connectome, matched_er, sample_subgraph
 from .errors import RelnetError
 from .generators import FAMILIES, GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
-from .model import init_model, save_checkpoint
-from .seeding import _GRAPH_STREAM, _MODEL_STREAM, _SHUFFLE_STREAM, child_seed
+from .model import save_checkpoint
+from .seeding import _GRAPH_STREAM, child_seed
 from .sweep import (
     SweepSpec,
     aggregate,
@@ -31,11 +31,12 @@ from .sweep import (
     cut_partial_row,
     existing_keys,
     read_records_csv,
+    run_one,
     run_sweep,
     write_aggregate_csv,
     write_records_csv,
 )
-from .training import SCHEDULES, PRECISIONS, TrainConfig, train
+from .training import SCHEDULES, PRECISIONS, TrainConfig
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser, require_family: bool) -> None:
@@ -50,17 +51,9 @@ def _add_generator_flags(parser: argparse.ArgumentParser, require_family: bool) 
 
 
 def _generator_spec(args, seed: int) -> GeneratorSpec:
-    return GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        p=args.p,
-        gamma=args.gamma,
-        m=args.m,
-        communities=args.communities,
-        mu=args.mu,
-        base=args.base,
-        seed=seed,
-    )
+    """The spec of the generator flags, one per GeneratorSpec field but seed."""
+    names = [f.name for f in fields(GeneratorSpec) if f.name != "seed"]
+    return GeneratorSpec(**{name: getattr(args, name) for name in names}, seed=seed)
 
 
 def _metrics_dict(graph) -> dict:
@@ -110,7 +103,6 @@ def _cmd_train(args) -> int:
         momentum=args.momentum,
         weight_decay=args.weight_decay,
         lr_schedule=args.schedule,
-        seed=child_seed(args.seed, _SHUFFLE_STREAM),
         precision=args.precision,
     )
     dspec = {"kind": args.dataset}
@@ -133,19 +125,17 @@ def _cmd_train(args) -> int:
             _generator_spec(args, child_seed(args.seed, _GRAPH_STREAM))
         )[0]
 
-    model = init_model(
+    tic = time.perf_counter()
+    model, result, log = run_one(
         graph,
+        args.seed,
         width=args.width,
         rounds=args.rounds,
-        in_dim=train_ds.dim,
-        out_dim=train_ds.n_classes,
-        seed=child_seed(args.seed, _MODEL_STREAM),
-        dtype=config.dtype,
         use_bias=not args.no_bias,
-    )
-    tic = time.perf_counter()
-    result, log = train(
-        model, train_ds, test_ds, config, eval_every_epoch=args.log is not None
+        config=config,
+        train_ds=train_ds,
+        test_ds=test_ds,
+        eval_every_epoch=args.log is not None,
     )
     wall_ms = (time.perf_counter() - tic) * 1000.0
 
@@ -179,21 +169,12 @@ def _cmd_sweep(args) -> int:
         skip = set()
         write_records_csv([], args.out)  # fresh header
 
-    done = {"ok": 0, "failed": 0}
-
     def progress(record):
         write_records_csv([record], args.out, append=True)
-        if record.status == "ok":
-            done["ok"] += 1
-        else:
-            done["failed"] += 1
 
-    run_sweep(spec, workers=args.workers, skip_keys=skip, progress=progress)
-    print(
-        json.dumps(
-            {"ok": done["ok"], "failed": done["failed"], "skipped": len(skip)}
-        )
-    )
+    records = run_sweep(spec, workers=args.workers, skip_keys=skip, progress=progress)
+    ok = sum(record.status == "ok" for record in records)
+    print(json.dumps({"ok": ok, "failed": len(records) - ok, "skipped": len(skip)}))
     return 0
 
 

@@ -16,7 +16,7 @@ always yields the same edge set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,13 +205,9 @@ def _gen_base(spec: GeneratorSpec, size: int, seed: int) -> Graph:
     return gen_static_sf(size, spec.gamma, spec.m, seed)
 
 
-def compose_communities(spec: GeneratorSpec) -> Graph:
-    """Community-structured graph per the composed family; see module docstring."""
-    graph, _ = compose_communities_with_info(spec)
-    return graph
-
-
 def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
+    """Community-structured graph per the composed family (see the module
+    docstring), with its composition bookkeeping."""
     spec.validate()
     if spec.family != "community":
         raise ValueError(f"expected family 'community', got {spec.family!r}")
@@ -286,14 +282,8 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
     return graph, info
 
 
-def generate(spec: GeneratorSpec) -> Graph:
-    """Dispatch on spec.family."""
-    graph, _ = generate_with_info(spec)
-    return graph
-
-
 def generate_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
-    """Like generate(), also returning composition bookkeeping (zeros for
+    """The graph of spec.family, with its composition bookkeeping (zeros for
     non-composed families)."""
     spec.validate()
     if spec.family == "community":
@@ -311,8 +301,3 @@ def generate_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
         bridge_edges=0,
     )
     return graph, info
-
-
-def spec_for_cell(spec: GeneratorSpec, **overrides) -> GeneratorSpec:
-    """Copy of spec with some fields replaced (sweep plumbing)."""
-    return replace(spec, **overrides)

@@ -12,63 +12,26 @@ from __future__ import annotations
 import csv
 import ctypes
 import io
+import itertools
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from .datasets import Dataset, load_cifar10, synthetic_blobs
 from .errors import FitError, FormatError, RelnetError, WorkerLost
 from .generators import GeneratorSpec, generate_with_info
-from .graphs import compute_metrics
-from .model import init_model
+from .graphs import Graph, compute_metrics
+from .model import MlpModel, init_model
 from .seeding import _GRAPH_STREAM, _MODEL_STREAM, _SHUFFLE_STREAM, child_seed
-from .training import TrainConfig, train
+from .training import EvalResult, TrainConfig, train
 
 AXIS_NAMES = ("p", "gamma", "m", "mu")
 SWEEP_FAMILIES = ("er", "static_sf")
-
-CSV_HEADER = [
-    "family",
-    "communities",
-    "p",
-    "gamma",
-    "m",
-    "mu",
-    "width",
-    "rounds",
-    "seed",
-    "status",
-    "nodes_realized",
-    "bridges",
-    "mean_degree",
-    "clustering",
-    "avg_path_len",
-    "modularity",
-    "cross_density",
-    "top1_error",
-    "wall_ms",
-]
-
-KEY_FIELDS = CSV_HEADER[:9]  # identifies a (grid cell, seed) pair
-GROUP_FIELDS = KEY_FIELDS[:8]  # identifies a grid cell across seeds
-
-AGG_HEADER = GROUP_FIELDS + [
-    "n_seeds",
-    "n_failed",
-    "top1_mean",
-    "top1_std",
-    "mean_degree",
-    "clustering",
-    "avg_path_len",
-    "modularity",
-    "cross_density",
-]
-
 
 @dataclass(frozen=True)
 class Axis:
@@ -91,11 +54,14 @@ class SweepSpec:
     train: TrainConfig = TrainConfig()
     dataset: dict | None = None
 
+    @property
+    def axes(self) -> list[Axis]:
+        return [self.axis1] + ([self.axis2] if self.axis2 else [])
+
     def validate(self) -> None:
         if self.family not in SWEEP_FAMILIES:
             raise ValueError(f"sweep family must be one of {SWEEP_FAMILIES}")
-        axes = [self.axis1] + ([self.axis2] if self.axis2 else [])
-        for axis in axes:
+        for axis in self.axes:
             if axis.name not in AXIS_NAMES:
                 raise ValueError(f"axis {axis.name!r} not one of {AXIS_NAMES}")
             if not axis.values:
@@ -112,20 +78,23 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        model = d.get("model", {})
+        """Spec from its JSON form; a missing, unknown or mistyped key raises
+        FormatError naming it."""
+        model = _spec_value(d, "model", dict, {}, keys=("width", "rounds", "use_bias"))
+        train = _spec_value(d, "train", dict, {}, keys=[f.name for f in fields(TrainConfig)])
         axis2 = d.get("axis2")
         spec = cls(
-            family=d["family"],
+            family=_spec_value(d, "family", str),
             n=int(d.get("n", 128)),
-            axis1=Axis(d["axis1"]["name"], tuple(d["axis1"]["values"])),
-            axis2=Axis(axis2["name"], tuple(axis2["values"])) if axis2 else None,
-            communities=tuple(d.get("communities", [1])),
-            seeds=tuple(d.get("seeds", [0, 1, 2, 3, 4])),
-            fixed=dict(d.get("fixed", {})),
+            axis1=_spec_axis(d, "axis1"),
+            axis2=_spec_axis(d, "axis2") if axis2 else None,
+            communities=tuple(_spec_value(d, "communities", list, [1])),
+            seeds=tuple(_spec_value(d, "seeds", list, [0, 1, 2, 3, 4])),
+            fixed=dict(_spec_value(d, "fixed", dict, {})),
             width=int(model.get("width", 512)),
             rounds=int(model.get("rounds", 5)),
             use_bias=bool(model.get("use_bias", True)),
-            train=TrainConfig(**d.get("train", {})),
+            train=TrainConfig(**train),
             dataset=d.get("dataset"),
         )
         spec.validate()
@@ -137,9 +106,39 @@ class SweepSpec:
             return cls.from_dict(json.load(fh))
 
 
+_JSON_TYPES = {str: "string", list: "list", dict: "object"}
+
+
+def _spec_value(d: dict, key: str, kind: type, default=MISSING, *, keys=None, prefix=""):
+    """d[key], checked to be a JSON `kind` (and, for an object, to hold only
+    `keys` when given); `default` when absent. A missing, mistyped or unknown
+    key raises FormatError naming it, as `prefix + key`."""
+    name = prefix + key
+    if key not in d:
+        if default is MISSING:
+            raise FormatError(f"sweep spec has no {name!r}")
+        return default
+    value = d[key]
+    if not isinstance(value, kind):
+        raise FormatError(f"sweep spec {name!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    unknown = sorted(set(value) - set(keys)) if keys is not None else []
+    if unknown:
+        raise FormatError(f"sweep spec {name!r} has unknown key {unknown[0]!r}")
+    return value
+
+
+def _spec_axis(d: dict, key: str) -> Axis:
+    axis = _spec_value(d, key, dict, keys=("name", "values"))
+    return Axis(
+        _spec_value(axis, "name", str, prefix=f"{key}."),
+        tuple(_spec_value(axis, "values", list, prefix=f"{key}.")),
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One (grid cell, seed) training outcome; mirrors the CSV columns."""
+    """One (grid cell, seed) training outcome. Its fields, in order, are the
+    CSV columns; an error row sets only the key fields, status and wall_ms."""
 
     family: str
     communities: int
@@ -151,15 +150,22 @@ class ExperimentRecord:
     rounds: int
     seed: int
     status: str
-    nodes_realized: int | None
-    bridges: int | None
-    mean_degree: float | None
-    clustering: float | None
-    avg_path_len: float | None
-    modularity: float | None
-    cross_density: float | None
-    top1_error: float | None
-    wall_ms: float
+    nodes_realized: int | None = None
+    bridges: int | None = None
+    mean_degree: float | None = None
+    clustering: float | None = None
+    avg_path_len: float | None = None
+    modularity: float | None = None
+    cross_density: float | None = None
+    top1_error: float | None = None
+    wall_ms: float = 0.0
+
+
+CSV_HEADER = [f.name for f in fields(ExperimentRecord)]
+KEY_FIELDS = CSV_HEADER[:9]  # identifies a (grid cell, seed) pair
+GROUP_FIELDS = KEY_FIELDS[:8]  # identifies a grid cell across seeds
+METRIC_FIELDS = ["mean_degree", "clustering", "avg_path_len", "modularity", "cross_density"]
+AGG_HEADER = GROUP_FIELDS + ["n_seeds", "n_failed", "top1_mean", "top1_std"] + METRIC_FIELDS
 
 
 @dataclass(frozen=True)
@@ -190,6 +196,8 @@ def build_dataset(dspec: dict | None, dtype=np.float32) -> tuple[Dataset, Datase
     dspec = dict(dspec or {"kind": "blobs"})
     kind = dspec.get("kind", "blobs")
     if kind == "cifar10":
+        if "dir" not in dspec:
+            raise ValueError("dataset kind 'cifar10' needs 'dir'")
         return load_cifar10(
             dspec["dir"], normalize=dspec.get("normalize", "standard"), dtype=dtype
         )
@@ -215,46 +223,62 @@ def build_dataset(dspec: dict | None, dtype=np.float32) -> tuple[Dataset, Datase
 
 def _cell_tasks(spec: SweepSpec) -> list[CellTask]:
     tasks = []
-    axis2_values = list(spec.axis2.values) if spec.axis2 else [None]
-    for v1 in spec.axis1.values:
-        for v2 in axis2_values:
-            params = dict(spec.fixed)
-            params[spec.axis1.name] = v1
-            if spec.axis2:
-                params[spec.axis2.name] = v2
-            for k in spec.communities:
-                for seed in spec.seeds:
-                    tasks.append(
-                        CellTask(
-                            family=spec.family,
-                            n=spec.n,
-                            communities=int(k),
-                            p=params.get("p"),
-                            gamma=params.get("gamma"),
-                            m=params.get("m"),
-                            mu=params.get("mu"),
-                            width=spec.width,
-                            rounds=spec.rounds,
-                            use_bias=spec.use_bias,
-                            seed=int(seed),
-                            train=spec.train,
-                        )
+    for values in itertools.product(*(axis.values for axis in spec.axes)):
+        params = dict(spec.fixed)
+        params.update((axis.name, v) for axis, v in zip(spec.axes, values))
+        for k in spec.communities:
+            for seed in spec.seeds:
+                tasks.append(
+                    CellTask(
+                        family=spec.family,
+                        n=spec.n,
+                        communities=int(k),
+                        **{name: params.get(name) for name in AXIS_NAMES},
+                        width=spec.width,
+                        rounds=spec.rounds,
+                        use_bias=spec.use_bias,
+                        seed=int(seed),
+                        train=spec.train,
                     )
+                )
     return tasks
 
 
-def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> ExperimentRecord:
-    base = dict(
-        family=task.family,
-        communities=task.communities,
-        p=task.p,
-        gamma=task.gamma,
-        m=task.m,
-        mu=task.mu,
-        width=task.width,
-        rounds=task.rounds,
-        seed=task.seed,
+def run_one(
+    graph: Graph,
+    seed: int,
+    *,
+    width: int,
+    rounds: int,
+    use_bias: bool,
+    config: TrainConfig,
+    train_ds: Dataset,
+    test_ds: Dataset,
+    eval_every_epoch: bool,
+) -> tuple[MlpModel, EvalResult, list[dict]]:
+    """Train one model on `graph` for the run seed `seed`; returns (model,
+    final EvalResult, per-epoch log).
+
+    The shuffle and model seeds are child streams of `seed` (config.seed is
+    replaced), so `relnet train` with a sweep cell's parameters and seed
+    reproduces that cell's row."""
+    config = replace(config, seed=child_seed(seed, _SHUFFLE_STREAM))
+    model = init_model(
+        graph,
+        width=width,
+        rounds=rounds,
+        in_dim=train_ds.dim,
+        out_dim=train_ds.n_classes,
+        seed=child_seed(seed, _MODEL_STREAM),
+        dtype=config.dtype,
+        use_bias=use_bias,
     )
+    result, log = train(model, train_ds, test_ds, config, eval_every_epoch=eval_every_epoch)
+    return model, result, log
+
+
+def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> ExperimentRecord:
+    key = {f: getattr(task, f) for f in KEY_FIELDS}
     tic = time.perf_counter()
     try:
         gspec = GeneratorSpec(
@@ -270,20 +294,19 @@ def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> Experi
         )
         graph, info = generate_with_info(gspec)
         metrics = compute_metrics(graph)
-        config = replace(task.train, seed=child_seed(task.seed, _SHUFFLE_STREAM))
-        model = init_model(
+        _, result, _ = run_one(
             graph,
+            task.seed,
             width=task.width,
             rounds=task.rounds,
-            in_dim=train_ds.dim,
-            out_dim=train_ds.n_classes,
-            seed=child_seed(task.seed, _MODEL_STREAM),
-            dtype=config.dtype,
             use_bias=task.use_bias,
+            config=task.train,
+            train_ds=train_ds,
+            test_ds=test_ds,
+            eval_every_epoch=False,
         )
-        result, _ = train(model, train_ds, test_ds, config, eval_every_epoch=False)
         return ExperimentRecord(
-            **base,
+            **key,
             status="ok",
             nodes_realized=graph.node_count,
             bridges=info.bridge_edges,
@@ -297,16 +320,8 @@ def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> Experi
         )
     except (RelnetError, ValueError) as exc:
         return ExperimentRecord(
-            **base,
+            **key,
             status=f"error:{type(exc).__name__}",
-            nodes_realized=None,
-            bridges=None,
-            mean_degree=None,
-            clustering=None,
-            avg_path_len=None,
-            modularity=None,
-            cross_density=None,
-            top1_error=None,
             wall_ms=(time.perf_counter() - tic) * 1000.0,
         )
 
@@ -351,25 +366,10 @@ def _worker_run(task: CellTask) -> ExperimentRecord:
     return _execute_cell(task, *_WORKER_DATA)
 
 
-def record_key(record: ExperimentRecord) -> tuple[str, ...]:
-    """Formatted (grid cell, seed) identity; stable across CSV round-trips."""
-    row = _record_to_row(record)
-    return tuple(row[f] for f in KEY_FIELDS)
-
-
-def _task_key(task: CellTask) -> tuple[str, ...]:
-    values = {
-        "family": task.family,
-        "communities": task.communities,
-        "p": task.p,
-        "gamma": task.gamma,
-        "m": task.m,
-        "mu": task.mu,
-        "width": task.width,
-        "rounds": task.rounds,
-        "seed": task.seed,
-    }
-    return tuple(_fmt(values[f]) for f in KEY_FIELDS)
+def record_key(record) -> tuple[str, ...]:
+    """Formatted (grid cell, seed) identity of an ExperimentRecord or a
+    CellTask; stable across CSV round-trips."""
+    return tuple(_fmt(getattr(record, f)) for f in KEY_FIELDS)
 
 
 def run_sweep(
@@ -389,7 +389,7 @@ def run_sweep(
     spec.validate()
     tasks = _cell_tasks(spec)
     if skip_keys:
-        tasks = [t for t in tasks if _task_key(t) not in skip_keys]
+        tasks = [t for t in tasks if record_key(t) not in skip_keys]
     records: list[ExperimentRecord] = []
     if workers <= 1:
         dtype = spec.train.dtype
@@ -413,7 +413,7 @@ def run_sweep(
             except BrokenProcessPool as exc:
                 cell = " ".join(
                     f"{name}={value}"
-                    for name, value in zip(KEY_FIELDS, _task_key(tasks[len(records)]))
+                    for name, value in zip(KEY_FIELDS, record_key(tasks[len(records)]))
                     if value
                 )
                 raise WorkerLost(
@@ -454,8 +454,7 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict]:
             row["top1_std"] = float(np.std(errors, ddof=1))
         else:
             row["top1_std"] = 0.0 if errors else None
-        for metric in ("mean_degree", "clustering", "avg_path_len",
-                       "modularity", "cross_density"):
+        for metric in METRIC_FIELDS:
             values = [getattr(r, metric) for r in ok if getattr(r, metric) is not None]
             row[metric] = float(np.mean(values)) if values else None
         rows.append(row)
@@ -519,28 +518,20 @@ def _fmt(value) -> str:
 
 
 def _record_to_row(record: ExperimentRecord) -> dict:
-    d = asdict(record)
-    return {
-        "family": d["family"],
-        "communities": _fmt(d["communities"]),
-        "p": _fmt(d["p"]),
-        "gamma": _fmt(d["gamma"]),
-        "m": _fmt(d["m"]),
-        "mu": _fmt(d["mu"]),
-        "width": _fmt(d["width"]),
-        "rounds": _fmt(d["rounds"]),
-        "seed": _fmt(d["seed"]),
-        "status": d["status"],
-        "nodes_realized": _fmt(d["nodes_realized"]),
-        "bridges": _fmt(d["bridges"]),
-        "mean_degree": _fmt(d["mean_degree"]),
-        "clustering": _fmt(d["clustering"]),
-        "avg_path_len": _fmt(d["avg_path_len"]),
-        "modularity": _fmt(d["modularity"]),
-        "cross_density": _fmt(d["cross_density"]),
-        "top1_error": _fmt(d["top1_error"]),
-        "wall_ms": _fmt(d["wall_ms"]),
-    }
+    return {name: _fmt(getattr(record, name)) for name in CSV_HEADER}
+
+
+def _column_parser(field):
+    """Parser of one CSV column, from the field's declared type (a string,
+    under postponed annotations): an empty value reads as None for an
+    `X | None` field and as the default for a field that has one; any other
+    empty or malformed number raises ValueError."""
+    parse = {"str": str, "int": int, "float": float}[field.type.split(" | ")[0]]
+    empty = None if field.type.endswith(" | None") else field.default
+    return lambda text: parse(text) if text or empty is MISSING else empty
+
+
+_COLUMN_PARSERS = [_column_parser(f) for f in fields(ExperimentRecord)]
 
 
 def write_records_csv(records: list[ExperimentRecord], path, append: bool = False) -> None:
@@ -557,14 +548,8 @@ def write_records_csv(records: list[ExperimentRecord], path, append: bool = Fals
 def read_records_csv(path) -> list[ExperimentRecord]:
     """Records of a CSV written by write_records_csv. A wrong header, a row
     whose field count differs from the header's, or a last line without its
-    newline (a row cut mid-write) raises FormatError naming the line."""
-
-    def as_int(s):
-        return int(s) if s else None
-
-    def as_float(s):
-        return float(s) if s else None
-
+    newline (a row cut mid-write) raises FormatError naming the line, and
+    a value that does not parse as its column's type names the column too."""
     records = []
     with open(path, newline="") as fh:
         text = fh.read()
@@ -573,38 +558,23 @@ def read_records_csv(path) -> list[ExperimentRecord]:
         header = next(reader, CSV_HEADER)  # an empty file has no rows
         if header != CSV_HEADER:
             raise FormatError(f"{path}: line 1 is not the records CSV header")
-        for fields in reader:
-            if not fields:
+        for row in reader:
+            if not row:
                 continue
-            if len(fields) != len(CSV_HEADER):
+            if len(row) != len(CSV_HEADER):
                 raise FormatError(
-                    f"{path}: line {reader.line_num} has {len(fields)} fields, "
+                    f"{path}: line {reader.line_num} has {len(row)} fields, "
                     f"not {len(CSV_HEADER)}"
                 )
-            row = dict(zip(CSV_HEADER, fields))
-            records.append(
-                ExperimentRecord(
-                    family=row["family"],
-                    communities=int(row["communities"]),
-                    p=as_float(row["p"]),
-                    gamma=as_float(row["gamma"]),
-                    m=as_float(row["m"]),
-                    mu=as_float(row["mu"]),
-                    width=int(row["width"]),
-                    rounds=int(row["rounds"]),
-                    seed=int(row["seed"]),
-                    status=row["status"],
-                    nodes_realized=as_int(row["nodes_realized"]),
-                    bridges=as_int(row["bridges"]),
-                    mean_degree=as_float(row["mean_degree"]),
-                    clustering=as_float(row["clustering"]),
-                    avg_path_len=as_float(row["avg_path_len"]),
-                    modularity=as_float(row["modularity"]),
-                    cross_density=as_float(row["cross_density"]),
-                    top1_error=as_float(row["top1_error"]),
-                    wall_ms=as_float(row["wall_ms"]) or 0.0,
-                )
-            )
+            values = {}
+            for name, parse, text in zip(CSV_HEADER, _COLUMN_PARSERS, row):
+                try:
+                    values[name] = parse(text)
+                except ValueError as exc:
+                    raise FormatError(
+                        f"{path}: line {reader.line_num}, column {name}: {exc}"
+                    ) from exc
+            records.append(ExperimentRecord(**values))
     if cut_line is not None:
         raise FormatError(f"{path}: line {cut_line} ends without a newline (cut mid-write)")
     return records

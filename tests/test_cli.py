@@ -244,6 +244,37 @@ class TestTrain:
         )
 
 
+    def test_train_reproduces_a_sweep_cell(self, capsys, tmp_path):
+        spec = tmp_path / "cell.json"
+        spec.write_text(json.dumps({
+            "family": "er",
+            "n": 16,
+            "axis1": {"name": "p", "values": [0.5]},
+            "axis2": {"name": "mu", "values": [0.3]},
+            "communities": [2],
+            "seeds": [3],
+            "model": {"width": 16, "rounds": 2},
+            "train": {"epochs": 2, "batch_size": 32},
+            "dataset": {"kind": "blobs", "n_per_class": 30},
+        }))
+        out = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 0
+        (record,) = read_records_csv(out)
+        assert record.status == "ok"
+        code, stdout, _ = run(
+            capsys,
+            "train", "--family", "community", "--base", "er", "--n", "16",
+            "--communities", "2", "--p", "0.5", "--mu", "0.3", "--seed", "3",
+            "--width", "16", "--rounds", "2", "--epochs", "2",
+            "--batch-size", "32", "--blob-per-class", "30",
+        )
+        assert code == 0
+        summary = last_json(stdout)
+        assert summary["nodes"] == record.nodes_realized
+        assert summary["top1_error"] == record.top1_error
+
+
 class TestSweepReport:
     def write_spec(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -424,6 +455,45 @@ class TestSweepReport:
         assert code == 0
         assert last_json(stdout) == {"ok": 4, "failed": 0, "skipped": 2}
         assert self.rows_without_wall_ms(out) == self.rows_without_wall_ms(whole)
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"family": None}, "family"),
+            ({"train": {"epochz": 1}}, "epochz"),
+            ({"model": [1]}, "model"),
+            ({"axis1": {"name": "p", "values": 0.5}}, "axis1.values"),
+            ({"dataset": {"kind": "cifar10"}}, "dir"),
+        ],
+        ids=["no-family", "unknown-train-key", "model-not-object",
+             "axis-values-not-list", "cifar10-without-dir"],
+    )
+    def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
+        spec_dict = {**SWEEP_SPEC, **change}
+        spec_dict = {k: v for k, v in spec_dict.items() if v is not None}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_dict))
+        code, stdout, err = run(
+            capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "o.csv")
+        )
+        assert (code, stdout) == (2, "")
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and repr(key) in line
+
+    def test_report_on_unparsable_value_exits_2_naming_its_place(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path)
+        out = tmp_path / "out.csv"
+        run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        lines = out.read_text().splitlines()
+        row = lines[2].split(",")
+        row[CSV_HEADER.index("communities")] = "x"
+        lines[2] = ",".join(row)
+        out.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run(capsys, "report", "--csv", str(out), "--x", "p")
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {out}: line 3, column communities: ")
+        assert "'x'" in err and "Traceback" not in err
 
     def test_sweep_missing_spec_exits_2(self, capsys, tmp_path):
         code, _, err = run(

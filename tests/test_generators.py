@@ -9,14 +9,11 @@ from relnet.errors import EdgeSaturation, TooManyCommunities, TooSmall
 from relnet.generators import (
     GenerationInfo,
     GeneratorSpec,
-    compose_communities,
     compose_communities_with_info,
     gen_complete,
     gen_er,
     gen_static_sf,
-    generate,
     generate_with_info,
-    spec_for_cell,
 )
 from relnet.graphs import (
     connected_components,
@@ -68,11 +65,6 @@ class TestSpecValidation:
         GeneratorSpec(
             family="community", n=10, communities=5, mu=0.1, base="er", p=0.5
         ).validate()
-
-    def test_spec_for_cell_overrides(self):
-        spec = GeneratorSpec(family="er", n=10, p=0.1, seed=1)
-        out = spec_for_cell(spec, p=0.9, seed=7)
-        assert out.p == 0.9 and out.seed == 7 and out.n == 10
 
 
 class TestComplete:
@@ -184,20 +176,20 @@ class TestComposer:
 
     def test_single_community_equals_base(self):
         spec = self.base_spec(communities=1, mu=0.0)
-        g = compose_communities(spec)
+        g = generate_with_info(spec)[0]
         expected = largest_component(gen_er(60, 0.6, child_seed(9, 0)))
         assert g.edges == expected.edges
         assert g.community_of == (0,) * g.node_count
 
     def test_eight_equal_communities(self):
         spec = self.base_spec(n=128, communities=8, p=0.9)
-        g = compose_communities(spec)
+        g = generate_with_info(spec)[0]
         sizes = g.community_sizes()
         assert len(sizes) == 8
         assert all(s <= 16 for s in sizes.values())
 
     def test_mu_one_fills_every_cross_pair(self):
-        g = compose_communities(self.base_spec(mu=1.0))
+        g = generate_with_info(self.base_spec(mu=1.0))[0]
         assert cross_density(g) == 1.0
 
     def test_mu_zero_bridges_only(self):
@@ -210,14 +202,14 @@ class TestComposer:
         for k in range(1, 9):
             for mu in (0.0, 0.05, 0.5):
                 spec = self.base_spec(n=64, communities=k, mu=mu, p=0.7, seed=k)
-                g = compose_communities(spec)
+                g = generate_with_info(spec)[0]
                 assert len(connected_components(g)) == 1
                 lc = largest_component(g)
                 assert lc.node_count == g.node_count and lc.edges == g.edges
 
     def test_determinism(self):
-        a = compose_communities(self.base_spec())
-        b = compose_communities(self.base_spec())
+        a = generate_with_info(self.base_spec())[0]
+        b = generate_with_info(self.base_spec())[0]
         assert a.edges == b.edges and a.community_of == b.community_of
 
     def test_cross_density_within_confidence_interval(self):
@@ -244,15 +236,15 @@ class TestComposer:
 class TestDispatch:
     def test_generate_matches_family_functions(self):
         assert (
-            generate(GeneratorSpec(family="complete", n=7)).edges
+            generate_with_info(GeneratorSpec(family="complete", n=7))[0].edges
             == gen_complete(7).edges
         )
         assert (
-            generate(GeneratorSpec(family="er", n=30, p=0.4, seed=2)).edges
+            generate_with_info(GeneratorSpec(family="er", n=30, p=0.4, seed=2))[0].edges
             == gen_er(30, 0.4, 2).edges
         )
         assert (
-            generate(GeneratorSpec(family="static_sf", n=30, gamma=2.5, m=3, seed=2)).edges
+            generate_with_info(GeneratorSpec(family="static_sf", n=30, gamma=2.5, m=3, seed=2))[0].edges
             == gen_static_sf(30, 2.5, 3, 2).edges
         )
 
@@ -264,4 +256,4 @@ class TestDispatch:
 
     def test_validation_runs_on_generate(self):
         with pytest.raises(ValueError):
-            generate(GeneratorSpec(family="er", n=10))
+            generate_with_info(GeneratorSpec(family="er", n=10))[0]

@@ -12,7 +12,7 @@ import pytest
 
 import relnet.sweep
 import relnet.training
-from relnet.errors import FitError
+from relnet.errors import FitError, FormatError
 from relnet.sweep import (
     AGG_HEADER,
     CSV_HEADER,
@@ -464,6 +464,31 @@ class TestCsv:
         write_records_csv(self.sample_records(), path)
         first = path.read_text().splitlines()[0]
         assert first == ",".join(CSV_HEADER)
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "records.csv"
+        records = self.sample_records()
+        write_records_csv([replace(records[1], clustering=1 / 3), records[2]], path)
+        assert path.read_bytes() == (
+            b"family,communities,p,gamma,m,mu,width,rounds,seed,status,"
+            b"nodes_realized,bridges,mean_degree,clustering,avg_path_len,"
+            b"modularity,cross_density,top1_error,wall_ms\r\n"
+            b"er,1,0.5,,,0.0,16,1,1,ok,8,0,3.5,0.3333333333333333,1.6,0.0,0.0,"
+            b"28.75,12.5\r\n"
+            b"er,1,0.5,,,0.0,16,1,2,error:ValueError,,,,,,,,,12.5\r\n"
+        )
+
+    def test_empty_fields(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv([make_record(wall_ms=0.0)], path)
+        line = path.read_text().splitlines()[1]
+        path.write_text(f"{','.join(CSV_HEADER)}\n{line.replace(',0.0', ',')}\n")
+        (record,) = read_records_csv(path)
+        assert (record.mu, record.modularity, record.wall_ms) == (None, None, 0.0)
+        assert record.mean_degree == 3.5
+        path.write_text(f"{','.join(CSV_HEADER)}\n{line.replace('er,1,', 'er,,')}\n")
+        with pytest.raises(FormatError, match=r"records.csv: line 2, column communities: "):
+            read_records_csv(path)
 
     def test_append_keeps_single_header(self, tmp_path):
         path = tmp_path / "records.csv"
