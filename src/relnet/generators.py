@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EdgeSaturation, TooManyCommunities, TooSmall
-from .graphs import Graph, connected_components, from_edge_pairs, largest_component
+from .graphs import Graph, bfs, from_adjacency, from_edge_pairs, largest_component
 from .seeding import child_seed
 
 FAMILIES = ("complete", "er", "static_sf", "community")
@@ -122,8 +122,7 @@ def gen_complete(n: int) -> Graph:
     """Complete graph on n nodes (the dense baseline)."""
     if n < 2:
         raise TooSmall(f"complete graph needs n >= 2, got {n}")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return from_edge_pairs(n, edges)
+    return from_adjacency(~np.eye(n, dtype=bool))
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
@@ -133,10 +132,9 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0,1], got {p}")
     rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
-    rows, cols = np.triu_indices(n, k=1)
-    keep = rng.random(rows.shape[0]) < p
-    edges = list(zip(rows[keep].tolist(), cols[keep].tolist()))
-    return from_edge_pairs(n, edges)
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[np.triu_indices(n, k=1)] = rng.random(n * (n - 1) // 2) < p
+    return from_adjacency(adjacency | adjacency.T)
 
 
 def gen_static_sf(n: int, gamma: float, m: float, seed: int) -> Graph:
@@ -212,37 +210,30 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
     if spec.family != "community":
         raise ValueError(f"expected family 'community', got {spec.family!r}")
     k = spec.communities
-
-    blocks: list[Graph] = []
-    for c, size in enumerate(_split_sizes(spec.n, k)):
-        sub = _gen_base(spec, size, child_seed(spec.seed, c))
-        blocks.append(largest_component(sub))
+    blocks = [
+        largest_component(_gen_base(spec, size, child_seed(spec.seed, c)))
+        for c, size in enumerate(_split_sizes(spec.n, k))
+    ]
     sizes = [b.node_count for b in blocks]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    total = offsets[-1]
-
-    edges: set[tuple[int, int]] = set()
-    labels = []
-    for c, block in enumerate(blocks):
-        off = offsets[c]
-        labels.extend([c] * block.node_count)
-        for i, j in block.edges:
-            edges.add((off + i, off + j))
+    spans = [slice(offsets[c], offsets[c + 1]) for c in range(k)]
+    adjacency = np.zeros((offsets[-1], offsets[-1]), dtype=bool)
+    for span, block in zip(spans, blocks):
+        adjacency[span, span] = block.adjacency
 
     # Inter-community pairs sampled independently at probability mu, block
-    # pair by block pair in lexicographic order for determinism.
+    # pair by block pair in lexicographic order for determinism; drawn
+    # above the diagonal, then mirrored.
     cross_rng = np.random.default_rng(child_seed(spec.seed, _CROSS_STREAM))
     cross_pairs = 0
     cross_edges = 0
     for c1 in range(k):
         for c2 in range(c1 + 1, k):
-            n1, n2 = sizes[c1], sizes[c2]
-            cross_pairs += n1 * n2
-            keep = cross_rng.random((n1, n2)) < spec.mu
-            us, vs = np.nonzero(keep)
-            for u, v in zip(us.tolist(), vs.tolist()):
-                edges.add((offsets[c1] + u, offsets[c2] + v))
-                cross_edges += 1
+            keep = cross_rng.random((sizes[c1], sizes[c2])) < spec.mu
+            adjacency[spans[c1], spans[c2]] = keep
+            cross_pairs += keep.size
+            cross_edges += int(keep.sum())
+    adjacency |= adjacency.T
 
     # Connectivity repair: one random bridge from every community still cut
     # off from the component containing community 0; bridges are counted and
@@ -250,29 +241,21 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
     bridge_rng = np.random.default_rng(child_seed(spec.seed, _BRIDGE_STREAM))
     bridges = 0
     if k > 1:
-        composed = from_edge_pairs(total, edges)
-        members: dict[int, list[int]] = {}
-        comp_of = {}
-        for comp in connected_components(composed):
-            members[comp[0]] = list(comp)
-            for v in comp:
-                comp_of[v] = comp[0]
+        reached, _ = bfs(adjacency)
+        main = reached[0].copy()
         # Each block is connected, so one representative per community
         # suffices; one bridge merges that community's whole component.
-        merged = {comp_of[0]}
-        main = sorted(members[comp_of[0]])
         for c in range(1, k):
-            rep = comp_of[offsets[c]]
-            if rep in merged:
+            if main[offsets[c]]:
                 continue
             u = int(bridge_rng.integers(offsets[c], offsets[c + 1]))
-            v = main[int(bridge_rng.integers(0, len(main)))]
-            edges.add((min(u, v), max(u, v)))
+            members = np.flatnonzero(main)
+            v = int(members[bridge_rng.integers(0, len(members))])
+            adjacency[u, v] = adjacency[v, u] = True
             bridges += 1
-            merged.add(rep)
-            main = sorted(main + members[rep])
+            main |= reached[u]
 
-    graph = from_edge_pairs(total, edges, community_of=labels)
+    graph = from_adjacency(adjacency, community_of=np.repeat(np.arange(k), sizes))
     info = GenerationInfo(
         community_sizes=tuple(sizes),
         cross_pairs=cross_pairs,

@@ -4,6 +4,8 @@ The graph type used throughout: nodes are the integers 0..n-1, edges are
 unordered pairs stored with the smaller id first, self-loops are never
 stored (the MLP translation adds them implicitly), and an optional
 community labelling assigns every node exactly one 0-based community id.
+Each graph also caches a dense boolean adjacency matrix; components, path
+lengths and clustering are computed on it.
 
 Also holds the structural metrics reported alongside training results and
 the plain-text edge-list format shared with the connectome importer.
@@ -11,10 +13,12 @@ the plain-text edge-list format shared with the connectome importer.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     DisconnectedGraph,
@@ -49,28 +53,22 @@ class Graph:
             )
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency as a tuple of sorted neighbor tuples, indexed by node."""
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
+    def adjacency(self) -> np.ndarray:
+        """Read-only symmetric boolean node_count x node_count matrix, False
+        on the diagonal; dense, so built only when first asked for."""
+        a = np.zeros((self.node_count, self.node_count), dtype=bool)
+        i, j = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
+        a[i, j] = a[j, i] = True
+        a.flags.writeable = False
+        return a
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
-
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.neighbors]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        return (min(i, j), max(i, j)) in self.edges
+        ends = list(chain.from_iterable(self.edges))
+        return np.bincount(ends, minlength=self.node_count).tolist()
 
     def n_communities(self) -> int:
         if self.community_of is None:
@@ -83,6 +81,22 @@ class Graph:
             for c in self.community_of:
                 sizes[c] = sizes.get(c, 0) + 1
         return sizes
+
+
+def from_adjacency(adjacency: np.ndarray, community_of=None) -> Graph:
+    """Graph of a symmetric boolean matrix with a False diagonal, labeled by
+    the sequence `community_of`; the matrix becomes the graph's (read-only)
+    `adjacency`."""
+    i, j = np.nonzero(adjacency)
+    upper = i < j
+    g = Graph(
+        node_count=len(adjacency),
+        edges=frozenset(zip(i[upper].tolist(), j[upper].tolist())),
+        community_of=None if community_of is None else tuple(int(c) for c in community_of),
+    )
+    adjacency.flags.writeable = False
+    g.__dict__["adjacency"] = adjacency  # fill the cached_property
+    return g
 
 
 def from_edge_pairs(
@@ -117,25 +131,30 @@ def from_edge_pairs(
     return Graph(node_count=n, edges=frozenset(edges), community_of=labels)
 
 
+def bfs(adjacency: np.ndarray) -> tuple[np.ndarray, int]:
+    """Breadth-first search from every node at once: (reached, distance_sum),
+    where reached[s, v] says v is in the component of s and distance_sum adds
+    the hop distances of all such ordered pairs (s, v). Each level is one
+    float32 product of 0/1 matrices, whose sums (at most the node count) are
+    exact below 2**24."""
+    step = adjacency.astype(np.float32)
+    reached = np.eye(len(step), dtype=bool)
+    frontier = reached
+    distance_sum = 0
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = (frontier.astype(np.float32) @ step > 0) & ~reached
+        reached |= frontier
+        distance_sum += level * int(frontier.sum())
+    return reached, distance_sum
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest member."""
-    seen = [False] * g.node_count
-    comps = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in g.neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    reached, _ = bfs(g.adjacency)
+    # A row's first reached node is the smallest member of its component.
+    return [np.flatnonzero(reached[r]).tolist() for r in np.unique(reached.argmax(axis=1))]
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
@@ -147,14 +166,10 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     for v in kept:
         if not (0 <= v < g.node_count):
             raise InvalidNodeId(f"node {v} out of range")
-    index = {v: k for k, v in enumerate(kept)}
-    edges = [
-        (index[i], index[j]) for i, j in g.edges if i in index and j in index
-    ]
     labels = None
     if g.community_of is not None:
-        labels = tuple(g.community_of[v] for v in kept)
-    return from_edge_pairs(len(kept), edges, community_of=labels)
+        labels = [g.community_of[v] for v in kept]
+    return from_adjacency(g.adjacency[np.ix_(kept, kept)], community_of=labels)
 
 
 def largest_component(g: Graph) -> Graph:
@@ -164,41 +179,22 @@ def largest_component(g: Graph) -> Graph:
     edgeless graph therefore reduces to the single node 0. Node ids are
     relabeled to 0..n'-1 preserving ascending original order.
     """
-    comps = connected_components(g)
-    best = max(comps, key=lambda c: (len(c), -c[0]))
-    return induced_subgraph(g, best)
+    reached, _ = bfs(g.adjacency)
+    # argmax takes the lowest node of the largest components.
+    best = reached[reached.sum(axis=1).argmax()]
+    if best.all():
+        return g
+    return induced_subgraph(g, np.flatnonzero(best).tolist())
 
 
 def clustering_coefficient(g: Graph) -> float:
     """Mean local clustering; nodes of degree < 2 contribute 0."""
-    if g.node_count == 0:
-        return 0.0
-    total = 0.0
-    for v in range(g.node_count):
-        nbrs = g.neighbors[v]
-        k = len(nbrs)
-        if k < 2:
-            continue
-        links = 0
-        for a in range(k):
-            for b in range(a + 1, k):
-                if g.has_edge(nbrs[a], nbrs[b]):
-                    links += 1
-        total += 2.0 * links / (k * (k - 1))
-    return total / g.node_count
-
-
-def _bfs_distances(g: Graph, start: int) -> list[int]:
-    dist = [-1] * g.node_count
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+    a = g.adjacency.astype(np.float64)
+    closed = ((a @ a) * a).sum(axis=1)  # twice the links among each node's neighbors
+    k = a.sum(axis=1)
+    local = closed / np.maximum(k * (k - 1), 1.0)
+    # cumsum adds node by node, left to right, like a scalar loop would.
+    return float(np.cumsum(local)[-1]) / g.node_count
 
 
 def avg_path_length(g: Graph) -> float:
@@ -206,16 +202,13 @@ def avg_path_length(g: Graph) -> float:
     n = g.node_count
     if n < 2:
         raise UndefinedMetric("average path length needs at least 2 nodes")
-    total = 0
-    for v in range(n):
-        dist = _bfs_distances(g, v)
-        for w in range(v + 1, n):
-            if dist[w] < 0:
-                raise DisconnectedGraph(
-                    f"no path between {v} and {w}; reduce to the largest component first"
-                )
-            total += dist[w]
-    return total / (n * (n - 1) / 2)
+    reached, distance_sum = bfs(g.adjacency)
+    if not reached.all():
+        v, w = np.argwhere(~reached)[0]
+        raise DisconnectedGraph(
+            f"no path between {v} and {w}; reduce to the largest component first"
+        )
+    return distance_sum // 2 / (n * (n - 1) / 2)
 
 
 def modularity(g: Graph, partition) -> float:
@@ -233,18 +226,13 @@ def modularity(g: Graph, partition) -> float:
         if len(labels) != g.node_count:
             raise InvalidNodeId("partition must label every node")
     m = g.edge_count
-    intra: dict[int, int] = {}
-    degree_sum: dict[int, int] = {}
-    for i, j in g.edges:
-        if labels[i] == labels[j]:
-            intra[labels[i]] = intra.get(labels[i], 0) + 1
-    for v in range(g.node_count):
-        c = labels[v]
-        degree_sum[c] = degree_sum.get(c, 0) + g.degree(v)
+    label_of = np.array(labels)
+    degrees = g.adjacency.sum(axis=1)
     q = 0.0
     for c in set(labels):
-        e_cc = intra.get(c, 0) / m
-        a_c = degree_sum.get(c, 0) / (2 * m)
+        members = label_of == c
+        e_cc = int(g.adjacency[np.ix_(members, members)].sum()) // 2 / m
+        a_c = int(degrees[members].sum()) / (2 * m)
         q += e_cc - a_c * a_c
     return q
 
@@ -253,23 +241,19 @@ def cross_density(g: Graph) -> float:
     """Fraction of inter-community node pairs realized as edges."""
     if g.community_of is None or g.n_communities() < 2:
         raise UndefinedMetric("cross density needs >= 2 communities")
-    labels = g.community_of
+    labels = np.array(g.community_of)
     sizes = list(g.community_sizes().values())
     n = g.node_count
     cross_pairs = (n * n - sum(s * s for s in sizes)) // 2
-    cross_edges = sum(1 for i, j in g.edges if labels[i] != labels[j])
+    cross_edges = int((g.adjacency & (labels[:, None] != labels[None, :])).sum()) // 2
     return cross_edges / cross_pairs
 
 
 def degree_stats(g: Graph) -> tuple[float, int, list[int]]:
     """(mean degree, max degree, histogram of counts per degree 0..max)."""
     degs = g.degrees()
-    mean = sum(degs) / g.node_count
-    dmax = max(degs)
-    hist = [0] * (dmax + 1)
-    for d in degs:
-        hist[d] += 1
-    return mean, dmax, hist
+    hist = np.bincount(degs).tolist()
+    return sum(degs) / g.node_count, len(hist) - 1, hist
 
 
 @dataclass(frozen=True)

@@ -90,11 +90,7 @@ def build_mask(g: Graph, part: BlockPartition) -> LayerMask:
         raise ShapeError(
             f"graph has {g.node_count} nodes, partition has {part.node_count}"
         )
-    n = g.node_count
-    block = np.eye(n, dtype=bool)
-    for i, j in g.edges:
-        block[i, j] = True
-        block[j, i] = True
+    block = g.adjacency | np.eye(g.node_count, dtype=bool)
     owner = part.node_of_units()
     matrix = block[np.ix_(owner, owner)]
     return LayerMask(matrix=matrix, block_adjacency=block, partition=part)

@@ -79,20 +79,23 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
         """Spec from its JSON form; a missing, unknown or mistyped key raises
-        FormatError naming it."""
+        FormatError naming it. Top-level keys starting with "_" are comments."""
+        if not isinstance(d, dict):
+            raise FormatError(f"sweep spec must be a JSON object, got {d!r}")
+        _check_keys(d, _SPEC_KEYS, "sweep spec")
         model = _spec_value(d, "model", dict, {}, keys=("width", "rounds", "use_bias"))
         train = _spec_value(d, "train", dict, {}, keys=[f.name for f in fields(TrainConfig)])
         axis2 = d.get("axis2")
         spec = cls(
             family=_spec_value(d, "family", str),
-            n=int(d.get("n", 128)),
+            n=_spec_value(d, "n", int, 128),
             axis1=_spec_axis(d, "axis1"),
             axis2=_spec_axis(d, "axis2") if axis2 else None,
             communities=tuple(_spec_value(d, "communities", list, [1])),
             seeds=tuple(_spec_value(d, "seeds", list, [0, 1, 2, 3, 4])),
             fixed=dict(_spec_value(d, "fixed", dict, {})),
-            width=int(model.get("width", 512)),
-            rounds=int(model.get("rounds", 5)),
+            width=_spec_value(model, "width", int, 512, prefix="model."),
+            rounds=_spec_value(model, "rounds", int, 5, prefix="model."),
             use_bias=bool(model.get("use_bias", True)),
             train=TrainConfig(**train),
             dataset=d.get("dataset"),
@@ -106,24 +109,34 @@ class SweepSpec:
             return cls.from_dict(json.load(fh))
 
 
-_JSON_TYPES = {str: "string", list: "list", dict: "object"}
+_SPEC_KEYS = (
+    "family", "n", "axis1", "axis2", "communities", "seeds", "fixed", "model", "train", "dataset"
+)
+_JSON_TYPES = {str: "string", int: "integer", list: "list", dict: "object"}
+
+
+def _check_keys(d: dict, keys, name: str, *, comments: bool = True) -> None:
+    """Raise FormatError naming the first key of `d` not in `keys`; with
+    `comments`, keys starting with "_" pass."""
+    unknown = sorted(k for k in set(d) - set(keys) if not (comments and k.startswith("_")))
+    if unknown:
+        raise FormatError(f"{name} has unknown key {unknown[0]!r}")
 
 
 def _spec_value(d: dict, key: str, kind: type, default=MISSING, *, keys=None, prefix=""):
-    """d[key], checked to be a JSON `kind` (and, for an object, to hold only
-    `keys` when given); `default` when absent. A missing, mistyped or unknown
-    key raises FormatError naming it, as `prefix + key`."""
+    """d[key], checked to be a JSON `kind` (an integer is not a boolean; an
+    object holds only `keys` when given); `default` when absent. A missing,
+    mistyped or unknown key raises FormatError naming it, as `prefix + key`."""
     name = prefix + key
     if key not in d:
         if default is MISSING:
             raise FormatError(f"sweep spec has no {name!r}")
         return default
     value = d[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise FormatError(f"sweep spec {name!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
-    unknown = sorted(set(value) - set(keys)) if keys is not None else []
-    if unknown:
-        raise FormatError(f"sweep spec {name!r} has unknown key {unknown[0]!r}")
+    if keys is not None:
+        _check_keys(value, keys, f"sweep spec {name!r}", comments=False)
     return value
 
 
@@ -186,15 +199,23 @@ class CellTask:
     train: TrainConfig
 
 
+_DATASET_KEYS = {
+    "cifar10": ("dir", "normalize"),
+    "blobs": ("classes", "dim", "n_per_class", "test_n_per_class", "spread", "seed"),
+}
+
+
 def build_dataset(dspec: dict | None, dtype=np.float32) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) from a dataset spec dict.
 
     kinds: "cifar10" {dir, normalize?} and "blobs" {classes?, dim?,
     n_per_class?, test_n_per_class?, spread?, seed?}. Default: desk-scale
-    blobs.
+    blobs. Another key, unless it starts with "_", raises FormatError.
     """
     dspec = dict(dspec or {"kind": "blobs"})
     kind = dspec.get("kind", "blobs")
+    if kind in _DATASET_KEYS:
+        _check_keys(dspec, ("kind",) + _DATASET_KEYS[kind], f"dataset kind {kind!r}")
     if kind == "cifar10":
         if "dir" not in dspec:
             raise ValueError("dataset kind 'cifar10' needs 'dir'")
@@ -326,7 +347,8 @@ def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> Experi
         )
 
 
-_WORKER_DATA: tuple[Dataset, Dataset] | None = None
+# The worker's datasets, or the exception that loading them raised.
+_WORKER_DATA: tuple[Dataset, Dataset] | Exception | None = None
 
 
 def _openblas_function(name: str):
@@ -358,11 +380,15 @@ def _worker_init(dataset_spec: dict | None, precision: str, workers: int) -> Non
         if set_threads is not None:
             set_threads(max(1, len(os.sched_getaffinity(0)) // workers))
     dtype = np.float64 if precision == "double" else np.float32
-    _WORKER_DATA = build_dataset(dataset_spec, dtype=dtype)
+    try:
+        _WORKER_DATA = build_dataset(dataset_spec, dtype=dtype)
+    except Exception as exc:  # raised by every cell, so the sweep ends as at --workers 1
+        _WORKER_DATA = exc
 
 
 def _worker_run(task: CellTask) -> ExperimentRecord:
-    assert _WORKER_DATA is not None
+    if isinstance(_WORKER_DATA, Exception):
+        raise _WORKER_DATA
     return _execute_cell(task, *_WORKER_DATA)
 
 

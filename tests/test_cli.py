@@ -464,9 +464,15 @@ class TestSweepReport:
             ({"model": [1]}, "model"),
             ({"axis1": {"name": "p", "values": 0.5}}, "axis1.values"),
             ({"dataset": {"kind": "cifar10"}}, "dir"),
+            ({"comunities": [4]}, "comunities"),
+            ({"n": 12.7}, "n"),
+            ({"n": "abc"}, "n"),
+            ({"model": {"width": "16", "rounds": 1}}, "model.width"),
+            ({"dataset": {**SWEEP_SPEC["dataset"], "clases": 3}}, "clases"),
         ],
         ids=["no-family", "unknown-train-key", "model-not-object",
-             "axis-values-not-list", "cifar10-without-dir"],
+             "axis-values-not-list", "cifar10-without-dir", "unknown-top-level-key",
+             "float-n", "string-n", "string-width", "unknown-dataset-key"],
     )
     def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
         spec_dict = {**SWEEP_SPEC, **change}
@@ -480,6 +486,23 @@ class TestSweepReport:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith("error: ") and repr(key) in line
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_missing_dataset_exits_2_naming_the_file(self, capfd, tmp_path, workers):
+        """A dataset that fails to load in the pool's workers ends the sweep
+        as at --workers 1: one error line naming the file, no traceback
+        (capfd also sees what the workers write)."""
+        spec = tmp_path / "spec.json"
+        missing = tmp_path / "no-cifar10"
+        spec.write_text(json.dumps({**SWEEP_SPEC, "dataset": {"kind": "cifar10", "dir": str(missing)}}))
+        code, stdout, err = run(
+            capfd, "sweep", "--spec", str(spec), "--out", str(tmp_path / "o.csv"),
+            "--workers", workers,
+        )
+        assert (code, stdout) == (2, "")
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and str(missing / "data_batch_1.bin") in line
 
     def test_report_on_unparsable_value_exits_2_naming_its_place(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path)

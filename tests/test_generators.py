@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +19,7 @@ from relnet.generators import (
     generate_with_info,
 )
 from relnet.graphs import (
+    compute_metrics,
     connected_components,
     cross_density,
     degree_stats,
@@ -231,6 +235,33 @@ class TestComposer:
         assert len(g.community_sizes()) == 3
         assert len(connected_components(g)) == 1
         assert sum(info.community_sizes) == g.node_count
+
+    def test_outputs_pinned_by_digest(self):
+        """Edges, labels, GenerationInfo and GraphMetrics over a grid of
+        composer specs (16 of the 80 add bridges). The digest was taken from
+        the edge-set implementation that preceded the adjacency-matrix one;
+        any moved bit, or a value of another type, changes it."""
+        digest = hashlib.sha256()
+        for base, k, mu, seed in itertools.product(
+            ("er", "static_sf"), (1, 2, 3, 5, 8), (0.0, 0.05, 0.3, 0.8), (0, 1)
+        ):
+            params = {"p": 0.3} if base == "er" else {"gamma": 3.0, "m": 3}
+            spec = GeneratorSpec(
+                family="community", n=40, communities=k, mu=mu, base=base, seed=seed, **params
+            )
+            g, info = generate_with_info(spec)
+            metrics = compute_metrics(g)
+            digest.update(
+                repr(
+                    (
+                        sorted(g.edges),
+                        g.community_of,
+                        dataclasses.astuple(info),
+                        dataclasses.astuple(metrics),
+                    )
+                ).encode()
+            )
+        assert digest.hexdigest()[:16] == "4b6e7921923f3fcd"
 
 
 class TestDispatch:

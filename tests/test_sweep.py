@@ -133,6 +133,49 @@ class TestSweepSpec:
         assert spec.width == 512 and spec.rounds == 5
         assert spec.train == TrainConfig()
 
+    def test_from_dict_rejects_unknown_top_level_key(self):
+        with pytest.raises(FormatError, match="'comunities'"):
+            SweepSpec.from_dict(
+                {"family": "er", "axis1": {"name": "p", "values": [0.2]}, "comunities": [4]}
+            )
+
+    def test_from_dict_rejects_non_object(self):
+        with pytest.raises(FormatError, match="must be a JSON object"):
+            SweepSpec.from_dict([1, 2])
+
+    def test_from_dict_passes_comment_keys(self):
+        spec = SweepSpec.from_dict(
+            {"_note": "why", "family": "er", "axis1": {"name": "p", "values": [0.2]}}
+        )
+        assert spec.communities == (1,)
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"n": 12.7}, "n"),
+            ({"n": "abc"}, "n"),
+            ({"n": True}, "n"),
+            ({"model": {"width": "16"}}, "model.width"),
+            ({"model": {"rounds": 1.0}}, "model.rounds"),
+            ({"model": {"rounds": False}}, "model.rounds"),
+        ],
+    )
+    def test_integer_keys_must_be_json_integers(self, change, key):
+        d = {"family": "er", "axis1": {"name": "p", "values": [0.2]}, **change}
+        with pytest.raises(FormatError, match=f"'{key}' must be a JSON integer"):
+            SweepSpec.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(Path(__file__).parent.parent.glob("sweeps/*.json"))
+        + sorted(Path(__file__).parent.parent.glob("perfbench/specs/*.json")),
+        ids=lambda path: f"{path.parent.name}/{path.name}",
+    )
+    def test_shipped_specs_load(self, path):
+        spec = SweepSpec.from_json(path)
+        kind = spec.dataset["kind"]
+        assert set(spec.dataset) <= {"kind", *relnet.sweep._DATASET_KEYS[kind]}
+
     def test_from_json_round_trip(self, tmp_path):
         payload = {
             "family": "static_sf",
@@ -244,6 +287,17 @@ class TestRunSweep:
         inline = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=1)]
         pooled = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=2)]
         assert inline == pooled
+
+    def test_single_community_repeats_over_mu(self):
+        """With one community no cross pair exists, so mu changes nothing:
+        a communities=[1] sweep over two mu values trains the same run twice
+        and writes records equal apart from mu and wall_ms."""
+        spec = tiny_spec(axis1=Axis("p", (0.6,)), axis2=Axis("mu", (0.1, 0.5)), communities=(1,))
+        records = run_sweep(spec)
+        assert len(records) == 4 and all(r.status == "ok" for r in records)
+        low = [replace(r, mu=None, wall_ms=0.0) for r in records if r.mu == 0.1]
+        high = [replace(r, mu=None, wall_ms=0.0) for r in records if r.mu == 0.5]
+        assert low == high
 
     def test_cell_evaluates_once(self, monkeypatch):
         """A sweep reads only the final result, so a 3-epoch cell evaluates
@@ -538,6 +592,22 @@ class TestBuildDataset:
     def test_train_test_disjoint_draws(self):
         train, test = build_dataset(TINY_DATASET)
         assert not np.array_equal(train.features[:30], test.features)
+
+    @pytest.mark.parametrize(
+        "dspec, key",
+        [
+            ({**TINY_DATASET, "clases": 3}, "clases"),
+            ({"kind": "cifar10", "dir": "x", "normalise": "standard"}, "normalise"),
+            ({"kind": "cifar10", "dir": "x", "classes": 10}, "classes"),
+        ],
+    )
+    def test_unknown_key_per_kind(self, dspec, key):
+        with pytest.raises(FormatError, match=f"unknown key '{key}'"):
+            build_dataset(dspec)
+
+    def test_comment_key_passes(self):
+        train, _ = build_dataset({**TINY_DATASET, "_note": "tiny"})
+        assert train.features.shape == (60, 6)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown dataset kind"):
