@@ -162,15 +162,18 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = SweepSpec.from_json(args.spec)
+    skip = set()
     if args.resume:
         cut_partial_row(args.out)
         skip = existing_keys(args.out)
-    else:
-        skip = set()
-        write_records_csv([], args.out)  # fresh header
+    # Without --resume the first row rewrites --out with a fresh header, so a
+    # sweep that fails before its first row leaves --out as it was.
+    append = args.resume
 
     def progress(record):
-        write_records_csv([record], args.out, append=True)
+        nonlocal append
+        write_records_csv([record], args.out, append=append)
+        append = True
 
     records = run_sweep(spec, workers=args.workers, skip_keys=skip, progress=progress)
     ok = sum(record.status == "ok" for record in records)

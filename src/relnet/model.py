@@ -100,46 +100,44 @@ def build_mask(g: Graph, part: BlockPartition) -> LayerMask:
 class MlpModel:
     """Fixed-width masked MLP: dense in, R masked rounds, dense out.
 
+    `weights` and `biases` hold the parameters in layer order: the input
+    projection ((in_dim, width) and (width,)), rounds 1..R ((width, width)
+    and (width,)), the output projection ((width, out_dim) and (out_dim,)).
     All round weight matrices share one LayerMask; per-unit biases are held
     even when `use_bias` is False (then they stay zero and untrained, which
     recovers the literal bias-free message-exchange rule).
     """
 
-    input_w: np.ndarray  # (in_dim, width)
-    input_b: np.ndarray  # (width,)
-    round_w: list[np.ndarray]  # R x (width, width)
-    round_b: list[np.ndarray]  # R x (width,)
-    output_w: np.ndarray  # (width, out_dim)
-    output_b: np.ndarray  # (out_dim,)
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
     mask: LayerMask
     seed: int
     use_bias: bool = True
 
     @property
     def width(self) -> int:
-        return self.input_w.shape[1]
+        return self.weights[0].shape[1]
 
     @property
     def in_dim(self) -> int:
-        return self.input_w.shape[0]
+        return self.weights[0].shape[0]
 
     @property
     def out_dim(self) -> int:
-        return self.output_w.shape[1]
+        return self.weights[-1].shape[1]
 
     @property
     def rounds(self) -> int:
-        return len(self.round_w)
+        return len(self.weights) - 2
 
     @property
     def dtype(self):
-        return self.input_w.dtype
+        return self.weights[0].dtype
 
-    def weight_arrays(self) -> list[np.ndarray]:
-        return [self.input_w, *self.round_w, self.output_w]
-
-    def bias_arrays(self) -> list[np.ndarray]:
-        return [self.input_b, *self.round_b, self.output_b]
+    @property
+    def round_w(self) -> list[np.ndarray]:
+        """The masked round weights, `weights[1:-1]` (the arrays themselves)."""
+        return self.weights[1:-1]
 
     @cached_property
     def mask_values(self) -> np.ndarray:
@@ -187,34 +185,21 @@ def init_model(
     mask = build_mask(g, part)
     rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
 
-    limit_in = np.sqrt(6.0 / (in_dim + width))
-    input_w = rng.uniform(-1.0, 1.0, size=(in_dim, width)) * limit_in
-
     fan_in = mask.matrix.sum(axis=0).astype(np.float64)  # unmasked inputs per unit
     fan_out = mask.matrix.sum(axis=1).astype(np.float64)
     limit_round = np.sqrt(6.0 / (fan_in[None, :] + fan_out[:, None]))
-    round_w = []
-    round_b = []
-    for _ in range(rounds):
-        w = rng.uniform(-1.0, 1.0, size=(width, width)) * limit_round
-        w[~mask.matrix] = 0.0
-        round_w.append(w.astype(dtype))
-        round_b.append(np.zeros(width, dtype=dtype))
-
-    limit_out = np.sqrt(6.0 / (width + out_dim))
-    output_w = rng.uniform(-1.0, 1.0, size=(width, out_dim)) * limit_out
-
-    return MlpModel(
-        input_w=input_w.astype(dtype),
-        input_b=np.zeros(width, dtype=dtype),
-        round_w=round_w,
-        round_b=round_b,
-        output_w=output_w.astype(dtype),
-        output_b=np.zeros(out_dim, dtype=dtype),
-        mask=mask,
-        seed=int(seed),
-        use_bias=use_bias,
-    )
+    shapes = [(in_dim, width)] + [(width, width)] * rounds + [(width, out_dim)]
+    weights = []
+    biases = []
+    for layer, (rows, cols) in enumerate(shapes):
+        masked = 0 < layer <= rounds
+        limit = limit_round if masked else np.sqrt(6.0 / (rows + cols))
+        w = rng.uniform(-1.0, 1.0, size=(rows, cols)) * limit
+        if masked:
+            w[~mask.matrix] = 0.0
+        weights.append(w.astype(dtype))
+        biases.append(np.zeros(cols, dtype=dtype))
+    return MlpModel(weights, biases, mask=mask, seed=int(seed), use_bias=use_bias)
 
 
 @dataclass
@@ -234,10 +219,11 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network on a (batch, in_dim) matrix; returns (logits, cache).
 
-    The bias and the ReLU are applied in place on each matmul output. With
-    keep_cache False (inference) the cache is None and nothing is kept: each
-    layer's input, the batch included, is released as soon as that layer's
-    output exists, provided the caller holds no other reference to it.
+    The bias, and on every layer but the last the ReLU, are applied in place
+    on each matmul output. With keep_cache False (inference) the cache is
+    None and nothing is kept: each layer's input, the batch included, is
+    released as soon as that layer's output exists, provided the caller
+    holds no other reference to it.
     """
     h = np.asarray(batch, dtype=model.dtype)
     del batch
@@ -246,45 +232,45 @@ def forward(
     if not np.all(np.isfinite(h)):
         raise NumericError("non-finite values in input batch")
     cache = ForwardCache(x=h, act=[]) if keep_cache else None
-    for w, b in zip([model.input_w, *model.round_w], [model.input_b, *model.round_b]):
+    last = len(model.weights) - 1
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
         h = h @ w
         h += b
-        np.maximum(h, 0.0, out=h)
-        if cache is not None:
-            cache.act.append(h)
-    logits = h @ model.output_w
-    logits += model.output_b
-    return logits, cache
+        if layer < last:
+            np.maximum(h, 0.0, out=h)
+            if cache is not None:
+                cache.act.append(h)
+    return h, cache
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint container: one .npz file with a version header, a JSON metadata
-# blob (shapes, seed, partition), the node-level mask, and all parameters.
+# blob (width, rounds, seed, use_bias, partition), the node-level mask, and
+# every weight and bias under the keys of `_param_keys`.
+
+
+def _param_keys(rounds: int) -> list[tuple[str, str]]:
+    """(weight key, bias key) of each layer of a checkpoint, in layer order."""
+    rounds_keys = [(f"round_w_{r}", f"round_b_{r}") for r in range(rounds)]
+    return [("input_w", "input_b"), *rounds_keys, ("output_w", "output_b")]
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
     meta = {
         "width": model.width,
         "rounds": model.rounds,
-        "in_dim": model.in_dim,
-        "out_dim": model.out_dim,
         "seed": model.seed,
         "use_bias": model.use_bias,
-        "dtype": str(model.dtype),
         "slices": [list(s) for s in model.mask.partition.slices],
     }
     arrays = {
         "header": np.array(CKPT_HEADER),
         "meta": np.array(json.dumps(meta)),
         "block_adjacency": model.mask.block_adjacency,
-        "input_w": model.input_w,
-        "input_b": model.input_b,
-        "output_w": model.output_w,
-        "output_b": model.output_b,
     }
-    for r in range(model.rounds):
-        arrays[f"round_w_{r}"] = model.round_w[r]
-        arrays[f"round_b_{r}"] = model.round_b[r]
+    for (w_key, b_key), w, b in zip(_param_keys(model.rounds), model.weights, model.biases):
+        arrays[w_key] = w
+        arrays[b_key] = b
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -305,13 +291,10 @@ def load_checkpoint(path) -> MlpModel:
             block_adjacency=block,
             partition=part,
         )
+        keys = _param_keys(meta["rounds"])
         model = MlpModel(
-            input_w=data["input_w"],
-            input_b=data["input_b"],
-            round_w=[data[f"round_w_{r}"] for r in range(meta["rounds"])],
-            round_b=[data[f"round_b_{r}"] for r in range(meta["rounds"])],
-            output_w=data["output_w"],
-            output_b=data["output_b"],
+            weights=[data[w_key] for w_key, _ in keys],
+            biases=[data[b_key] for _, b_key in keys],
             mask=mask,
             seed=meta["seed"],
             use_bias=meta["use_bias"],

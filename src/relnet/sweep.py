@@ -85,18 +85,23 @@ class SweepSpec:
         _check_keys(d, _SPEC_KEYS, "sweep spec")
         model = _spec_value(d, "model", dict, {}, keys=("width", "rounds", "use_bias"))
         train = _spec_value(d, "train", dict, {}, keys=[f.name for f in fields(TrainConfig)])
+        if "seed" in train:
+            raise FormatError(
+                "sweep spec 'train.seed' is not allowed: each run shuffles "
+                "from a stream of its run seed"
+            )
         axis2 = d.get("axis2")
         spec = cls(
             family=_spec_value(d, "family", str),
             n=_spec_value(d, "n", int, 128),
             axis1=_spec_axis(d, "axis1"),
             axis2=_spec_axis(d, "axis2") if axis2 else None,
-            communities=tuple(_spec_value(d, "communities", list, [1])),
-            seeds=tuple(_spec_value(d, "seeds", list, [0, 1, 2, 3, 4])),
+            communities=tuple(_spec_value(d, "communities", list, [1], items=int)),
+            seeds=tuple(_spec_value(d, "seeds", list, [0, 1, 2, 3, 4], items=int)),
             fixed=dict(_spec_value(d, "fixed", dict, {})),
             width=_spec_value(model, "width", int, 512, prefix="model."),
             rounds=_spec_value(model, "rounds", int, 5, prefix="model."),
-            use_bias=bool(model.get("use_bias", True)),
+            use_bias=_spec_value(model, "use_bias", bool, True, prefix="model."),
             train=TrainConfig(**train),
             dataset=d.get("dataset"),
         )
@@ -112,7 +117,7 @@ class SweepSpec:
 _SPEC_KEYS = (
     "family", "n", "axis1", "axis2", "communities", "seeds", "fixed", "model", "train", "dataset"
 )
-_JSON_TYPES = {str: "string", int: "integer", list: "list", dict: "object"}
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "list", dict: "object"}
 
 
 def _check_keys(d: dict, keys, name: str, *, comments: bool = True) -> None:
@@ -123,18 +128,31 @@ def _check_keys(d: dict, keys, name: str, *, comments: bool = True) -> None:
         raise FormatError(f"{name} has unknown key {unknown[0]!r}")
 
 
-def _spec_value(d: dict, key: str, kind: type, default=MISSING, *, keys=None, prefix=""):
-    """d[key], checked to be a JSON `kind` (an integer is not a boolean; an
-    object holds only `keys` when given); `default` when absent. A missing,
-    mistyped or unknown key raises FormatError naming it, as `prefix + key`."""
+def _is_json(value, kind: type) -> bool:
+    """Whether `value` is a JSON `kind`; an integer is not a boolean."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _spec_value(
+    d: dict, key: str, kind: type, default=MISSING, *, keys=None, items=None, prefix=""
+):
+    """d[key], checked to be a JSON `kind` (an object holds only `keys` when
+    given, a list only JSON `items` when given); `default` when absent. A
+    missing, mistyped or unknown key raises FormatError naming it, as
+    `prefix + key`."""
     name = prefix + key
     if key not in d:
         if default is MISSING:
             raise FormatError(f"sweep spec has no {name!r}")
         return default
     value = d[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if not _is_json(value, kind):
         raise FormatError(f"sweep spec {name!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    bad = [v for v in value if not _is_json(v, items)] if items else []
+    if bad:
+        raise FormatError(
+            f"sweep spec {name!r} must hold JSON {_JSON_TYPES[items]}s, got {bad[0]!r}"
+        )
     if keys is not None:
         _check_keys(value, keys, f"sweep spec {name!r}", comments=False)
     return value
@@ -253,12 +271,12 @@ def _cell_tasks(spec: SweepSpec) -> list[CellTask]:
                     CellTask(
                         family=spec.family,
                         n=spec.n,
-                        communities=int(k),
+                        communities=k,
                         **{name: params.get(name) for name in AXIS_NAMES},
                         width=spec.width,
                         rounds=spec.rounds,
                         use_bias=spec.use_bias,
-                        seed=int(seed),
+                        seed=seed,
                         train=spec.train,
                     )
                 )

@@ -64,14 +64,10 @@ class EvalResult:
 
 @dataclass
 class Grads:
-    """Gradients mirroring MlpModel's parameter arrays."""
+    """Gradients of MlpModel.weights and .biases, in the same layer order."""
 
-    input_w: np.ndarray
-    input_b: np.ndarray
-    round_w: list[np.ndarray]
-    round_b: list[np.ndarray]
-    output_w: np.ndarray
-    output_b: np.ndarray
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
 
 
 def _softmax_stats(logits: np.ndarray, labels: np.ndarray):
@@ -99,38 +95,24 @@ def loss_and_grads(model: MlpModel, batch_x, batch_y) -> tuple[float, Grads]:
         raise NumericError(f"non-finite loss {loss}")
 
     batch = logits.shape[0]
-    dlogits = probs
-    dlogits[np.arange(batch), y] -= 1.0
-    dlogits /= batch
+    da = probs  # gradient of the last layer's output: the logits
+    da[np.arange(batch), y] -= 1.0
+    da /= batch
 
-    d_output_w = cache.act[-1].T @ dlogits
-    d_output_b = dlogits.sum(axis=0)
-    dh = dlogits @ model.output_w.T
-
-    rounds = model.rounds
-    d_round_w: list[np.ndarray] = [None] * rounds  # type: ignore[list-item]
-    d_round_b: list[np.ndarray] = [None] * rounds  # type: ignore[list-item]
-    for r in range(rounds - 1, -1, -1):
-        da = dh
-        da *= cache.act[r + 1] > 0
-        dw = cache.act[r].T @ da
-        dw *= model.mask_values
-        d_round_w[r] = dw
-        d_round_b[r] = da.sum(axis=0)
-        dh = da @ model.round_w[r].T
-    da = dh
-    da *= cache.act[0] > 0
-    d_input_w = cache.x.T @ da
-    d_input_b = da.sum(axis=0)
-
-    return loss, Grads(
-        input_w=d_input_w,
-        input_b=d_input_b,
-        round_w=d_round_w,
-        round_b=d_round_b,
-        output_w=d_output_w,
-        output_b=d_output_b,
-    )
+    inputs = [cache.x, *cache.act]  # each layer's input
+    last = len(model.weights) - 1
+    grads = Grads(weights=[None] * (last + 1), biases=[None] * (last + 1))
+    for layer in range(last, -1, -1):
+        if layer < last:
+            da *= inputs[layer + 1] > 0  # through this layer's ReLU
+        dw = inputs[layer].T @ da
+        if 0 < layer < last:
+            dw *= model.mask_values
+        grads.weights[layer] = dw
+        grads.biases[layer] = da.sum(axis=0)
+        if layer:
+            da = da @ model.weights[layer].T
+    return loss, grads
 
 
 @dataclass
@@ -143,8 +125,8 @@ class SgdState:
     @classmethod
     def zeros(cls, model: MlpModel) -> "SgdState":
         return cls(
-            vel_w=[np.zeros_like(w) for w in model.weight_arrays()],
-            vel_b=[np.zeros_like(b) for b in model.bias_arrays()],
+            vel_w=[np.zeros_like(w) for w in model.weights],
+            vel_b=[np.zeros_like(b) for b in model.biases],
         )
 
 
@@ -176,10 +158,9 @@ def sgd_step(
     so results are identical bit for bit.
     """
     lr = lr_at(config, step_index, total_steps)
-    grad_w = [grads.input_w, *grads.round_w, grads.output_w]
     # A block holds at least one row, however wide.
     tmp = np.empty(max(SGD_CHUNK, model.width, model.out_dim), dtype=model.dtype)
-    for w, g, v in zip(model.weight_arrays(), grad_w, state.vel_w):
+    for w, g, v in zip(model.weights, grads.weights, state.vel_w):
         rows = max(1, SGD_CHUNK // w.shape[1])
         for start in range(0, w.shape[0], rows):
             block = slice(start, start + rows)
@@ -193,8 +174,7 @@ def sgd_step(
             np.multiply(vb, lr, out=t)
             wb -= t
     if model.use_bias:
-        grad_b = [grads.input_b, *grads.round_b, grads.output_b]
-        for b, g, v in zip(model.bias_arrays(), grad_b, state.vel_b):
+        for b, g, v in zip(model.biases, grads.biases, state.vel_b):
             v *= config.momentum
             v += g
             b -= lr * v

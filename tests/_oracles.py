@@ -139,14 +139,14 @@ def message_exchange_logits(model, x_row):
 
     h = [0.0] * width
     for u in range(width):
-        s = float(model.input_b[u])
+        s = float(model.biases[0][u])
         for d in range(model.in_dim):
-            s += float(x_row[d]) * float(model.input_w[d, u])
+            s += float(x_row[d]) * float(model.weights[0][d, u])
         h[u] = max(s, 0.0)
 
     for r in range(model.rounds):
         w = model.round_w[r]
-        b = model.round_b[r]
+        b = model.biases[r + 1]
         nxt = [0.0] * width
         for i in range(part.node_count):
             off_i, len_i = part.slices[i]
@@ -163,9 +163,9 @@ def message_exchange_logits(model, x_row):
 
     logits = []
     for c in range(model.out_dim):
-        s = float(model.output_b[c])
+        s = float(model.biases[-1][c])
         for u in range(width):
-            s += h[u] * float(model.output_w[u, c])
+            s += h[u] * float(model.weights[-1][u, c])
         logits.append(s)
     return np.array(logits)
 
@@ -182,8 +182,8 @@ class DenseMlp:
     """
 
     def __init__(self, model):
-        self.w = [np.array(a, dtype=np.float64) for a in model.weight_arrays()]
-        self.b = [np.array(a, dtype=np.float64) for a in model.bias_arrays()]
+        self.w = [np.array(a, dtype=np.float64) for a in model.weights]
+        self.b = [np.array(a, dtype=np.float64) for a in model.biases]
         self.vw = [np.zeros_like(a) for a in self.w]
         self.vb = [np.zeros_like(a) for a in self.b]
 
@@ -275,22 +275,22 @@ def masked_mlp_forward(model, batch):
     x = np.asarray(batch, dtype=model.dtype)
     pre = []
     act = []
-    a = x @ model.input_w + model.input_b
+    a = x @ model.weights[0] + model.biases[0]
     h = np.maximum(a, 0.0)
     pre.append(a)
     act.append(h)
-    for w, b in zip(model.round_w, model.round_b):
+    for w, b in zip(model.round_w, model.biases[1:-1]):
         a = h @ w + b
         h = np.maximum(a, 0.0)
         pre.append(a)
         act.append(h)
-    logits = h @ model.output_w + model.output_b
+    logits = h @ model.weights[-1] + model.biases[-1]
     return logits, x, pre, act
 
 
 def masked_mlp_loss_and_grads(model, batch_x, batch_y):
-    """Mean cross-entropy and gradients, as lists in weight_arrays() and
-    bias_arrays() order; masked round-weight gradients are set to 0.0."""
+    """Mean cross-entropy and gradients, as lists in the order of
+    model.weights and model.biases; masked round-weight gradients are set to 0.0."""
     y = np.asarray(batch_y)
     logits, x, pre, act = masked_mlp_forward(model, batch_x)
     m = logits.max(axis=1, keepdims=True)
@@ -306,7 +306,7 @@ def masked_mlp_loss_and_grads(model, batch_x, batch_y):
 
     d_output_w = act[-1].T @ dlogits
     d_output_b = dlogits.sum(axis=0)
-    dh = dlogits @ model.output_w.T
+    dh = dlogits @ model.weights[-1].T
     rounds = model.rounds
     d_round_w = [None] * rounds
     d_round_b = [None] * rounds
@@ -331,14 +331,14 @@ def masked_mlp_loss_and_grads(model, batch_x, batch_y):
 def masked_mlp_sgd_step(model, grad_w, grad_b, vel_w, vel_b, lr, momentum, weight_decay):
     """Momentum SGD in four whole-array passes per weight, then boolean-index
     masking of the round weights."""
-    for w, g, v in zip(model.weight_arrays(), grad_w, vel_w):
+    for w, g, v in zip(model.weights, grad_w, vel_w):
         v *= momentum
         v += g
         if weight_decay:
             v += weight_decay * w
         w -= lr * v
     if model.use_bias:
-        for b, g, v in zip(model.bias_arrays(), grad_b, vel_b):
+        for b, g, v in zip(model.biases, grad_b, vel_b):
             v *= momentum
             v += g
             b -= lr * v

@@ -429,10 +429,14 @@ class TestSweepReport:
 
         def killed_on_third_cell(task, *datasets):
             # p=0.5, seed 0 is the third cell in grid order. Wait until the
-            # two before it are in the CSV, so it is the first not delivered.
+            # two before it are in the CSV (created with the first row), so it
+            # is the first not delivered.
             if (task.p, task.seed) == (0.5, 0):
                 deadline = time.monotonic() + 60
-                while out.read_text().count("\n") < 3 and time.monotonic() < deadline:
+                while (
+                    not (out.exists() and out.read_text().count("\n") >= 3)
+                    and time.monotonic() < deadline
+                ):
                     time.sleep(0.01)
                 os.kill(os.getpid(), signal.SIGKILL)
             return execute_cell(task, *datasets)
@@ -469,10 +473,19 @@ class TestSweepReport:
             ({"n": "abc"}, "n"),
             ({"model": {"width": "16", "rounds": 1}}, "model.width"),
             ({"dataset": {**SWEEP_SPEC["dataset"], "clases": 3}}, "clases"),
+            ({"communities": [2.7]}, "communities"),
+            ({"communities": [True]}, "communities"),
+            ({"seeds": ["x"]}, "seeds"),
+            ({"seeds": [0, False]}, "seeds"),
+            ({"model": {"width": 16, "rounds": 1, "use_bias": "no"}}, "model.use_bias"),
+            ({"model": {"width": 16, "rounds": 1, "use_bias": 0}}, "model.use_bias"),
+            ({"train": {**SWEEP_SPEC["train"], "seed": 7}}, "train.seed"),
         ],
         ids=["no-family", "unknown-train-key", "model-not-object",
              "axis-values-not-list", "cifar10-without-dir", "unknown-top-level-key",
-             "float-n", "string-n", "string-width", "unknown-dataset-key"],
+             "float-n", "string-n", "string-width", "unknown-dataset-key",
+             "float-community", "boolean-community", "string-seed", "boolean-seed",
+             "string-use-bias", "integer-use-bias", "train-seed"],
     )
     def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
         spec_dict = {**SWEEP_SPEC, **change}
@@ -503,6 +516,33 @@ class TestSweepReport:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith("error: ") and str(missing / "data_batch_1.bin") in line
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_failing_before_its_first_row_leaves_out_unchanged(
+        self, capfd, tmp_path, workers
+    ):
+        out = tmp_path / "o.csv"
+        run(capfd, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out))
+        before = out.read_bytes()
+        spec = tmp_path / "missing-dataset.json"
+        spec.write_text(json.dumps(
+            {**SWEEP_SPEC, "dataset": {"kind": "cifar10", "dir": str(tmp_path / "none")}}
+        ))
+        code, _, err = run(
+            capfd, "sweep", "--spec", str(spec), "--out", str(out), "--workers", workers
+        )
+        assert code == 2 and err.startswith("error: ")
+        assert out.read_bytes() == before
+
+    def test_fresh_sweep_replaces_out(self, capsys, tmp_path):
+        out = tmp_path / "o.csv"
+        out.write_text("not,a,records,csv\n")
+        code, _, _ = run(
+            capsys, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out)
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[0] == ",".join(CSV_HEADER)
+        assert len(read_records_csv(out)) == 6
 
     def test_report_on_unparsable_value_exits_2_naming_its_place(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path)

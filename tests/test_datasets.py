@@ -288,8 +288,8 @@ class TestCodedDataset:
             runs.append((model, result, log, small_blocks))
         (model, result, log, blocks), (ref, ref_result, ref_log, ref_blocks) = runs
         for a, b in zip(
-            [*model.weight_arrays(), *model.bias_arrays()],
-            [*ref.weight_arrays(), *ref.bias_arrays()],
+            [*model.weights, *model.biases],
+            [*ref.weights, *ref.biases],
         ):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert result == ref_result and blocks == ref_blocks

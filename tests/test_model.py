@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,17 +114,17 @@ class TestInitModel:
     def test_same_seed_identical(self):
         a = init_model(ALMOST_K4, 16, 2, 5, 3, seed=42)
         b = init_model(ALMOST_K4, 16, 2, 5, 3, seed=42)
-        for wa, wb in zip(a.weight_arrays(), b.weight_arrays()):
+        for wa, wb in zip(a.weights, b.weights):
             assert (wa == wb).all()
 
     def test_different_seed_differs(self):
         a = init_model(ALMOST_K4, 16, 2, 5, 3, seed=42)
         b = init_model(ALMOST_K4, 16, 2, 5, 3, seed=43)
-        assert not (a.input_w == b.input_w).all()
+        assert not (a.weights[0] == b.weights[0]).all()
 
     def test_biases_start_zero(self):
         model = init_model(ALMOST_K4, 16, 2, 5, 3, seed=1)
-        for b in model.bias_arrays():
+        for b in model.biases:
             assert (b == 0).all()
 
     def test_fan_aware_bounds(self):
@@ -132,7 +134,7 @@ class TestInitModel:
         fan_out = mask.sum(axis=1)
         limit = np.sqrt(6.0 / (fan_in[None, :] + fan_out[:, None]))
         assert (np.abs(model.round_w[0]) <= limit + 1e-12).all()
-        assert (np.abs(model.input_w) <= np.sqrt(6.0 / (5 + 16)) + 1e-12).all()
+        assert (np.abs(model.weights[0]) <= np.sqrt(6.0 / (5 + 16)) + 1e-12).all()
 
     def test_rounds_must_be_positive(self):
         with pytest.raises(ShapeError):
@@ -141,7 +143,7 @@ class TestInitModel:
     def test_dtype_selection(self):
         model = init_model(ALMOST_K4, 16, 1, 5, 3, seed=0, dtype=np.float32)
         assert model.dtype == np.float32
-        assert all(w.dtype == np.float32 for w in model.weight_arrays())
+        assert all(w.dtype == np.float32 for w in model.weights)
 
 
 class TestForward:
@@ -158,10 +160,10 @@ class TestForward:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((7, 6))
         logits, _ = forward(model, x)
-        h = np.maximum(x @ model.input_w + model.input_b, 0.0)
-        for w, b in zip(model.round_w, model.round_b):
+        h = np.maximum(x @ model.weights[0] + model.biases[0], 0.0)
+        for w, b in zip(model.round_w, model.biases[1:-1]):
             h = np.maximum(h @ w + b, 0.0)
-        dense = h @ model.output_w + model.output_b
+        dense = h @ model.weights[-1] + model.biases[-1]
         assert (logits == dense).all()
 
     def test_shape_mismatch(self):
@@ -197,7 +199,7 @@ class TestForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_cache_same_logits(self, dtype):
         model = init_model(ALMOST_K4, 12, 3, 6, 4, seed=5, dtype=dtype)
-        for b in model.bias_arrays():
+        for b in model.biases:
             b += np.linspace(-0.1, 0.1, b.size, dtype=dtype)
         x = np.random.default_rng(1).standard_normal((9, 6))
         logits, cache = forward(model, x)
@@ -214,25 +216,69 @@ class TestForward:
             forward(model, np.full((2, 6), np.nan), keep_cache=False)
 
 
-class TestCheckpoint:
-    def make_model(self):
-        return init_model(ALMOST_K4, width=10, rounds=2, in_dim=5, out_dim=3, seed=21)
+def save_v1_checkpoint(model, path):
+    """The first relnet-ckpt-v1 writer: full meta, the parameters stored one
+    named key per array."""
+    meta = {
+        "width": model.width,
+        "rounds": model.rounds,
+        "in_dim": model.in_dim,
+        "out_dim": model.out_dim,
+        "seed": model.seed,
+        "use_bias": model.use_bias,
+        "dtype": str(model.dtype),
+        "slices": [list(s) for s in model.mask.partition.slices],
+    }
+    arrays = {
+        "header": np.array(CKPT_HEADER),
+        "meta": np.array(json.dumps(meta)),
+        "block_adjacency": model.mask.block_adjacency,
+        "input_w": model.weights[0],
+        "input_b": model.biases[0],
+        "output_w": model.weights[-1],
+        "output_b": model.biases[-1],
+    }
+    for r in range(model.rounds):
+        arrays[f"round_w_{r}"] = model.weights[r + 1]
+        arrays[f"round_b_{r}"] = model.biases[r + 1]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
-    def test_round_trip(self, tmp_path):
-        model = self.make_model()
-        path = tmp_path / "model.npz"
-        save_checkpoint(model, path)
-        back = load_checkpoint(path)
+
+class TestCheckpoint:
+    def make_model(self, dtype=np.float64):
+        model = init_model(
+            ALMOST_K4, width=10, rounds=2, in_dim=5, out_dim=3, seed=21, dtype=dtype
+        )
+        for b in model.biases:  # nonzero, so their bytes are compared too
+            b += np.linspace(-0.1, 0.1, b.size, dtype=dtype)
+        return model
+
+    def assert_same_bytes(self, model, back):
         assert back.width == model.width
         assert back.rounds == model.rounds
         assert back.seed == model.seed
         assert back.use_bias == model.use_bias
         assert back.mask.partition.slices == model.mask.partition.slices
-        assert (back.mask.matrix == model.mask.matrix).all()
-        for wa, wb in zip(model.weight_arrays(), back.weight_arrays()):
-            assert (wa == wb).all()
-        for ba, bb in zip(model.bias_arrays(), back.bias_arrays()):
-            assert (ba == bb).all()
+        want = [*model.weights, *model.biases, model.mask.matrix, model.mask.block_adjacency]
+        got = [*back.weights, *back.biases, back.mask.matrix, back.mask.block_adjacency]
+        assert len(got) == len(want)
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_round_trip(self, tmp_path):
+        for dtype in (np.float32, np.float64):
+            model = self.make_model(dtype)
+            path = tmp_path / "model.npz"
+            save_checkpoint(model, path)
+            self.assert_same_bytes(model, load_checkpoint(path))
+
+    def test_loads_first_v1_writer_files(self, tmp_path):
+        for dtype in (np.float32, np.float64):
+            model = self.make_model(dtype)
+            path = tmp_path / "model.npz"
+            save_v1_checkpoint(model, path)
+            self.assert_same_bytes(model, load_checkpoint(path))
 
     def test_round_trip_preserves_forward(self, tmp_path):
         model = self.make_model()

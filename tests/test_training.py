@@ -33,7 +33,7 @@ def tiny_model(seed, n=4, width=8, rounds=2, in_dim=3, out_dim=3, p=0.6):
         g = gen_er(n, p, seed=seed)
     model = init_model(g, width, rounds, in_dim, out_dim, seed=seed)
     # nonzero biases so their gradients are exercised away from the origin
-    for b in model.bias_arrays():
+    for b in model.biases:
         b += 0.05 * rng.standard_normal(b.shape)
     return model
 
@@ -51,14 +51,14 @@ def numeric_grad(model, x, y, array, index, eps=1e-5):
 def check_gradients(model, x, y, rng, samples_per_array=6):
     loss, grads = loss_and_grads(model, x, y)
     pairs = [
-        (model.input_w, grads.input_w, False),
-        (model.input_b, grads.input_b, False),
-        (model.output_w, grads.output_w, False),
-        (model.output_b, grads.output_b, False),
+        (model.weights[0], grads.weights[0], False),
+        (model.biases[0], grads.biases[0], False),
+        (model.weights[-1], grads.weights[-1], False),
+        (model.biases[-1], grads.biases[-1], False),
     ]
     for r in range(model.rounds):
-        pairs.append((model.round_w[r], grads.round_w[r], True))
-        pairs.append((model.round_b[r], grads.round_b[r], False))
+        pairs.append((model.round_w[r], grads.weights[r + 1], True))
+        pairs.append((model.biases[r + 1], grads.biases[r + 1], False))
     mask = model.mask.matrix
     worst = 0.0
     for arr, grad, is_round in pairs:
@@ -85,7 +85,7 @@ class TestLossAndGrads:
     def test_uniform_logits_loss(self):
         g = gen_complete(2)
         model = init_model(g, 4, 1, 3, 10, seed=0)
-        for w in model.weight_arrays():
+        for w in model.weights:
             w[:] = 0.0
         loss, _ = loss_and_grads(model, np.zeros((6, 3)), np.arange(6) % 10)
         assert math.isclose(loss, math.log(10), rel_tol=0, abs_tol=1e-12)
@@ -118,7 +118,7 @@ class TestLossAndGrads:
             model, rng.standard_normal((4, 3)), rng.integers(0, 3, 4)
         )
         off = ~model.mask.matrix
-        for g in grads.round_w:
+        for g in grads.weights[1:-1]:
             assert (g[off] == 0).all()
 
     def test_dense_oracle_agreement_over_fifty_steps(self):
@@ -146,7 +146,7 @@ class TestLossAndGrads:
             lr = lr_at(config, step, total)
             sgd_step(model, grads, config, step, state, total)
             oracle.step(gw, gb, lr, config.momentum, config.weight_decay)
-        for a, b in zip(model.weight_arrays(), oracle.w):
+        for a, b in zip(model.weights, oracle.w):
             assert np.abs(a - b).max() <= 1e-12
 
 
@@ -175,8 +175,8 @@ class TestMatchesWholeArrayArithmetic:
                 ref, gw, gb, ref_state.vel_w, ref_state.vel_b,
                 lr_at(config, step, total), config.momentum, config.weight_decay,
             )
-        got = [*model.weight_arrays(), *model.bias_arrays(), *state.vel_w, *state.vel_b]
-        want = [*ref.weight_arrays(), *ref.bias_arrays(), *ref_state.vel_w, *ref_state.vel_b]
+        got = [*model.weights, *model.biases, *state.vel_w, *state.vel_b]
+        want = [*ref.weights, *ref.biases, *ref_state.vel_w, *ref_state.vel_b]
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         off = ~model.mask.matrix
@@ -200,19 +200,15 @@ class TestSgdStep:
         from relnet.training import Grads
 
         return Grads(
-            input_w=np.zeros_like(model.input_w),
-            input_b=np.zeros_like(model.input_b),
-            round_w=[np.zeros_like(w) for w in model.round_w],
-            round_b=[np.zeros_like(b) for b in model.round_b],
-            output_w=np.zeros_like(model.output_w),
-            output_b=np.zeros_like(model.output_b),
+            weights=[np.zeros_like(w) for w in model.weights],
+            biases=[np.zeros_like(b) for b in model.biases],
         )
 
     def test_zero_grads_zero_decay_is_identity(self):
         model, config, state = self.make()
-        before = [w.copy() for w in model.weight_arrays()]
+        before = [w.copy() for w in model.weights]
         sgd_step(model, self.zero_grads(model), config, 0, state, 10)
-        for w, prev in zip(model.weight_arrays(), before):
+        for w, prev in zip(model.weights, before):
             assert (w == prev).all()
 
     def test_single_step_formula(self):
@@ -220,28 +216,28 @@ class TestSgdStep:
         config = replace(config, weight_decay=0.01)
         rng = np.random.default_rng(8)
         grads = self.zero_grads(model)
-        grads.input_w[:] = rng.standard_normal(grads.input_w.shape)
-        before = model.input_w.copy()
+        grads.weights[0][:] = rng.standard_normal(grads.weights[0].shape)
+        before = model.weights[0].copy()
         sgd_step(model, grads, config, 0, state, 10)
-        expected = before - 0.1 * (grads.input_w + 0.01 * before)
-        assert np.abs(model.input_w - expected).max() <= 1e-15
+        expected = before - 0.1 * (grads.weights[0] + 0.01 * before)
+        assert np.abs(model.weights[0] - expected).max() <= 1e-15
 
     def test_momentum_accumulates(self):
         model, config, state = self.make()
         grads = self.zero_grads(model)
-        grads.output_b[:] = 1.0
-        b0 = model.output_b.copy()
+        grads.biases[-1][:] = 1.0
+        b0 = model.biases[-1].copy()
         sgd_step(model, grads, config, 0, state, 10)
         sgd_step(model, grads, config, 1, state, 10)
         # velocities 1 then 1.9, so the parameter moves by lr * (1 + 1.9)
-        assert np.abs(model.output_b - (b0 - 0.1 * 2.9)).max() <= 1e-15
+        assert np.abs(model.biases[-1] - (b0 - 0.1 * 2.9)).max() <= 1e-15
 
     def test_mask_reapplied_after_update(self):
         model = tiny_model(9, p=0.3)
         config = TrainConfig(lr_schedule="constant")
         state = SgdState.zeros(model)
         grads = self.zero_grads(model)
-        for g in grads.round_w:
+        for g in grads.weights[1:-1]:
             g[:] = 1.0  # deliberately dense gradients
         sgd_step(model, grads, config, 0, state, 5)
         assert model.masked_entries_zero()
@@ -262,9 +258,9 @@ class TestSgdStep:
         config = TrainConfig(lr_schedule="constant")
         state = SgdState.zeros(model)
         grads = self.zero_grads(model)
-        grads.input_b[:] = 1.0
+        grads.biases[0][:] = 1.0
         sgd_step(model, grads, config, 0, state, 5)
-        assert (model.input_b == 0).all()
+        assert (model.biases[0] == 0).all()
 
 
 class TestEvaluate:
@@ -284,7 +280,7 @@ class TestEvaluate:
             features=rng.standard_normal((10000, 4)), labels=labels, n_classes=10
         )
         model = init_model(gen_complete(2), 4, 1, 4, 10, seed=0)
-        for w in model.weight_arrays():
+        for w in model.weights:
             w[:] = 0.0
         result = evaluate(model, ds)
         # constant logits predict class 0 everywhere; expect 90% error
@@ -294,7 +290,7 @@ class TestEvaluate:
     def test_single_wrong_example(self):
         ds = Dataset(features=np.zeros((1, 4)), labels=np.array([3]), n_classes=10)
         model = init_model(gen_complete(2), 4, 1, 4, 10, seed=0)
-        for w in model.weight_arrays():
+        for w in model.weights:
             w[:] = 0.0
         assert evaluate(model, ds).top1_error_percent == 100.0
 
@@ -308,7 +304,7 @@ class TestEvaluate:
     def test_loss_matches_uniform_reference(self):
         ds = Dataset(features=np.zeros((5, 4)), labels=np.arange(5), n_classes=10)
         model = init_model(gen_complete(2), 4, 1, 4, 10, seed=0)
-        for w in model.weight_arrays():
+        for w in model.weights:
             w[:] = 0.0
         assert math.isclose(evaluate(model, ds).loss, math.log(10), abs_tol=1e-12)
 
@@ -457,8 +453,8 @@ class TestEvalCadence:
         (model, state, result, log, calls), (m2, s2, r2, log2, calls2) = every, last
         assert (calls, calls2) == (4, 1)
         for a, b in zip(
-            [*model.weight_arrays(), *model.bias_arrays(), *state.vel_w, *state.vel_b],
-            [*m2.weight_arrays(), *m2.bias_arrays(), *s2.vel_w, *s2.vel_b],
+            [*model.weights, *model.biases, *state.vel_w, *state.vel_b],
+            [*m2.weights, *m2.biases, *s2.vel_w, *s2.vel_b],
         ):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert result == r2
@@ -484,7 +480,7 @@ class TestMemoryBound:
         )
         ds = synthetic_blobs(8, 4, 4096, spread=1.0, seed=0, dtype=dtype)
         model = init_model(gen_er(8, 0.5, seed=1), 256, 1, 4096, 4, seed=1, dtype=dtype)
-        params = sum(a.nbytes for a in [*model.weight_arrays(), *model.bias_arrays()])
+        params = sum(a.nbytes for a in [*model.weights, *model.biases])
         tracemalloc.start()
         try:
             train(model, ds, ds, config)
@@ -532,13 +528,13 @@ class TestPermutationEquivariance:
         unit_perm = np.concatenate(
             [np.arange(perm[node] * span, perm[node] * span + span) for node in range(4)]
         )
-        other.input_w[:, unit_perm] = base.input_w
-        other.input_b[unit_perm] = base.input_b
+        other.weights[0][:, unit_perm] = base.weights[0]
+        other.biases[0][unit_perm] = base.biases[0]
         for r in range(rounds):
             other.round_w[r][np.ix_(unit_perm, unit_perm)] = base.round_w[r]
-            other.round_b[r][unit_perm] = base.round_b[r]
-        other.output_w[unit_perm, :] = base.output_w
-        other.output_b[:] = base.output_b
+            other.biases[r + 1][unit_perm] = base.biases[r + 1]
+        other.weights[-1][unit_perm, :] = base.weights[-1]
+        other.biases[-1][:] = base.biases[-1]
         assert other.masked_entries_zero()
 
         ds = synthetic_blobs(30, 3, 5, spread=1.0, seed=2)
