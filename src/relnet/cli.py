@@ -19,11 +19,14 @@ from dataclasses import asdict, fields
 
 from .connectome import ConnectomeSource, import_connectome, matched_er, sample_subgraph
 from .errors import RelnetError
-from .generators import FAMILIES, GeneratorSpec, generate_with_info
+from .generators import BASE_FAMILIES, FAMILIES, GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
 from .model import save_checkpoint
 from .seeding import _GRAPH_STREAM, child_seed
 from .sweep import (
+    DATASET_KINDS,
+    BlobsSpec,
+    ModelSpec,
     SweepSpec,
     aggregate,
     build_dataset,
@@ -41,13 +44,13 @@ from .training import SCHEDULES, PRECISIONS, TrainConfig
 
 def _add_generator_flags(parser: argparse.ArgumentParser, require_family: bool) -> None:
     parser.add_argument("--family", choices=FAMILIES, required=require_family)
-    parser.add_argument("--n", type=int, default=128)
+    parser.add_argument("--n", type=int, default=GeneratorSpec.n)
     parser.add_argument("--p", type=float, default=None)
     parser.add_argument("--gamma", type=float, default=None)
     parser.add_argument("--m", type=float, default=None)
     parser.add_argument("--communities", type=int, default=None)
     parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--base", choices=("er", "static_sf"), default=None)
+    parser.add_argument("--base", choices=BASE_FAMILIES, default=None)
 
 
 def _generator_spec(args, seed: int) -> GeneratorSpec:
@@ -93,9 +96,8 @@ def _cmd_import(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    if (args.edges is None) == (args.family is None):
-        raise ValueError("train needs exactly one of --edges or --family")
+def _train_specs(args) -> tuple[TrainConfig, ModelSpec, dict]:
+    """The training config, model spec and dataset spec dict of `relnet train`."""
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -105,17 +107,21 @@ def _cmd_train(args) -> int:
         lr_schedule=args.schedule,
         precision=args.precision,
     )
+    model = ModelSpec(width=args.width, rounds=args.rounds, use_bias=not args.no_bias)
     dspec = {"kind": args.dataset}
     if args.dataset == "cifar10":
         if args.data_dir is None:
             raise ValueError("--dataset cifar10 requires --data-dir")
         dspec["dir"] = args.data_dir
     else:
-        dspec.update(
-            classes=args.blob_classes,
-            dim=args.blob_dim,
-            n_per_class=args.blob_per_class,
-        )
+        dspec.update(classes=args.blob_classes, dim=args.blob_dim, n_per_class=args.blob_per_class)
+    return config, model, dspec
+
+
+def _cmd_train(args) -> int:
+    if (args.edges is None) == (args.family is None):
+        raise ValueError("train needs exactly one of --edges or --family")
+    config, model_spec, dspec = _train_specs(args)
     train_ds, test_ds = build_dataset(dspec, dtype=config.dtype)
 
     if args.edges is not None:
@@ -129,9 +135,7 @@ def _cmd_train(args) -> int:
     model, result, log = run_one(
         graph,
         args.seed,
-        width=args.width,
-        rounds=args.rounds,
-        use_bias=not args.no_bias,
+        model=model_spec,
         config=config,
         train_ds=train_ds,
         test_ds=test_ds,
@@ -226,21 +230,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one model on one graph")
     p_train.add_argument("--edges", default=None)
     _add_generator_flags(p_train, require_family=False)
-    p_train.add_argument("--width", type=int, default=512)
-    p_train.add_argument("--rounds", type=int, default=5)
+    p_train.add_argument("--width", type=int, default=ModelSpec.width)
+    p_train.add_argument("--rounds", type=int, default=ModelSpec.rounds)
     p_train.add_argument("--no-bias", action="store_true")
-    p_train.add_argument("--dataset", choices=("blobs", "cifar10"), default="blobs")
+    p_train.add_argument("--dataset", choices=tuple(DATASET_KINDS), default="blobs")
     p_train.add_argument("--data-dir", default=None)
-    p_train.add_argument("--blob-classes", type=int, default=10)
-    p_train.add_argument("--blob-dim", type=int, default=48)
-    p_train.add_argument("--blob-per-class", type=int, default=500)
-    p_train.add_argument("--epochs", type=int, default=200)
-    p_train.add_argument("--batch-size", type=int, default=128)
-    p_train.add_argument("--lr", type=float, default=0.1)
-    p_train.add_argument("--momentum", type=float, default=0.9)
-    p_train.add_argument("--weight-decay", type=float, default=5e-4)
-    p_train.add_argument("--schedule", choices=SCHEDULES, default="cosine")
-    p_train.add_argument("--precision", choices=PRECISIONS, default="single")
+    p_train.add_argument("--blob-classes", type=int, default=BlobsSpec.classes)
+    p_train.add_argument("--blob-dim", type=int, default=BlobsSpec.dim)
+    p_train.add_argument("--blob-per-class", type=int, default=BlobsSpec.n_per_class)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p_train.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p_train.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p_train.add_argument("--schedule", choices=SCHEDULES, default=TrainConfig.lr_schedule)
+    p_train.add_argument("--precision", choices=PRECISIONS, default=TrainConfig.precision)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--log", default=None, help="JSONL per-epoch log path")
     p_train.add_argument("--ckpt-out", default=None)

@@ -44,7 +44,7 @@ class GeneratorSpec:
     """
 
     family: str
-    n: int
+    n: int = 128
     p: float | None = None
     gamma: float | None = None
     m: float | None = None

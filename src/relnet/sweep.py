@@ -18,20 +18,21 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .datasets import Dataset, load_cifar10, synthetic_blobs
 from .errors import FitError, FormatError, RelnetError, WorkerLost
-from .generators import GeneratorSpec, generate_with_info
+from .generators import BASE_FAMILIES, GeneratorSpec, generate_with_info
 from .graphs import Graph, compute_metrics
 from .model import MlpModel, init_model
 from .seeding import _GRAPH_STREAM, _MODEL_STREAM, _SHUFFLE_STREAM, child_seed
 from .training import EvalResult, TrainConfig, train
 
 AXIS_NAMES = ("p", "gamma", "m", "mu")
-SWEEP_FAMILIES = ("er", "static_sf")
 
 @dataclass(frozen=True)
 class Axis:
@@ -40,17 +41,43 @@ class Axis:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    family: str
-    n: int
-    axis1: Axis
-    axis2: Axis | None
-    communities: tuple[int, ...]
-    seeds: tuple[int, ...]
-    fixed: dict
+class ModelSpec:
     width: int = 512
     rounds: int = 5
     use_bias: bool = True
+
+
+@dataclass(frozen=True)
+class BlobsSpec:
+    """Synthetic blobs; the test split draws from a child stream of `seed`."""
+
+    classes: int = 10
+    dim: int = 48
+    n_per_class: int = 500
+    test_n_per_class: int = 100
+    spread: float = 1.0
+    seed: int = 1234
+
+
+@dataclass(frozen=True)
+class Cifar10Spec:
+    dir: str
+    normalize: str = "standard"
+
+
+DATASET_KINDS = {"blobs": BlobsSpec, "cifar10": Cifar10Spec}
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    family: str
+    axis1: Axis
+    n: int = GeneratorSpec.n
+    axis2: Axis | None = None
+    communities: tuple[int, ...] = (1,)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    fixed: dict[str, float] = field(default_factory=dict)
+    model: ModelSpec = ModelSpec()
     train: TrainConfig = TrainConfig()
     dataset: dict | None = None
 
@@ -59,8 +86,8 @@ class SweepSpec:
         return [self.axis1] + ([self.axis2] if self.axis2 else [])
 
     def validate(self) -> None:
-        if self.family not in SWEEP_FAMILIES:
-            raise ValueError(f"sweep family must be one of {SWEEP_FAMILIES}")
+        if self.family not in BASE_FAMILIES:
+            raise ValueError(f"sweep family must be one of {BASE_FAMILIES}")
         for axis in self.axes:
             if axis.name not in AXIS_NAMES:
                 raise ValueError(f"axis {axis.name!r} not one of {AXIS_NAMES}")
@@ -70,41 +97,26 @@ class SweepSpec:
                 raise ValueError(f"{axis.name!r} both swept and fixed")
         if self.axis2 and self.axis2.name == self.axis1.name:
             raise ValueError("axis1 and axis2 sweep the same parameter")
-        if not self.communities:
-            raise ValueError("communities list is empty")
+        unknown = sorted(set(self.fixed) - set(AXIS_NAMES))
+        if unknown:
+            raise ValueError(f"sweep spec 'fixed' key {unknown[0]!r} not one of {AXIS_NAMES}")
+        if not self.communities or min(self.communities) < 1:
+            raise ValueError(f"sweep spec 'communities' must all be >= 1, got {self.communities}")
         if not self.seeds:
             raise ValueError("seeds list is empty")
         self.train.validate()
+        read_dataset_spec(self.dataset)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        """Spec from its JSON form; a missing, unknown or mistyped key raises
-        FormatError naming it. Top-level keys starting with "_" are comments."""
-        if not isinstance(d, dict):
-            raise FormatError(f"sweep spec must be a JSON object, got {d!r}")
-        _check_keys(d, _SPEC_KEYS, "sweep spec")
-        model = _spec_value(d, "model", dict, {}, keys=("width", "rounds", "use_bias"))
-        train = _spec_value(d, "train", dict, {}, keys=[f.name for f in fields(TrainConfig)])
-        if "seed" in train:
+        """Spec from its JSON form (see `read_spec`). Top-level keys starting
+        with "_" are comments."""
+        if isinstance(d, dict) and isinstance(d.get("train"), dict) and "seed" in d["train"]:
             raise FormatError(
                 "sweep spec 'train.seed' is not allowed: each run shuffles "
                 "from a stream of its run seed"
             )
-        axis2 = d.get("axis2")
-        spec = cls(
-            family=_spec_value(d, "family", str),
-            n=_spec_value(d, "n", int, 128),
-            axis1=_spec_axis(d, "axis1"),
-            axis2=_spec_axis(d, "axis2") if axis2 else None,
-            communities=tuple(_spec_value(d, "communities", list, [1], items=int)),
-            seeds=tuple(_spec_value(d, "seeds", list, [0, 1, 2, 3, 4], items=int)),
-            fixed=dict(_spec_value(d, "fixed", dict, {})),
-            width=_spec_value(model, "width", int, 512, prefix="model."),
-            rounds=_spec_value(model, "rounds", int, 5, prefix="model."),
-            use_bias=_spec_value(model, "use_bias", bool, True, prefix="model."),
-            train=TrainConfig(**train),
-            dataset=d.get("dataset"),
-        )
+        spec = read_spec(cls, d, comments=True)
         spec.validate()
         return spec
 
@@ -114,56 +126,78 @@ class SweepSpec:
             return cls.from_dict(json.load(fh))
 
 
-_SPEC_KEYS = (
-    "family", "n", "axis1", "axis2", "communities", "seeds", "fixed", "model", "train", "dataset"
-)
-_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "list", dict: "object"}
-
-
-def _check_keys(d: dict, keys, name: str, *, comments: bool = True) -> None:
-    """Raise FormatError naming the first key of `d` not in `keys`; with
-    `comments`, keys starting with "_" pass."""
-    unknown = sorted(k for k in set(d) - set(keys) if not (comments and k.startswith("_")))
-    if unknown:
-        raise FormatError(f"{name} has unknown key {unknown[0]!r}")
+# Python type of a spec value: (the JSON values it accepts, their JSON name).
+# A float takes a JSON integer; a boolean is never a number.
+_JSON_OF_TYPE = {str: (str, "string"), int: (int, "integer"), float: ((int, float), "number"),
+                 bool: (bool, "boolean"), tuple: (list, "list"), dict: (dict, "object")}
 
 
 def _is_json(value, kind: type) -> bool:
-    """Whether `value` is a JSON `kind`; an integer is not a boolean."""
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    accepted, _ = _JSON_OF_TYPE[kind]
+    return isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
 
 
-def _spec_value(
-    d: dict, key: str, kind: type, default=MISSING, *, keys=None, items=None, prefix=""
-):
-    """d[key], checked to be a JSON `kind` (an object holds only `keys` when
-    given, a list only JSON `items` when given); `default` when absent. A
-    missing, mistyped or unknown key raises FormatError naming it, as
-    `prefix + key`."""
-    name = prefix + key
-    if key not in d:
-        if default is MISSING:
-            raise FormatError(f"sweep spec has no {name!r}")
-        return default
-    value = d[key]
-    if not _is_json(value, kind):
-        raise FormatError(f"sweep spec {name!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
-    bad = [v for v in value if not _is_json(v, items)] if items else []
-    if bad:
+def read_spec(cls, d, name: str = "", *, comments: bool = False):
+    """The dataclass `cls` from the JSON object `d`: each key is a field,
+    read as the field's declared type (`_read_value`), and an absent key
+    takes the field's default. A missing, unknown or mistyped key raises
+    FormatError naming it; `name` is the object's dotted path ("" at the top
+    level). With `comments`, keys starting with "_" are skipped."""
+    where = f"sweep spec {name!r}" if name else "sweep spec"
+    if not isinstance(d, dict):
+        raise FormatError(f"{where} must be a JSON object, got {d!r}")
+    types = get_type_hints(cls)
+    unknown = sorted(k for k in d.keys() - types.keys() if not (comments and k.startswith("_")))
+    if unknown:
+        raise FormatError(f"{where} has unknown key {unknown[0]!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name in d:
+            path = f"{name}.{f.name}" if name else f.name
+            values[f.name] = _read_value(types[f.name], d[f.name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise FormatError(f"{where} has no {f.name!r}")
+    return cls(**values)
+
+
+def _read_value(kind, value, name: str):
+    """`value` read as the type `kind`: a dataclass (`read_spec`), `X | None`
+    (JSON null or an X), `tuple[X, ...]` (a list of X), `dict[str, X]`, a
+    bare `dict` (any object) or a scalar of `_JSON_OF_TYPE`."""
+    args = get_args(kind)
+    if isinstance(kind, UnionType):
+        return None if value is None else _read_value(args[0], value, name)
+    if is_dataclass(kind):
+        return read_spec(kind, value, name)
+    json_kind = get_origin(kind) or kind
+    if not _is_json(value, json_kind):
         raise FormatError(
-            f"sweep spec {name!r} must hold JSON {_JSON_TYPES[items]}s, got {bad[0]!r}"
+            f"sweep spec {name!r} must be a JSON {_JSON_OF_TYPE[json_kind][1]}, got {value!r}"
         )
-    if keys is not None:
-        _check_keys(value, keys, f"sweep spec {name!r}", comments=False)
-    return value
+    if json_kind is tuple:
+        bad = [v for v in value if not _is_json(v, args[0])]
+        if bad:
+            raise FormatError(
+                f"sweep spec {name!r} must hold JSON {_JSON_OF_TYPE[args[0]][1]}s, got {bad[0]!r}"
+            )
+        return tuple(map(args[0], value))
+    if json_kind is dict:
+        if not args:
+            return value
+        return {k: _read_value(args[1], v, f"{name}.{k}") for k, v in value.items()}
+    return json_kind(value)
 
 
-def _spec_axis(d: dict, key: str) -> Axis:
-    axis = _spec_value(d, key, dict, keys=("name", "values"))
-    return Axis(
-        _spec_value(axis, "name", str, prefix=f"{key}."),
-        tuple(_spec_value(axis, "values", list, prefix=f"{key}.")),
-    )
+def read_dataset_spec(dspec: dict | None) -> BlobsSpec | Cifar10Spec:
+    """The spec of a dataset dict's "kind" (default "blobs"; None is the
+    default blobs), read by `read_spec`. Keys starting with "_" are comments."""
+    rest = dict(dspec or {})
+    kind = rest.pop("kind", "blobs")
+    if not isinstance(kind, str) or kind not in DATASET_KINDS:
+        raise ValueError(
+            f"unknown dataset kind {kind!r}: 'dataset.kind' is one of {tuple(DATASET_KINDS)}"
+        )
+    return read_spec(DATASET_KINDS[kind], rest, "dataset", comments=True)
 
 
 @dataclass(frozen=True)
@@ -210,86 +244,50 @@ class CellTask:
     gamma: float | None
     m: float | None
     mu: float | None
-    width: int
-    rounds: int
-    use_bias: bool
     seed: int
+    model: ModelSpec
     train: TrainConfig
 
-
-_DATASET_KEYS = {
-    "cifar10": ("dir", "normalize"),
-    "blobs": ("classes", "dim", "n_per_class", "test_n_per_class", "spread", "seed"),
-}
+    width = property(lambda self: self.model.width)  # key fields, as for records
+    rounds = property(lambda self: self.model.rounds)
 
 
 def build_dataset(dspec: dict | None, dtype=np.float32) -> tuple[Dataset, Dataset]:
-    """Materialize (train, test) from a dataset spec dict.
-
-    kinds: "cifar10" {dir, normalize?} and "blobs" {classes?, dim?,
-    n_per_class?, test_n_per_class?, spread?, seed?}. Default: desk-scale
-    blobs. Another key, unless it starts with "_", raises FormatError.
-    """
-    dspec = dict(dspec or {"kind": "blobs"})
-    kind = dspec.get("kind", "blobs")
-    if kind in _DATASET_KEYS:
-        _check_keys(dspec, ("kind",) + _DATASET_KEYS[kind], f"dataset kind {kind!r}")
-    if kind == "cifar10":
-        if "dir" not in dspec:
-            raise ValueError("dataset kind 'cifar10' needs 'dir'")
-        return load_cifar10(
-            dspec["dir"], normalize=dspec.get("normalize", "standard"), dtype=dtype
-        )
-    if kind == "blobs":
-        classes = int(dspec.get("classes", 10))
-        dim = int(dspec.get("dim", 48))
-        spread = float(dspec.get("spread", 1.0))
-        seed = int(dspec.get("seed", 1234))
-        train_ds = synthetic_blobs(
-            int(dspec.get("n_per_class", 500)), classes, dim, spread, seed, dtype=dtype
-        )
-        test_ds = synthetic_blobs(
-            int(dspec.get("test_n_per_class", 100)),
-            classes,
-            dim,
-            spread,
-            child_seed(seed, 1),
-            dtype=dtype,
-        )
-        return train_ds, test_ds
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    """Materialize (train, test) from a dataset spec dict (`read_dataset_spec`):
+    kind "blobs" (the default) or "cifar10"."""
+    ds = read_dataset_spec(dspec)
+    if isinstance(ds, Cifar10Spec):
+        return load_cifar10(ds.dir, normalize=ds.normalize, dtype=dtype)
+    train_ds = synthetic_blobs(ds.n_per_class, ds.classes, ds.dim, ds.spread, ds.seed, dtype=dtype)
+    test_ds = synthetic_blobs(
+        ds.test_n_per_class, ds.classes, ds.dim, ds.spread, child_seed(ds.seed, 1), dtype=dtype
+    )
+    return train_ds, test_ds
 
 
 def _cell_tasks(spec: SweepSpec) -> list[CellTask]:
-    tasks = []
-    for values in itertools.product(*(axis.values for axis in spec.axes)):
-        params = dict(spec.fixed)
-        params.update((axis.name, v) for axis, v in zip(spec.axes, values))
-        for k in spec.communities:
-            for seed in spec.seeds:
-                tasks.append(
-                    CellTask(
-                        family=spec.family,
-                        n=spec.n,
-                        communities=k,
-                        **{name: params.get(name) for name in AXIS_NAMES},
-                        width=spec.width,
-                        rounds=spec.rounds,
-                        use_bias=spec.use_bias,
-                        seed=seed,
-                        train=spec.train,
-                    )
-                )
-    return tasks
+    """The cells in grid order: axis1, then axis2, communities and seeds."""
+    names = [axis.name for axis in spec.axes]
+    grid = itertools.product(*(axis.values for axis in spec.axes), spec.communities, spec.seeds)
+    return [
+        CellTask(
+            family=spec.family,
+            n=spec.n,
+            communities=k,
+            **(dict.fromkeys(AXIS_NAMES) | spec.fixed | dict(zip(names, values))),
+            seed=seed,
+            model=spec.model,
+            train=spec.train,
+        )
+        for *values, k, seed in grid
+    ]
 
 
 def run_one(
     graph: Graph,
     seed: int,
     *,
-    width: int,
-    rounds: int,
-    use_bias: bool,
+    model: ModelSpec,
     config: TrainConfig,
     train_ds: Dataset,
     test_ds: Dataset,
@@ -302,18 +300,18 @@ def run_one(
     replaced), so `relnet train` with a sweep cell's parameters and seed
     reproduces that cell's row."""
     config = replace(config, seed=child_seed(seed, _SHUFFLE_STREAM))
-    model = init_model(
+    mlp = init_model(
         graph,
-        width=width,
-        rounds=rounds,
+        width=model.width,
+        rounds=model.rounds,
         in_dim=train_ds.dim,
         out_dim=train_ds.n_classes,
         seed=child_seed(seed, _MODEL_STREAM),
         dtype=config.dtype,
-        use_bias=use_bias,
+        use_bias=model.use_bias,
     )
-    result, log = train(model, train_ds, test_ds, config, eval_every_epoch=eval_every_epoch)
-    return model, result, log
+    result, log = train(mlp, train_ds, test_ds, config, eval_every_epoch=eval_every_epoch)
+    return mlp, result, log
 
 
 def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> ExperimentRecord:
@@ -336,9 +334,7 @@ def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> Experi
         _, result, _ = run_one(
             graph,
             task.seed,
-            width=task.width,
-            rounds=task.rounds,
-            use_bias=task.use_bias,
+            model=task.model,
             config=task.train,
             train_ds=train_ds,
             test_ds=test_ds,
@@ -388,7 +384,7 @@ def _openblas_function(name: str):
     return None
 
 
-def _worker_init(dataset_spec: dict | None, precision: str, workers: int) -> None:
+def _worker_init(dataset_spec: dict | None, dtype, workers: int) -> None:
     """Load the worker's datasets. Unless OPENBLAS_NUM_THREADS or
     OMP_NUM_THREADS is set, give the worker's OpenBLAS an equal share of the
     usable CPUs, so the pool's BLAS threads do not outnumber the cores."""
@@ -397,7 +393,6 @@ def _worker_init(dataset_spec: dict | None, precision: str, workers: int) -> Non
         set_threads = _openblas_function("set_num_threads")
         if set_threads is not None:
             set_threads(max(1, len(os.sched_getaffinity(0)) // workers))
-    dtype = np.float64 if precision == "double" else np.float32
     try:
         _WORKER_DATA = build_dataset(dataset_spec, dtype=dtype)
     except Exception as exc:  # raised by every cell, so the sweep ends as at --workers 1
@@ -436,8 +431,7 @@ def run_sweep(
         tasks = [t for t in tasks if record_key(t) not in skip_keys]
     records: list[ExperimentRecord] = []
     if workers <= 1:
-        dtype = spec.train.dtype
-        train_ds, test_ds = build_dataset(spec.dataset, dtype=dtype)
+        train_ds, test_ds = build_dataset(spec.dataset, dtype=spec.train.dtype)
         for task in tasks:
             record = _execute_cell(task, train_ds, test_ds)
             records.append(record)
@@ -447,7 +441,7 @@ def run_sweep(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(spec.dataset, spec.train.precision, workers),
+            initargs=(spec.dataset, spec.train.dtype, workers),
         ) as pool:
             try:
                 for record in pool.map(_worker_run, tasks):

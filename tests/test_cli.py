@@ -8,11 +8,13 @@ import pytest
 
 import relnet.sweep
 import relnet.training
-from relnet.cli import main
+from relnet.cli import _generator_spec, _train_specs, build_parser, main
 from relnet.errors import FormatError
+from relnet.generators import GeneratorSpec
 from relnet.graphs import read_edge_list
 from relnet.model import load_checkpoint
-from relnet.sweep import CSV_HEADER, read_records_csv
+from relnet.sweep import CSV_HEADER, BlobsSpec, ModelSpec, read_dataset_spec, read_records_csv
+from relnet.training import TrainConfig
 
 
 def run(capsys, *argv):
@@ -167,6 +169,14 @@ class TestTrain:
         "--lr", "0.05", "--seed", "7",
     ]
 
+    def test_flag_defaults_are_the_dataclass_defaults(self):
+        args = build_parser().parse_args(["train", "--family", "er", "--p", "0.5"])
+        config, model, dspec = _train_specs(args)
+        assert config == TrainConfig()
+        assert model == ModelSpec()
+        assert read_dataset_spec(dspec) == BlobsSpec()
+        assert _generator_spec(args, 0) == GeneratorSpec(family="er", p=0.5)
+
     def test_train_generated_graph(self, capsys, tmp_path):
         log = tmp_path / "log.jsonl"
         ckpt = tmp_path / "model.npz"
@@ -318,6 +328,43 @@ class TestSweepReport:
         assert code == 0
         assert last_json(stdout) == {"ok": 3, "failed": 0, "skipped": 3}
         assert len(read_records_csv(out)) == 6
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"axis1": {"name": "gamma", "values": [2.5]}, "fixed": {"m": 3}},
+            {"axis1": {"name": "m", "values": [2, 3]}, "fixed": {"gamma": 2.5}},
+        ],
+        ids=["fixed-m", "axis-m"],
+    )
+    def test_resume_with_integer_valued_float_keys(self, capsys, tmp_path, grid):
+        """A JSON integer for a float key reads as a float, so the task key
+        matches the CSV row it wrote, and a row that holds the integer form
+        (`3`, as written before) matches too."""
+        spec = tmp_path / "sf.json"
+        spec.write_text(json.dumps({**SWEEP_SPEC, "family": "static_sf", "n": 16, **grid}))
+        out = tmp_path / "out.csv"
+        code, stdout, _ = run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 0 and last_json(stdout)["failed"] == 0
+        cells = last_json(stdout)["ok"]
+        before = out.read_bytes()
+        code, stdout, _ = run(
+            capsys, "sweep", "--spec", str(spec), "--out", str(out), "--resume"
+        )
+        assert code == 0
+        assert last_json(stdout) == {"ok": 0, "failed": 0, "skipped": cells}
+        assert out.read_bytes() == before
+        m = CSV_HEADER.index("m")
+        rows = [line.split(",") for line in before.decode().splitlines()]
+        for row in rows[1:]:
+            row[m] = row[m].removesuffix(".0")
+        out.write_text("".join(",".join(row) + "\r\n" for row in rows))
+        integer_form = out.read_bytes()
+        code, stdout, _ = run(
+            capsys, "sweep", "--spec", str(spec), "--out", str(out), "--resume"
+        )
+        assert last_json(stdout) == {"ok": 0, "failed": 0, "skipped": cells}
+        assert out.read_bytes() == integer_form
 
     @staticmethod
     def rows_without_wall_ms(path):
@@ -480,12 +527,25 @@ class TestSweepReport:
             ({"model": {"width": 16, "rounds": 1, "use_bias": "no"}}, "model.use_bias"),
             ({"model": {"width": 16, "rounds": 1, "use_bias": 0}}, "model.use_bias"),
             ({"train": {**SWEEP_SPEC["train"], "seed": 7}}, "train.seed"),
+            ({"axis1": {"name": "p", "values": ["x"]}}, "axis1.values"),
+            ({"fixed": {"m": "x"}}, "fixed.m"),
+            ({"fixed": {"q": 1}}, "q"),
+            ({"train": {**SWEEP_SPEC["train"], "epochs": "3"}}, "train.epochs"),
+            ({"train": {**SWEEP_SPEC["train"], "epochs": 1.5}}, "train.epochs"),
+            ({"train": {**SWEEP_SPEC["train"], "lr_schedule": 3}}, "train.lr_schedule"),
+            ({"dataset": {**SWEEP_SPEC["dataset"], "classes": 2.7}}, "dataset.classes"),
+            ({"dataset": {**SWEEP_SPEC["dataset"], "seed": "x"}}, "dataset.seed"),
+            ({"dataset": {"kind": "cifar10", "dir": 5}}, "dataset.dir"),
+            ({"communities": [0]}, "communities"),
         ],
         ids=["no-family", "unknown-train-key", "model-not-object",
              "axis-values-not-list", "cifar10-without-dir", "unknown-top-level-key",
              "float-n", "string-n", "string-width", "unknown-dataset-key",
              "float-community", "boolean-community", "string-seed", "boolean-seed",
-             "string-use-bias", "integer-use-bias", "train-seed"],
+             "string-use-bias", "integer-use-bias", "train-seed", "string-axis-value",
+             "string-fixed-value", "unknown-fixed-key", "string-epochs", "float-epochs",
+             "integer-lr-schedule", "float-classes", "string-dataset-seed",
+             "integer-dataset-dir", "zero-community"],
     )
     def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
         spec_dict = {**SWEEP_SPEC, **change}

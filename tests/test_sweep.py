@@ -4,7 +4,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,10 @@ from relnet.errors import FitError, FormatError
 from relnet.sweep import (
     AGG_HEADER,
     CSV_HEADER,
+    DATASET_KINDS,
     Axis,
     ExperimentRecord,
+    ModelSpec,
     SweepSpec,
     aggregate,
     build_dataset,
@@ -50,8 +52,7 @@ def tiny_spec(**overrides):
         communities=(2,),
         seeds=(0, 1),
         fixed={},
-        width=16,
-        rounds=1,
+        model=ModelSpec(width=16, rounds=1),
         train=TINY_TRAIN,
         dataset=TINY_DATASET,
     )
@@ -130,7 +131,7 @@ class TestSweepSpec:
         assert spec.axis2 is None
         assert spec.communities == (1,)
         assert spec.seeds == (0, 1, 2, 3, 4)
-        assert spec.width == 512 and spec.rounds == 5
+        assert spec.model.width == 512 and spec.model.rounds == 5
         assert spec.train == TrainConfig()
 
     def test_from_dict_rejects_unknown_top_level_key(self):
@@ -174,7 +175,7 @@ class TestSweepSpec:
     def test_shipped_specs_load(self, path):
         spec = SweepSpec.from_json(path)
         kind = spec.dataset["kind"]
-        assert set(spec.dataset) <= {"kind", *relnet.sweep._DATASET_KEYS[kind]}
+        assert set(spec.dataset) <= {"kind", *(f.name for f in fields(DATASET_KINDS[kind]))}
 
     def test_from_json_round_trip(self, tmp_path):
         payload = {
@@ -195,7 +196,7 @@ class TestSweepSpec:
         assert spec.family == "static_sf"
         assert spec.axis1 == Axis("gamma", (2.2, 3.0))
         assert spec.fixed == {"m": 3}
-        assert spec.width == 32
+        assert spec.model.width == 32
         assert spec.train.epochs == 2
 
 
@@ -348,7 +349,7 @@ class TestPoolBlasThreads:
         with ProcessPoolExecutor(
             max_workers=2,
             initializer=relnet.sweep._worker_init,
-            initargs=(TINY_DATASET, "single", 2),
+            initargs=(TINY_DATASET, np.float32, 2),
         ) as pool:
             counts = list(pool.map(_blas_threads_once_both_arrive, [str(tmp_path)] * 2))
         assert len(os.listdir(tmp_path)) == 2  # two workers answered
