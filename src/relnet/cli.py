@@ -34,8 +34,10 @@ from .sweep import (
     cut_partial_row,
     existing_keys,
     read_records_csv,
+    record_key,
     run_one,
     run_sweep,
+    sweep_cells,
     write_aggregate_csv,
     write_records_csv,
 )
@@ -181,7 +183,8 @@ def _cmd_sweep(args) -> int:
 
     records = run_sweep(spec, workers=args.workers, skip_keys=skip, progress=progress)
     ok = sum(record.status == "ok" for record in records)
-    print(json.dumps({"ok": ok, "failed": len(records) - ok, "skipped": len(skip)}))
+    skipped = sum(record_key(cell) in skip for cell in sweep_cells(spec))
+    print(json.dumps({"ok": ok, "failed": len(records) - ok, "skipped": skipped}))
     return 0
 
 

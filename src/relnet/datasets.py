@@ -69,15 +69,6 @@ class Dataset:
         x = self.features[index]
         return x if self.decode is None else self.decode(x)
 
-    def astype(self, dtype) -> "Dataset":
-        """The same dataset with its feature values cast to dtype, stored
-        decoded."""
-        return Dataset(
-            features=self.rows(slice(None)).astype(dtype, copy=False),
-            labels=self.labels,
-            n_classes=self.n_classes,
-        )
-
 
 class MappedPixels:
     """The (N, 3072) uint8 pixel rows of a CIFAR-10 split, read-only, over

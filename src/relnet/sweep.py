@@ -18,7 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -201,9 +201,9 @@ def read_dataset_spec(dspec: dict | None) -> BlobsSpec | Cifar10Spec:
 
 
 @dataclass(frozen=True)
-class ExperimentRecord:
-    """One (grid cell, seed) training outcome. Its fields, in order, are the
-    CSV columns; an error row sets only the key fields, status and wall_ms."""
+class SweepCell:
+    """One (grid cell, seed) pair of a sweep. Its fields, in order, are the
+    first CSV columns and the resume key (`record_key`)."""
 
     family: str
     communities: int
@@ -214,6 +214,13 @@ class ExperimentRecord:
     width: int
     rounds: int
     seed: int
+
+
+@dataclass(frozen=True)
+class ExperimentRecord(SweepCell):
+    """A sweep cell's training outcome. Its fields, in order, are the CSV
+    columns; an error row sets only the cell's fields, status and wall_ms."""
+
     status: str
     nodes_realized: int | None = None
     bridges: int | None = None
@@ -227,29 +234,10 @@ class ExperimentRecord:
 
 
 CSV_HEADER = [f.name for f in fields(ExperimentRecord)]
-KEY_FIELDS = CSV_HEADER[:9]  # identifies a (grid cell, seed) pair
-GROUP_FIELDS = KEY_FIELDS[:8]  # identifies a grid cell across seeds
+KEY_FIELDS = [f.name for f in fields(SweepCell)]  # identifies a (grid cell, seed) pair
+GROUP_FIELDS = [name for name in KEY_FIELDS if name != "seed"]  # a grid cell across seeds
 METRIC_FIELDS = ["mean_degree", "clustering", "avg_path_len", "modularity", "cross_density"]
 AGG_HEADER = GROUP_FIELDS + ["n_seeds", "n_failed", "top1_mean", "top1_std"] + METRIC_FIELDS
-
-
-@dataclass(frozen=True)
-class CellTask:
-    """Self-contained description of one sweep cell; picklable for workers."""
-
-    family: str
-    n: int
-    communities: int
-    p: float | None
-    gamma: float | None
-    m: float | None
-    mu: float | None
-    seed: int
-    model: ModelSpec
-    train: TrainConfig
-
-    width = property(lambda self: self.model.width)  # key fields, as for records
-    rounds = property(lambda self: self.model.rounds)
 
 
 def build_dataset(dspec: dict | None, dtype=np.float32) -> tuple[Dataset, Dataset]:
@@ -265,19 +253,18 @@ def build_dataset(dspec: dict | None, dtype=np.float32) -> tuple[Dataset, Datase
     return train_ds, test_ds
 
 
-def _cell_tasks(spec: SweepSpec) -> list[CellTask]:
+def sweep_cells(spec: SweepSpec) -> list[SweepCell]:
     """The cells in grid order: axis1, then axis2, communities and seeds."""
     names = [axis.name for axis in spec.axes]
     grid = itertools.product(*(axis.values for axis in spec.axes), spec.communities, spec.seeds)
     return [
-        CellTask(
+        SweepCell(
             family=spec.family,
-            n=spec.n,
             communities=k,
             **(dict.fromkeys(AXIS_NAMES) | spec.fixed | dict(zip(names, values))),
+            width=spec.model.width,
+            rounds=spec.model.rounds,
             seed=seed,
-            model=spec.model,
-            train=spec.train,
         )
         for *values, k, seed in grid
     ]
@@ -314,34 +301,37 @@ def run_one(
     return mlp, result, log
 
 
-def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> ExperimentRecord:
-    key = {f: getattr(task, f) for f in KEY_FIELDS}
+def _execute_cell(
+    cell: SweepCell, spec: SweepSpec, train_ds: Dataset, test_ds: Dataset
+) -> ExperimentRecord:
+    """Generate, measure and train the cell's graph with the sweep-wide
+    settings of `spec`; an infeasible cell becomes an error row."""
     tic = time.perf_counter()
     try:
         gspec = GeneratorSpec(
             family="community",
-            n=task.n,
-            communities=task.communities,
-            mu=task.mu if task.mu is not None else 0.0,
-            base=task.family,
-            p=task.p,
-            gamma=task.gamma,
-            m=task.m,
-            seed=child_seed(task.seed, _GRAPH_STREAM),
+            n=spec.n,
+            communities=cell.communities,
+            mu=cell.mu if cell.mu is not None else 0.0,
+            base=cell.family,
+            p=cell.p,
+            gamma=cell.gamma,
+            m=cell.m,
+            seed=child_seed(cell.seed, _GRAPH_STREAM),
         )
         graph, info = generate_with_info(gspec)
         metrics = compute_metrics(graph)
         _, result, _ = run_one(
             graph,
-            task.seed,
-            model=task.model,
-            config=task.train,
+            cell.seed,
+            model=spec.model,
+            config=spec.train,
             train_ds=train_ds,
             test_ds=test_ds,
             eval_every_epoch=False,
         )
         return ExperimentRecord(
-            **key,
+            **asdict(cell),
             status="ok",
             nodes_realized=graph.node_count,
             bridges=info.bridge_edges,
@@ -355,14 +345,15 @@ def _execute_cell(task: CellTask, train_ds: Dataset, test_ds: Dataset) -> Experi
         )
     except (RelnetError, ValueError) as exc:
         return ExperimentRecord(
-            **key,
+            **asdict(cell),
             status=f"error:{type(exc).__name__}",
             wall_ms=(time.perf_counter() - tic) * 1000.0,
         )
 
 
-# The worker's datasets, or the exception that loading them raised.
-_WORKER_DATA: tuple[Dataset, Dataset] | Exception | None = None
+# The pool worker's (spec, train, test) arguments of `_execute_cell`, or the
+# exception that loading the datasets raised.
+_WORKER_ARGS: tuple[SweepSpec, Dataset, Dataset] | Exception | None = None
 
 
 def _openblas_function(name: str):
@@ -384,31 +375,46 @@ def _openblas_function(name: str):
     return None
 
 
-def _worker_init(dataset_spec: dict | None, dtype, workers: int) -> None:
-    """Load the worker's datasets. Unless OPENBLAS_NUM_THREADS or
-    OMP_NUM_THREADS is set, give the worker's OpenBLAS an equal share of the
-    usable CPUs, so the pool's BLAS threads do not outnumber the cores."""
-    global _WORKER_DATA
+def _worker_init(spec: SweepSpec, workers: int) -> None:
+    """Take the sweep-wide settings and load the worker's datasets. Unless
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, give the worker's
+    OpenBLAS an equal share of the usable CPUs, so the pool's BLAS threads do
+    not outnumber the cores."""
+    global _WORKER_ARGS
     if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
         set_threads = _openblas_function("set_num_threads")
         if set_threads is not None:
             set_threads(max(1, len(os.sched_getaffinity(0)) // workers))
     try:
-        _WORKER_DATA = build_dataset(dataset_spec, dtype=dtype)
+        _WORKER_ARGS = (spec, *build_dataset(spec.dataset, dtype=spec.train.dtype))
     except Exception as exc:  # raised by every cell, so the sweep ends as at --workers 1
-        _WORKER_DATA = exc
+        _WORKER_ARGS = exc
 
 
-def _worker_run(task: CellTask) -> ExperimentRecord:
-    if isinstance(_WORKER_DATA, Exception):
-        raise _WORKER_DATA
-    return _execute_cell(task, *_WORKER_DATA)
+def _worker_run(cell: SweepCell) -> ExperimentRecord:
+    if isinstance(_WORKER_ARGS, Exception):
+        raise _WORKER_ARGS
+    return _execute_cell(cell, *_WORKER_ARGS)
 
 
-def record_key(record) -> tuple[str, ...]:
-    """Formatted (grid cell, seed) identity of an ExperimentRecord or a
-    CellTask; stable across CSV round-trips."""
-    return tuple(_fmt(getattr(record, f)) for f in KEY_FIELDS)
+def record_key(cell: SweepCell) -> tuple[str, ...]:
+    """Formatted (grid cell, seed) identity of a SweepCell, such as an
+    ExperimentRecord: its SweepCell fields, stable across CSV round-trips."""
+    return tuple(_fmt(getattr(cell, f)) for f in KEY_FIELDS)
+
+
+def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
+    """The records of `cells` in their order: computed in this process at
+    `workers` <= 1, else by a pool of `workers` processes."""
+    if workers <= 1:
+        train_ds, test_ds = build_dataset(spec.dataset, dtype=spec.train.dtype)
+        for cell in cells:
+            yield _execute_cell(cell, spec, train_ds, test_ds)
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(spec, workers)
+    ) as pool:
+        yield from pool.map(_worker_run, cells)
 
 
 def run_sweep(
@@ -417,47 +423,33 @@ def run_sweep(
     skip_keys: set[tuple[str, ...]] | None = None,
     progress=None,
 ) -> list[ExperimentRecord]:
-    """Execute every cell of the sweep; returns records in grid order.
+    """Execute every cell of `sweep_cells(spec)` whose `record_key` is not in
+    `skip_keys` (the keys of prior rows, for resumption); returns their
+    records in grid order, the same at any `workers`.
 
-    skip_keys (from record_key of prior rows) supports resumption;
     `progress`, when given, is called with each finished record. A pool
     worker that dies (killed by a signal, say) raises WorkerLost naming the
     first cell not delivered; every record delivered before it has been
     passed to `progress`.
     """
     spec.validate()
-    tasks = _cell_tasks(spec)
-    if skip_keys:
-        tasks = [t for t in tasks if record_key(t) not in skip_keys]
+    cells = [cell for cell in sweep_cells(spec) if record_key(cell) not in (skip_keys or ())]
     records: list[ExperimentRecord] = []
-    if workers <= 1:
-        train_ds, test_ds = build_dataset(spec.dataset, dtype=spec.train.dtype)
-        for task in tasks:
-            record = _execute_cell(task, train_ds, test_ds)
+    try:
+        for record in _records(spec, cells, workers):
             records.append(record)
             if progress:
                 progress(record)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(spec.dataset, spec.train.dtype, workers),
-        ) as pool:
-            try:
-                for record in pool.map(_worker_run, tasks):
-                    records.append(record)
-                    if progress:
-                        progress(record)
-            except BrokenProcessPool as exc:
-                cell = " ".join(
-                    f"{name}={value}"
-                    for name, value in zip(KEY_FIELDS, record_key(tasks[len(records)]))
-                    if value
-                )
-                raise WorkerLost(
-                    f"a sweep worker died; cell {cell} and the cells after it "
-                    "were not delivered (--resume re-runs them)"
-                ) from exc
+    except BrokenProcessPool as exc:
+        cell = " ".join(
+            f"{name}={value}"
+            for name, value in zip(KEY_FIELDS, record_key(cells[len(records)]))
+            if value
+        )
+        raise WorkerLost(
+            f"a sweep worker died; cell {cell} and the cells after it "
+            "were not delivered (--resume re-runs them)"
+        ) from exc
     return records
 
 

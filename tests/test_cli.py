@@ -329,6 +329,21 @@ class TestSweepReport:
         assert last_json(stdout) == {"ok": 3, "failed": 0, "skipped": 3}
         assert len(read_records_csv(out)) == 6
 
+    def test_resume_counts_only_this_specs_cells(self, capsys, tmp_path):
+        """"skipped" counts the spec's cells found finished, not the CSV's
+        rows: a one-p spec resumed on the three-p CSV skips its 2 cells."""
+        out = tmp_path / "out.csv"
+        run(capsys, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out))
+        before = out.read_bytes()
+        spec = tmp_path / "one_p.json"
+        spec.write_text(json.dumps({**SWEEP_SPEC, "axis1": {"name": "p", "values": [0.5]}}))
+        code, stdout, _ = run(
+            capsys, "sweep", "--spec", str(spec), "--out", str(out), "--resume"
+        )
+        assert code == 0
+        assert last_json(stdout) == {"ok": 0, "failed": 0, "skipped": 2}
+        assert out.read_bytes() == before
+
     @pytest.mark.parametrize(
         "grid",
         [

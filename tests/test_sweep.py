@@ -232,7 +232,8 @@ class TestRunSweep:
         b = [replace(r, wall_ms=0.0) for r in run_sweep(spec)]
         assert a == b
 
-    def test_infeasible_cells_become_error_rows(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_infeasible_cells_become_error_rows(self, workers):
         spec = tiny_spec(
             family="static_sf",
             n=12,
@@ -242,13 +243,14 @@ class TestRunSweep:
             communities=(2,),
             seeds=(0, 1),
         )
-        records = run_sweep(spec)
+        records = run_sweep(spec, workers=workers)
         assert len(records) == 2
         assert all(r.status == "error:ValueError" for r in records)
         assert all(r.top1_error is None for r in records)
         assert all(r.nodes_realized is None for r in records)
 
-    def test_error_rows_do_not_abort_mixed_sweeps(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_rows_do_not_abort_mixed_sweeps(self, workers):
         spec = tiny_spec(
             family="static_sf",
             n=12,
@@ -258,7 +260,7 @@ class TestRunSweep:
             communities=(2,),
             seeds=(0,),
         )
-        records = run_sweep(spec)
+        records = run_sweep(spec, workers=workers)
         statuses = [r.status for r in records]
         assert statuses == ["ok", "error:ValueError"]
 
@@ -349,7 +351,7 @@ class TestPoolBlasThreads:
         with ProcessPoolExecutor(
             max_workers=2,
             initializer=relnet.sweep._worker_init,
-            initargs=(TINY_DATASET, np.float32, 2),
+            initargs=(tiny_spec(), 2),
         ) as pool:
             counts = list(pool.map(_blas_threads_once_both_arrive, [str(tmp_path)] * 2))
         assert len(os.listdir(tmp_path)) == 2  # two workers answered
