@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict, fields
 
-from .connectome import ConnectomeSource, import_connectome, matched_er, sample_subgraph
+from .connectome import import_connectome, matched_er, sample_subgraph
 from .errors import RelnetError
 from .generators import BASE_FAMILIES, FAMILIES, GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
@@ -87,8 +87,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    source = ConnectomeSource(args.edges, declared_nodes=args.expect_nodes)
-    graph = import_connectome(source)
+    graph = import_connectome(args.edges, declared_nodes=args.expect_nodes)
     if args.sample is not None:
         graph = sample_subgraph(graph, args.sample, args.seed)
     if args.matched_er:

@@ -9,7 +9,6 @@ Data files are user-supplied paths, never vendored.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,40 +19,25 @@ from .graphs import Graph, induced_subgraph, largest_component, read_edge_list
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ConnectomeSource:
-    """An edge-list file plus import options.
-
-    declared_nodes: expected node count; a mismatch is logged, not fatal,
-        since published connectome exports vary in how they count isolated
-        neurons.
-    """
-
-    path: str
-    declared_nodes: int | None = None
-
-
-def import_connectome(src: ConnectomeSource) -> Graph:
+def import_connectome(path, declared_nodes: int | None = None) -> Graph:
     """Read an edge-list file into an undirected simple Graph.
 
     Duplicate and reciprocal lines collapse to one edge; self-loops are
-    dropped. When `declared_nodes` exceeds the largest referenced id the
-    extra (isolated) nodes are kept.
+    dropped. `declared_nodes` is the expected node count: a mismatch is
+    logged, not fatal, since published connectome exports vary in how they
+    count isolated neurons. When it exceeds the file's node count the extra
+    (isolated) nodes are kept, without community labels.
     """
-    g = read_edge_list(src.path)
-    if src.declared_nodes is not None and src.declared_nodes != g.node_count:
+    g = read_edge_list(path)
+    if declared_nodes is not None and declared_nodes != g.node_count:
         log.warning(
             "connectome %s: declared %d nodes, file yields %d",
-            src.path,
-            src.declared_nodes,
+            path,
+            declared_nodes,
             g.node_count,
         )
-        if src.declared_nodes > g.node_count:
-            g = Graph(
-                node_count=src.declared_nodes,
-                edges=g.edges,
-                community_of=None,
-            )
+        if declared_nodes > g.node_count:
+            g = Graph(node_count=declared_nodes, edges=g.edges)
     return g
 
 

@@ -10,8 +10,9 @@ Families:
                 reduced to its largest component, then inter-community node
                 pairs added independently with probability mu
 
-Generators are pure functions of their spec: the same spec (including seed)
-always yields the same edge set.
+`REQUIRED` names the parameters of each family. Generators are pure
+functions of their spec: the same spec (including seed) always yields the
+same edge set.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from .errors import EdgeSaturation, TooManyCommunities, TooSmall
 from .graphs import Graph, bfs, from_adjacency, from_edge_pairs, largest_component
 from .seeding import child_seed
 
-FAMILIES = ("complete", "er", "static_sf", "community")
+# The parameters each family requires; a flat family takes no others.
+REQUIRED = {
+    "complete": (),
+    "er": ("p",),
+    "static_sf": ("gamma", "m"),
+    "community": ("communities", "mu", "base"),
+}
+FAMILIES = tuple(REQUIRED)
 BASE_FAMILIES = ("er", "static_sf")
 
 # Stream tags for deriving independent child seeds inside the composer.
@@ -40,7 +48,8 @@ class GeneratorSpec:
     """Parameters of one graph family; unused fields must stay None.
 
     family "community" composes `communities` blocks of the `base` family
-    (whose own parameters must be set) with inter-community density `mu`.
+    (whose own `REQUIRED` parameters must be set) with inter-community
+    density `mu`.
     """
 
     family: str
@@ -58,13 +67,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2:
             raise TooSmall(f"n must be >= 2, got {self.n}")
-        required = {
-            "complete": (),
-            "er": ("p",),
-            "static_sf": ("gamma", "m"),
-            "community": ("communities", "mu", "base"),
-        }[self.family]
-        for name in ("p", "gamma", "m", "communities", "mu", "base"):
+        required = REQUIRED[self.family]
+        for name in sum(REQUIRED.values(), ()):  # every parameter, in field order
             value = getattr(self, name)
             if name in required and value is None:
                 raise ValueError(f"family {self.family!r} requires {name}")
@@ -78,8 +82,7 @@ class GeneratorSpec:
             raise ValueError(f"gamma must be >= 2, got {self.gamma}")
         if self.m is not None and self.m <= 0:
             raise ValueError(f"m must be > 0, got {self.m}")
-        if self.family == "static_sf":
-            _check_sf_feasible(self.n, self.m)
+        drawn, size = self.family, self.n
         if self.family == "community":
             k = self.communities
             if k < 1:
@@ -90,12 +93,12 @@ class GeneratorSpec:
                 )
             if self.base not in BASE_FAMILIES:
                 raise ValueError(f"base must be one of {BASE_FAMILIES}, got {self.base!r}")
-            if self.base == "er" and self.p is None:
-                raise ValueError("base 'er' requires p")
-            if self.base == "static_sf":
-                if self.gamma is None or self.m is None:
-                    raise ValueError("base 'static_sf' requires gamma and m")
-                _check_sf_feasible(self.n // k, self.m)
+            base_required = REQUIRED[self.base]
+            if any(getattr(self, name) is None for name in base_required):
+                raise ValueError(f"base {self.base!r} requires {' and '.join(base_required)}")
+            drawn, size = self.base, self.n // k
+        if drawn == "static_sf":
+            _check_sf_feasible(size, self.m)
 
 
 def _check_sf_feasible(n: int, m: float) -> None:
@@ -110,12 +113,13 @@ def _check_sf_feasible(n: int, m: float) -> None:
 @dataclass(frozen=True)
 class GenerationInfo:
     """Composition bookkeeping: realized block sizes, the inter-community
-    pair/edge counts before connectivity repair, and repair edges added."""
+    pair/edge counts before connectivity repair, and repair edges added;
+    a flat family has one block and no counts."""
 
     community_sizes: tuple[int, ...]
-    cross_pairs: int
-    cross_edges: int
-    bridge_edges: int
+    cross_pairs: int = 0
+    cross_edges: int = 0
+    bridge_edges: int = 0
 
 
 def gen_complete(n: int) -> Graph:
@@ -169,26 +173,20 @@ def gen_static_sf(n: int, gamma: float, m: float, seed: int) -> Graph:
     consecutive_failures = 0
     while len(edges) < target:
         draws = np.searchsorted(cdf, rng.random(2 * _SF_CHUNK), side="right")
-        for k in range(_SF_CHUNK):
-            a = int(draws[2 * k])
-            b = int(draws[2 * k + 1])
-            if a == b:
+        for a, b in np.sort(draws.reshape(-1, 2), axis=1).tolist():
+            if a == b or (a, b) in edges:
                 consecutive_failures += 1
+                if consecutive_failures > budget:
+                    raise EdgeSaturation(
+                        f"static model saturated at {len(edges)}/{target} edges "
+                        f"(gamma={gamma}, n={n})",
+                        attempts=consecutive_failures,
+                    )
             else:
-                edge = (a, b) if a < b else (b, a)
-                if edge in edges:
-                    consecutive_failures += 1
-                else:
-                    edges.add(edge)
-                    consecutive_failures = 0
-                    if len(edges) == target:
-                        break
-            if consecutive_failures > budget:
-                raise EdgeSaturation(
-                    f"static model saturated at {len(edges)}/{target} edges "
-                    f"(gamma={gamma}, n={n})",
-                    attempts=consecutive_failures,
-                )
+                edges.add((a, b))
+                consecutive_failures = 0
+                if len(edges) == target:
+                    break
     return from_edge_pairs(n, edges)
 
 
@@ -197,10 +195,13 @@ def _split_sizes(n: int, k: int) -> list[int]:
     return [base + 1 if c < extra else base for c in range(k)]
 
 
-def _gen_base(spec: GeneratorSpec, size: int, seed: int) -> Graph:
-    if spec.base == "er":
-        return gen_er(size, spec.p, seed)
-    return gen_static_sf(size, spec.gamma, spec.m, seed)
+def _draw(family: str, spec: GeneratorSpec, n: int, seed: int) -> Graph:
+    """A graph of the flat `family` on n nodes, with spec's parameters."""
+    if family == "complete":
+        return gen_complete(n)
+    if family == "er":
+        return gen_er(n, spec.p, seed)
+    return gen_static_sf(n, spec.gamma, spec.m, seed)
 
 
 def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
@@ -211,7 +212,7 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
         raise ValueError(f"expected family 'community', got {spec.family!r}")
     k = spec.communities
     blocks = [
-        largest_component(_gen_base(spec, size, child_seed(spec.seed, c)))
+        largest_component(_draw(spec.base, spec, size, child_seed(spec.seed, c)))
         for c, size in enumerate(_split_sizes(spec.n, k))
     ]
     sizes = [b.node_count for b in blocks]
@@ -266,21 +267,10 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
 
 
 def generate_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
-    """The graph of spec.family, with its composition bookkeeping (zeros for
-    non-composed families)."""
-    spec.validate()
+    """The graph of spec.family, with its composition bookkeeping (one block
+    and zero counts for a flat family)."""
     if spec.family == "community":
         return compose_communities_with_info(spec)
-    if spec.family == "complete":
-        graph = gen_complete(spec.n)
-    elif spec.family == "er":
-        graph = gen_er(spec.n, spec.p, spec.seed)
-    else:
-        graph = gen_static_sf(spec.n, spec.gamma, spec.m, spec.seed)
-    info = GenerationInfo(
-        community_sizes=(graph.node_count,),
-        cross_pairs=0,
-        cross_edges=0,
-        bridge_edges=0,
-    )
-    return graph, info
+    spec.validate()
+    graph = _draw(spec.family, spec, spec.n, spec.seed)
+    return graph, GenerationInfo(community_sizes=(graph.node_count,))

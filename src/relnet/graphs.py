@@ -4,6 +4,7 @@ The graph type used throughout: nodes are the integers 0..n-1, edges are
 unordered pairs stored with the smaller id first, self-loops are never
 stored (the MLP translation adds them implicitly), and an optional
 community labelling assigns every node exactly one 0-based community id.
+Labels are always given as a sequence, one per node in node order.
 Each graph also caches a dense boolean adjacency matrix; components, path
 lengths and clustering are computed on it.
 
@@ -99,15 +100,11 @@ def from_adjacency(adjacency: np.ndarray, community_of=None) -> Graph:
     return g
 
 
-def from_edge_pairs(
-    n: int,
-    pairs,
-    community_of=None,
-) -> Graph:
-    """Build a Graph from possibly messy (i, j) pairs.
+def from_edge_pairs(n: int, pairs, community_of=None) -> Graph:
+    """Build a Graph from possibly messy (i, j) pairs, labeled by the
+    sequence `community_of`.
 
     Self-pairs are dropped, duplicates collapse, and (i, j) == (j, i).
-    `community_of` may be a sequence or a node->community mapping.
     """
     if n < 1:
         raise InvalidNodeId(f"n must be >= 1, got {n}")
@@ -119,15 +116,7 @@ def from_edge_pairs(
         if i == j:
             continue
         edges.add((i, j) if i < j else (j, i))
-    labels = None
-    if community_of is not None:
-        if isinstance(community_of, dict):
-            missing = [v for v in range(n) if v not in community_of]
-            if missing:
-                raise InvalidNodeId(f"nodes without community label: {missing[:5]}")
-            labels = tuple(int(community_of[v]) for v in range(n))
-        else:
-            labels = tuple(int(c) for c in community_of)
+    labels = None if community_of is None else tuple(int(c) for c in community_of)
     return Graph(node_count=n, edges=frozenset(edges), community_of=labels)
 
 
@@ -214,17 +203,14 @@ def avg_path_length(g: Graph) -> float:
 def modularity(g: Graph, partition) -> float:
     """Newman-Girvan modularity Q = sum_c (e_cc - a_c^2).
 
-    `partition` maps node -> community id (mapping or sequence); every node
-    must be labeled. Requires at least one edge.
+    `partition` is the sequence of community ids, one per node. Requires at
+    least one edge.
     """
     if g.edge_count == 0:
         raise UndefinedMetric("modularity is undefined for an edgeless graph")
-    if isinstance(partition, dict):
-        labels = [partition[v] for v in range(g.node_count)]
-    else:
-        labels = list(partition)
-        if len(labels) != g.node_count:
-            raise InvalidNodeId("partition must label every node")
+    labels = list(partition)
+    if len(labels) != g.node_count:
+        raise InvalidNodeId("partition must label every node")
     m = g.edge_count
     label_of = np.array(labels)
     degrees = g.adjacency.sum(axis=1)
@@ -318,8 +304,16 @@ def write_edge_list(g: Graph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _ints(fields: list[str], where: str, what: str) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError as exc:
+        raise FormatError(f"{where}: non-integer {what}") from exc
+
+
 def read_edge_list(path) -> Graph:
-    """Parse the edge-list format; raises FormatError with the 1-based line number."""
+    """Parse the edge-list format; a malformed line, structured comments
+    included, raises FormatError naming path:line (1-based)."""
     declared_n = None
     communities: dict[int, int] = {}
     pairs: list[Edge] = []
@@ -327,24 +321,23 @@ def read_edge_list(path) -> Graph:
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
+            where = f"{path}:{lineno}"
             if not line:
                 continue
             if line.startswith("#"):
                 fields = line[1:].split()
                 if fields[:1] == ["nodes"] and len(fields) == 2:
-                    declared_n = int(fields[1])
+                    (declared_n,) = _ints(fields[1:], where, "node count")
                 elif fields[:1] == ["community"] and len(fields) == 3:
-                    communities[int(fields[1])] = int(fields[2])
+                    v, label = _ints(fields[1:], where, "community entry")
+                    communities[v] = label
                 continue
             fields = line.split()
             if len(fields) < 2:
-                raise FormatError(f"{path}:{lineno}: expected two node ids")
-            try:
-                i, j = int(fields[0]), int(fields[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer node id") from exc
+                raise FormatError(f"{where}: expected two node ids")
+            i, j = _ints(fields[:2], where, "node id")
             if i < 0 or j < 0:
-                raise FormatError(f"{path}:{lineno}: negative node id")
+                raise FormatError(f"{where}: negative node id")
             pairs.append((i, j))
             max_id = max(max_id, i, j)
     if communities:
@@ -365,5 +358,5 @@ def read_edge_list(path) -> Graph:
             raise FormatError(
                 f"{path}: community labels missing for nodes {missing[:5]}"
             )
-        labels = {v: communities[v] for v in range(n)}
+        labels = [communities[v] for v in range(n)]
     return from_edge_pairs(n, pairs, community_of=labels)

@@ -14,6 +14,7 @@ import ctypes
 import io
 import itertools
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -127,14 +128,19 @@ class SweepSpec:
 
 
 # Python type of a spec value: (the JSON values it accepts, their JSON name).
-# A float takes a JSON integer; a boolean is never a number.
+# A float takes a JSON integer; a boolean is never a number, and neither are
+# NaN and +-Infinity, which json.load accepts but JSON does not have.
 _JSON_OF_TYPE = {str: (str, "string"), int: (int, "integer"), float: ((int, float), "number"),
                  bool: (bool, "boolean"), tuple: (list, "list"), dict: (dict, "object")}
 
 
 def _is_json(value, kind: type) -> bool:
     accepted, _ = _JSON_OF_TYPE[kind]
-    return isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+    return (
+        isinstance(value, accepted)
+        and (kind is bool or not isinstance(value, bool))
+        and (kind is not float or math.isfinite(value))
+    )
 
 
 def read_spec(cls, d, name: str = "", *, comments: bool = False):

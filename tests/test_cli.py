@@ -552,6 +552,9 @@ class TestSweepReport:
             ({"dataset": {**SWEEP_SPEC["dataset"], "seed": "x"}}, "dataset.seed"),
             ({"dataset": {"kind": "cifar10", "dir": 5}}, "dataset.dir"),
             ({"communities": [0]}, "communities"),
+            ({"axis2": {"name": "mu", "values": [float("nan")]}, "communities": [1]},
+             "axis2.values"),
+            ({"fixed": {"m": float("inf")}}, "fixed.m"),
         ],
         ids=["no-family", "unknown-train-key", "model-not-object",
              "axis-values-not-list", "cifar10-without-dir", "unknown-top-level-key",
@@ -560,7 +563,8 @@ class TestSweepReport:
              "string-use-bias", "integer-use-bias", "train-seed", "string-axis-value",
              "string-fixed-value", "unknown-fixed-key", "string-epochs", "float-epochs",
              "integer-lr-schedule", "float-classes", "string-dataset-seed",
-             "integer-dataset-dir", "zero-community"],
+             "integer-dataset-dir", "zero-community", "nan-axis-value",
+             "infinite-fixed-value"],
     )
     def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
         spec_dict = {**SWEEP_SPEC, **change}

@@ -3,12 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from relnet.connectome import (
-    ConnectomeSource,
-    import_connectome,
-    matched_er,
-    sample_subgraph,
-)
+from relnet.connectome import import_connectome, matched_er, sample_subgraph
 from relnet.errors import FormatError, TooLarge
 from relnet.generators import gen_complete, gen_er
 from relnet.graphs import from_edge_pairs, largest_component
@@ -41,7 +36,7 @@ def messy_file(tmp_path):
 
 class TestImport:
     def test_collapses_to_simple_graph(self, messy_file):
-        g = import_connectome(ConnectomeSource(path=str(messy_file)))
+        g = import_connectome(messy_file)
         assert g.node_count == 12
         assert g.edge_count == 12
         assert g.edges == frozenset(
@@ -49,15 +44,13 @@ class TestImport:
         )
 
     def test_declared_match_is_silent(self, messy_file, caplog):
-        src = ConnectomeSource(path=str(messy_file), declared_nodes=12)
         with caplog.at_level(logging.WARNING, logger="relnet.connectome"):
-            import_connectome(src)
+            import_connectome(messy_file, declared_nodes=12)
         assert not caplog.records
 
     def test_declared_mismatch_warns(self, messy_file, caplog):
-        src = ConnectomeSource(path=str(messy_file), declared_nodes=15)
         with caplog.at_level(logging.WARNING, logger="relnet.connectome"):
-            g = import_connectome(src)
+            g = import_connectome(messy_file, declared_nodes=15)
         assert any("declared 15" in r.getMessage() for r in caplog.records)
         assert any("yields 12" in r.getMessage() for r in caplog.records)
         # extra declared neurons are kept as isolated nodes
@@ -65,9 +58,8 @@ class TestImport:
         assert g.edge_count == 12
 
     def test_declared_smaller_keeps_file_nodes(self, messy_file, caplog):
-        src = ConnectomeSource(path=str(messy_file), declared_nodes=9)
         with caplog.at_level(logging.WARNING, logger="relnet.connectome"):
-            g = import_connectome(src)
+            g = import_connectome(messy_file, declared_nodes=9)
         assert caplog.records
         assert g.node_count == 12
 
@@ -75,14 +67,30 @@ class TestImport:
         path = tmp_path / "bad.edges"
         write_edge_file(path, ["0 1", "1 2", "2 banana"])
         with pytest.raises(FormatError, match=r"bad\.edges:3: non-integer node id"):
-            import_connectome(ConnectomeSource(path=str(path)))
+            import_connectome(path)
+
+    @pytest.mark.parametrize(
+        "lines, lineno",
+        [
+            (["# nodes x", "0 1"], 1),
+            (["# nodes 2.5", "0 1"], 1),
+            (["0 1", "# community 0 a", "# community 1 0"], 2),
+            (["0 1", "# community 0 0", "# community b 0"], 3),
+        ],
+        ids=["nodes-word", "nodes-float", "community-label", "community-node"],
+    )
+    def test_structured_comment_error_reports_line(self, tmp_path, lines, lineno):
+        path = tmp_path / "bad.edges"
+        write_edge_file(path, lines)
+        with pytest.raises(FormatError, match=rf"bad\.edges:{lineno}: non-integer"):
+            import_connectome(path)
 
     def test_whole_brain_sized_import(self, tmp_path):
         # 277 nodes, ring plus chords: same order as a published whole-brain set
         edges = ring_with_chords(277, 19)
         path = tmp_path / "brain.edges"
         write_edge_file(path, [f"{a} {b}" for a, b in edges])
-        g = import_connectome(ConnectomeSource(path=str(path), declared_nodes=277))
+        g = import_connectome(path, declared_nodes=277)
         assert g.node_count == 277
         assert g.edge_count == len(set(tuple(sorted(e)) for e in edges))
 
@@ -90,7 +98,7 @@ class TestImport:
         edges = ring_with_chords(131, 11)
         path = tmp_path / "frontal.edges"
         write_edge_file(path, [f"{a} {b}" for a, b in edges])
-        g = import_connectome(ConnectomeSource(path=str(path)))
+        g = import_connectome(path)
         assert g.node_count == 131
 
 

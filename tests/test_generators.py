@@ -140,7 +140,8 @@ class TestStaticSf:
         with pytest.raises(EdgeSaturation) as excinfo:
             gen_static_sf(10, 2.5, 2, seed=0)
         budget = 200 * int(2 * 10 // 2)
-        assert excinfo.value.attempts > budget
+        assert excinfo.value.attempts == budget + 1
+        assert "saturated at 0/10" in str(excinfo.value)
 
     def test_huge_gamma_resembles_er_degree_spread(self):
         # At an extreme exponent the weights are near-uniform, so the degree
@@ -284,6 +285,28 @@ class TestDispatch:
         assert info == GenerationInfo(
             community_sizes=(5,), cross_pairs=0, cross_edges=0, bridge_edges=0
         )
+
+    def test_flat_families_pinned_by_digest(self):
+        """Edges and GenerationInfo of the complete, ER and static scale-free
+        families over a grid of sizes, parameters and two seeds; any moved
+        edge, reordered draw or changed count changes the digest."""
+        specs = [GeneratorSpec(family="complete", n=n) for n in (2, 7, 40)]
+        specs += [
+            GeneratorSpec(family="er", n=n, p=p)
+            for n, p in itertools.product((2, 7, 40), (0.0, 0.1, 0.5, 1.0))
+        ]
+        specs += [
+            GeneratorSpec(family="static_sf", n=n, gamma=gamma, m=m)
+            for n, (gamma, m) in itertools.product(
+                (7, 40), ((2.0, 1), (2.5, 3), (3.0, 0.5), (1e6, 1.5))
+            )
+        ]
+        specs += [GeneratorSpec(family="static_sf", n=2, gamma=2.5, m=m) for m in (0.5, 1)]
+        digest = hashlib.sha256()
+        for spec, seed in itertools.product(specs, (0, 1)):
+            g, info = generate_with_info(dataclasses.replace(spec, seed=seed))
+            digest.update(repr((sorted(g.edges), dataclasses.astuple(info))).encode())
+        assert digest.hexdigest()[:16] == "e986280cf3158b88"
 
     def test_validation_runs_on_generate(self):
         with pytest.raises(ValueError):

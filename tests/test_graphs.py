@@ -59,13 +59,14 @@ class TestFromEdgePairs:
         with pytest.raises(InvalidNodeId):
             from_edge_pairs(2, [(0, 5)])
 
-    def test_labels_from_mapping(self):
-        g = from_edge_pairs(3, [(0, 1)], community_of={0: 0, 1: 0, 2: 1})
+    def test_labels_from_sequence(self):
+        g = from_edge_pairs(3, [(0, 1)], community_of=np.array([0, 0, 1]))
         assert g.community_of == (0, 0, 1)
+        assert all(type(c) is int for c in g.community_of)
 
     def test_labels_must_cover_all_nodes(self):
         with pytest.raises(InvalidNodeId):
-            from_edge_pairs(3, [], community_of={0: 0, 1: 0})
+            from_edge_pairs(3, [], community_of=[0, 0])
 
     @given(graphs())
     def test_invariants(self, g):
@@ -199,10 +200,6 @@ class TestModularity:
     def test_edgeless_raises(self):
         with pytest.raises(UndefinedMetric):
             modularity(from_edge_pairs(3, []), [0, 0, 1])
-
-    def test_accepts_mapping(self):
-        g = from_edge_pairs(4, [(0, 1), (2, 3)])
-        assert modularity(g, {0: 0, 1: 0, 2: 1, 3: 1}) == 0.5
 
     @given(graphs(max_n=7), st.integers(min_value=2, max_value=3))
     @settings(max_examples=60)
