@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import logging
 
-import numpy as np
-
 from .errors import TooLarge
 from .generators import gen_er
 from .graphs import Graph, induced_subgraph, largest_component, read_edge_list
+from .seeding import rng
 
 log = logging.getLogger(__name__)
 
@@ -51,8 +50,7 @@ def sample_subgraph(g: Graph, n_sample: int, seed: int) -> Graph:
         raise TooLarge(
             f"cannot sample {n_sample} nodes from a {g.node_count}-node graph"
         )
-    rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
-    nodes = rng.choice(g.node_count, size=n_sample, replace=False)
+    nodes = rng(seed).choice(g.node_count, size=n_sample, replace=False)
     return largest_component(induced_subgraph(g, nodes.tolist()))
 
 

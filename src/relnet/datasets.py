@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormatError
-from .seeding import child_seed
+from .seeding import child_seed, rng
 
 CIFAR_RECORD_BYTES = 3073
 CIFAR_RECORDS_PER_FILE = 10000
@@ -121,6 +121,10 @@ def _map_cifar_file(path: Path) -> np.ndarray:
     return np.frombuffer(mapped, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
 
 
+def _train_paths(dir_path) -> list[Path]:
+    return [Path(dir_path) / f"data_batch_{b}.bin" for b in range(1, 6)]
+
+
 def _load_split(paths: list[Path]) -> tuple[MappedPixels, np.ndarray]:
     """Map each file read-only; its pixel rows stay in the page cache, and
     its labels are checked and copied."""
@@ -153,12 +157,24 @@ def decode_pixels(pixels: np.ndarray, dtype, mean=None, std=None) -> np.ndarray:
     return x
 
 
-def _channel_stats(features01: np.ndarray) -> tuple[list[float], list[float]]:
+def channel_stats(dir_path) -> tuple[list[float], list[float]]:
+    """Per-channel mean and std of the CIFAR-10 training set under dir_path,
+    read from the cache next to the data when it exists. Else they are
+    computed from the single-precision [0,1] values at any load precision, so
+    the cache never depends on which load wrote it, and cached
+    (`_cache_stats`); that decodes the whole training set once, plus a
+    float64 temporary of it."""
+    path = Path(dir_path) / STATS_FILENAME
+    if path.exists():
+        stats = json.loads(path.read_text())
+        return stats["mean"], stats["std"]
+    x_train, _ = _load_split(_train_paths(dir_path))
     # Channels are the three contiguous 1024-byte planes of each record.
-    planes = features01.reshape(-1, 3, 1024)
-    mean = planes.mean(axis=(0, 2), dtype=np.float64)
-    std = planes.std(axis=(0, 2), dtype=np.float64)
-    return mean.tolist(), std.tolist()
+    planes = decode_pixels(x_train[:], np.float32).reshape(-1, 3, 1024)
+    mean = planes.mean(axis=(0, 2), dtype=np.float64).tolist()
+    std = planes.std(axis=(0, 2), dtype=np.float64).tolist()
+    _cache_stats(path, mean, std)
+    return mean, std
 
 
 def _cache_stats(path: Path, mean: list[float], std: list[float]) -> None:
@@ -186,12 +202,9 @@ def load_cifar10(
     page cache holds (0.18 GB in all). Rows decode to dtype features as they
     are read (`decode_pixels`):
     normalize="standard" scales to [0,1] then standardizes each channel with
-    training-set statistics, computed once and cached as JSON next to the
-    data (written atomically; skipped when the directory is read-only).
-    normalize="raw": stop at the [0,1] scaling.
-
-    Only the first standard load, which computes the statistics, decodes the
-    whole training set once, plus a float64 temporary of it.
+    the training-set statistics of `channel_stats`, computed once and cached
+    as JSON next to the data (written atomically; skipped when the directory
+    is read-only). normalize="raw": stop at the [0,1] scaling.
 
     The files must not change while the datasets are in use: after one is
     rewritten in place (a copy over it, a truncation), reading a row past its
@@ -200,19 +213,12 @@ def load_cifar10(
     """
     if normalize not in ("standard", "raw"):
         raise ValueError(f"unknown normalize mode {normalize!r}")
-    root = Path(dir_path)
-    x_train, y_train = _load_split([root / f"data_batch_{b}.bin" for b in range(1, 6)])
-    x_test, y_test = _load_split([root / "test_batch.bin"])
+    x_train, y_train = _load_split(_train_paths(dir_path))
+    x_test, y_test = _load_split([Path(dir_path) / "test_batch.bin"])
 
     decode = partial(decode_pixels, dtype=dtype)
     if normalize == "standard":
-        stats_path = root / STATS_FILENAME
-        if stats_path.exists():
-            stats = json.loads(stats_path.read_text())
-            mean, std = stats["mean"], stats["std"]
-        else:
-            mean, std = _channel_stats(decode(x_train[:]))
-            _cache_stats(stats_path, mean, std)
+        mean, std = channel_stats(dir_path)
         decode = partial(
             decode,
             mean=np.asarray(mean, dtype=dtype).reshape(1, 3, 1),
@@ -238,12 +244,11 @@ def synthetic_blobs(
         raise ValueError(f"classes must be >= 2, got {classes}")
     if dim < classes:
         raise ValueError(f"dim ({dim}) must be >= classes ({classes})")
-    rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
     n = n_per_class * classes
     labels = np.repeat(np.arange(classes), n_per_class)
     centers = np.zeros((classes, dim))
     centers[np.arange(classes), np.arange(classes)] = 3.0
-    features = centers[labels] + spread * rng.standard_normal((n, dim))
+    features = centers[labels] + spread * rng(seed).standard_normal((n, dim))
     return Dataset(
         features=features.astype(dtype), labels=labels, n_classes=classes
     )
@@ -257,8 +262,7 @@ def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int):
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    rng = np.random.default_rng(child_seed(seed, epoch))
-    order = rng.permutation(ds.n)
+    order = rng(child_seed(seed, epoch)).permutation(ds.n)
     for start in range(0, ds.n, batch_size):
         idx = order[start : start + batch_size]
         yield ds.rows(idx), ds.labels[idx]

@@ -10,7 +10,7 @@ Families:
                 reduced to its largest component, then inter-community node
                 pairs added independently with probability mu
 
-`REQUIRED` names the parameters of each family. Generators are pure
+`REQUIRED` alone names the parameters of each family. Generators are pure
 functions of their spec: the same spec (including seed) always yields the
 same edge set.
 """
@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import EdgeSaturation, TooManyCommunities, TooSmall
 from .graphs import Graph, bfs, from_adjacency, from_edge_pairs, largest_component
-from .seeding import child_seed
+from .seeding import child_seed, rng
 
-# The parameters each family requires; a flat family takes no others.
+# The parameters each family requires and takes (community: plus its base's).
 REQUIRED = {
     "complete": (),
     "er": ("p",),
@@ -34,6 +34,7 @@ REQUIRED = {
 }
 FAMILIES = tuple(REQUIRED)
 BASE_FAMILIES = ("er", "static_sf")
+PARAMETERS = sum(REQUIRED.values(), ())  # every parameter, in field order
 
 # Stream tags for deriving independent child seeds inside the composer.
 _CROSS_STREAM = 1 << 32
@@ -67,13 +68,17 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2:
             raise TooSmall(f"n must be >= 2, got {self.n}")
-        required = REQUIRED[self.family]
-        for name in sum(REQUIRED.values(), ()):  # every parameter, in field order
+        required = taken = REQUIRED[self.family]
+        owner = f"family {self.family!r}"
+        if self.family == "community":
+            taken += REQUIRED[self.base] if self.base in BASE_FAMILIES else ()
+            owner += f" with base {self.base!r}"
+        for name in PARAMETERS:
             value = getattr(self, name)
             if name in required and value is None:
                 raise ValueError(f"family {self.family!r} requires {name}")
-            if name not in required and value is not None and self.family != "community":
-                raise ValueError(f"family {self.family!r} does not take {name}")
+            if name not in taken and value is not None:
+                raise ValueError(f"{owner} does not take {name}")
         if self.p is not None and not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p must be in [0,1], got {self.p}")
         if self.mu is not None and not (0.0 <= self.mu <= 1.0):
@@ -135,9 +140,8 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
         raise TooSmall(f"ER graph needs n >= 2, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0,1], got {p}")
-    rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
     adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[np.triu_indices(n, k=1)] = rng.random(n * (n - 1) // 2) < p
+    adjacency[np.triu_indices(n, k=1)] = rng(seed).random(n * (n - 1) // 2) < p
     return from_adjacency(adjacency | adjacency.T)
 
 
@@ -167,12 +171,12 @@ def gen_static_sf(n: int, gamma: float, m: float, seed: int) -> Graph:
     cdf /= cdf[-1]
     cdf[-1] = 1.0
 
-    rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
+    gen = rng(seed)
     edges: set[tuple[int, int]] = set()
     budget = 200 * target
     consecutive_failures = 0
     while len(edges) < target:
-        draws = np.searchsorted(cdf, rng.random(2 * _SF_CHUNK), side="right")
+        draws = np.searchsorted(cdf, gen.random(2 * _SF_CHUNK), side="right")
         for a, b in np.sort(draws.reshape(-1, 2), axis=1).tolist():
             if a == b or (a, b) in edges:
                 consecutive_failures += 1
@@ -225,7 +229,7 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
     # Inter-community pairs sampled independently at probability mu, block
     # pair by block pair in lexicographic order for determinism; drawn
     # above the diagonal, then mirrored.
-    cross_rng = np.random.default_rng(child_seed(spec.seed, _CROSS_STREAM))
+    cross_rng = rng(child_seed(spec.seed, _CROSS_STREAM))
     cross_pairs = 0
     cross_edges = 0
     for c1 in range(k):
@@ -239,7 +243,7 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
     # Connectivity repair: one random bridge from every community still cut
     # off from the component containing community 0; bridges are counted and
     # reported so downstream densities can discount them.
-    bridge_rng = np.random.default_rng(child_seed(spec.seed, _BRIDGE_STREAM))
+    bridge_rng = rng(child_seed(spec.seed, _BRIDGE_STREAM))
     bridges = 0
     if k > 1:
         reached, _ = bfs(adjacency)

@@ -244,16 +244,17 @@ def degree_stats(g: Graph) -> tuple[float, int, list[int]]:
 
 @dataclass(frozen=True)
 class GraphMetrics:
-    """Structural summary reported next to each training result.
+    """Structural summary reported next to each training result; each field
+    but `giant_fraction` is the records CSV column of the same name.
 
-    `avg_path_length` is None when the graph is disconnected or has fewer
+    `avg_path_len` is None when the graph is disconnected or has fewer
     than two nodes; `modularity` is None without community labels or edges;
     `cross_density` is None unless at least two communities are present.
     """
 
     mean_degree: float
     clustering: float
-    avg_path_length: float | None
+    avg_path_len: float | None
     modularity: float | None
     cross_density: float | None
     giant_fraction: float
@@ -276,7 +277,7 @@ def compute_metrics(g: Graph) -> GraphMetrics:
     return GraphMetrics(
         mean_degree=mean_deg,
         clustering=clustering_coefficient(g),
-        avg_path_length=apl,
+        avg_path_len=apl,
         modularity=mod,
         cross_density=cross,
         giant_fraction=giant / g.node_count,
@@ -330,6 +331,8 @@ def read_edge_list(path) -> Graph:
                     (declared_n,) = _ints(fields[1:], where, "node count")
                 elif fields[:1] == ["community"] and len(fields) == 3:
                     v, label = _ints(fields[1:], where, "community entry")
+                    if v < 0:
+                        raise FormatError(f"{where}: negative node id")
                     communities[v] = label
                 continue
             fields = line.split()

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import FormatError, NumericError, ShapeError, TooManyNodes
 from .graphs import Graph
+from .seeding import rng
 
 CKPT_HEADER = "relnet-ckpt-v1"
 
@@ -75,25 +76,27 @@ def partition_width(n_nodes: int, width: int) -> BlockPartition:
 class LayerMask:
     """Unit-level boolean mask shared by all message-exchange rounds.
 
-    matrix[u, v] is True iff the owning nodes of units u and v are adjacent
-    or identical; block_adjacency is the node-level view (diagonal True).
+    block_adjacency is the node-level view (diagonal True); `matrix` expands
+    it blockwise over the partition's slices.
     """
 
-    matrix: np.ndarray  # (width, width) bool
     block_adjacency: np.ndarray  # (n, n) bool
     partition: BlockPartition
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """(width, width) bool, True iff the units' owning nodes are adjacent or identical."""
+        owner = self.partition.node_of_units()
+        return self.block_adjacency[np.ix_(owner, owner)]
+
 
 def build_mask(g: Graph, part: BlockPartition) -> LayerMask:
-    """Expand graph adjacency plus self-loops blockwise to unit level."""
+    """The mask of graph adjacency plus self-loops over the partition."""
     if g.node_count != part.node_count:
         raise ShapeError(
             f"graph has {g.node_count} nodes, partition has {part.node_count}"
         )
-    block = g.adjacency | np.eye(g.node_count, dtype=bool)
-    owner = part.node_of_units()
-    matrix = block[np.ix_(owner, owner)]
-    return LayerMask(matrix=matrix, block_adjacency=block, partition=part)
+    return LayerMask(g.adjacency | np.eye(g.node_count, dtype=bool), part)
 
 
 @dataclass
@@ -183,7 +186,7 @@ def init_model(
         raise ShapeError(f"rounds must be >= 1, got {rounds}")
     part = partition_width(g.node_count, width)
     mask = build_mask(g, part)
-    rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
+    gen = rng(seed)
 
     fan_in = mask.matrix.sum(axis=0).astype(np.float64)  # unmasked inputs per unit
     fan_out = mask.matrix.sum(axis=1).astype(np.float64)
@@ -194,7 +197,7 @@ def init_model(
     for layer, (rows, cols) in enumerate(shapes):
         masked = 0 < layer <= rounds
         limit = limit_round if masked else np.sqrt(6.0 / (rows + cols))
-        w = rng.uniform(-1.0, 1.0, size=(rows, cols)) * limit
+        w = gen.uniform(-1.0, 1.0, size=(rows, cols)) * limit
         if masked:
             w[~mask.matrix] = 0.0
         weights.append(w.astype(dtype))
@@ -280,17 +283,8 @@ def load_checkpoint(path) -> MlpModel:
         if "header" not in data or str(data["header"]) != CKPT_HEADER:
             raise FormatError(f"{path}: not a {CKPT_HEADER} checkpoint")
         meta = json.loads(str(data["meta"]))
-        block = data["block_adjacency"]
-        part = BlockPartition(
-            width=meta["width"],
-            slices=tuple(tuple(s) for s in meta["slices"]),
-        )
-        owner = part.node_of_units()
-        mask = LayerMask(
-            matrix=block[np.ix_(owner, owner)],
-            block_adjacency=block,
-            partition=part,
-        )
+        part = BlockPartition(meta["width"], tuple(tuple(s) for s in meta["slices"]))
+        mask = LayerMask(data["block_adjacency"], part)
         keys = _param_keys(meta["rounds"])
         model = MlpModel(
             weights=[data[w_key] for w_key, _ in keys],

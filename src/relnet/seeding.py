@@ -1,12 +1,14 @@
 """Deterministic 64-bit seed derivation.
 
-All randomness in the package flows through numpy Generators seeded from
-explicit integers. Child seeds (per community, per run stream) are derived
-with splitmix64 so that no two streams share a seed and derivation is
-reproducible across sessions.
+All randomness in the package flows through numpy Generators built by `rng`
+from explicit integers. Child seeds (per community, per run stream) are
+derived with splitmix64 so that no two streams share a seed and derivation
+is reproducible across sessions.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -29,3 +31,8 @@ def splitmix64(x: int) -> int:
 def child_seed(seed: int, index: int) -> int:
     """Derive the seed for child stream `index`: seed XOR splitmix64(index), mixed."""
     return splitmix64((int(seed) & _MASK64) ^ splitmix64(int(index) & _MASK64))
+
+
+def rng(seed: int) -> np.random.Generator:
+    """The numpy Generator of `seed` modulo 2**64 (a negative seed too)."""
+    return np.random.default_rng(int(seed) & _MASK64)

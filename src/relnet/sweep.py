@@ -25,15 +25,17 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .datasets import Dataset, load_cifar10, synthetic_blobs
+from .datasets import Dataset, channel_stats, load_cifar10, synthetic_blobs
 from .errors import FitError, FormatError, RelnetError, WorkerLost
-from .generators import BASE_FAMILIES, GeneratorSpec, generate_with_info
-from .graphs import Graph, compute_metrics
+from .generators import BASE_FAMILIES, PARAMETERS, REQUIRED, GeneratorSpec, generate_with_info
+from .graphs import Graph, GraphMetrics, compute_metrics
 from .model import MlpModel, init_model
 from .seeding import _GRAPH_STREAM, _MODEL_STREAM, _SHUFFLE_STREAM, child_seed
 from .training import EvalResult, TrainConfig, train
 
-AXIS_NAMES = ("p", "gamma", "m", "mu")
+# The generator parameters an axis or `fixed` can set; `communities` and `family` give the rest.
+AXIS_NAMES = tuple(name for name in PARAMETERS if name not in ("communities", "base"))
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -89,18 +91,19 @@ class SweepSpec:
     def validate(self) -> None:
         if self.family not in BASE_FAMILIES:
             raise ValueError(f"sweep family must be one of {BASE_FAMILIES}")
+        taken = tuple(n for n in AXIS_NAMES if n in REQUIRED[self.family] + REQUIRED["community"])
         for axis in self.axes:
-            if axis.name not in AXIS_NAMES:
-                raise ValueError(f"axis {axis.name!r} not one of {AXIS_NAMES}")
+            if axis.name not in taken:
+                raise ValueError(f"family {self.family!r} takes {taken}, not axis {axis.name!r}")
             if not axis.values:
                 raise ValueError(f"axis {axis.name!r} has no values")
             if axis.name in self.fixed:
                 raise ValueError(f"{axis.name!r} both swept and fixed")
         if self.axis2 and self.axis2.name == self.axis1.name:
             raise ValueError("axis1 and axis2 sweep the same parameter")
-        unknown = sorted(set(self.fixed) - set(AXIS_NAMES))
+        unknown = sorted(set(self.fixed) - set(taken))
         if unknown:
-            raise ValueError(f"sweep spec 'fixed' key {unknown[0]!r} not one of {AXIS_NAMES}")
+            raise ValueError(f"family {self.family!r} takes {taken}, not fixed {unknown[0]!r}")
         if not self.communities or min(self.communities) < 1:
             raise ValueError(f"sweep spec 'communities' must all be >= 1, got {self.communities}")
         if not self.seeds:
@@ -242,7 +245,7 @@ class ExperimentRecord(SweepCell):
 CSV_HEADER = [f.name for f in fields(ExperimentRecord)]
 KEY_FIELDS = [f.name for f in fields(SweepCell)]  # identifies a (grid cell, seed) pair
 GROUP_FIELDS = [name for name in KEY_FIELDS if name != "seed"]  # a grid cell across seeds
-METRIC_FIELDS = ["mean_degree", "clustering", "avg_path_len", "modularity", "cross_density"]
+METRIC_FIELDS = [f.name for f in fields(GraphMetrics) if f.name in CSV_HEADER]
 AGG_HEADER = GROUP_FIELDS + ["n_seeds", "n_failed", "top1_mean", "top1_std"] + METRIC_FIELDS
 
 
@@ -318,12 +321,9 @@ def _execute_cell(
             family="community",
             n=spec.n,
             communities=cell.communities,
-            mu=cell.mu if cell.mu is not None else 0.0,
             base=cell.family,
-            p=cell.p,
-            gamma=cell.gamma,
-            m=cell.m,
             seed=child_seed(cell.seed, _GRAPH_STREAM),
+            **({name: getattr(cell, name) for name in AXIS_NAMES} | {"mu": cell.mu or 0.0}),
         )
         graph, info = generate_with_info(gspec)
         metrics = compute_metrics(graph)
@@ -341,11 +341,7 @@ def _execute_cell(
             status="ok",
             nodes_realized=graph.node_count,
             bridges=info.bridge_edges,
-            mean_degree=metrics.mean_degree,
-            clustering=metrics.clustering,
-            avg_path_len=metrics.avg_path_length,
-            modularity=metrics.modularity,
-            cross_density=metrics.cross_density,
+            **{name: getattr(metrics, name) for name in METRIC_FIELDS},
             top1_error=result.top1_error_percent,
             wall_ms=(time.perf_counter() - tic) * 1000.0,
         )
@@ -411,12 +407,18 @@ def record_key(cell: SweepCell) -> tuple[str, ...]:
 
 def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
     """The records of `cells` in their order: computed in this process at
-    `workers` <= 1, else by a pool of `workers` processes."""
+    `workers` <= 1, else by a pool of `workers` processes. Before the pool
+    starts, this process computes and caches the CIFAR-10 channel statistics
+    when their cache is missing (on a read-only data directory each worker
+    computes them again)."""
     if workers <= 1:
         train_ds, test_ds = build_dataset(spec.dataset, dtype=spec.train.dtype)
         for cell in cells:
             yield _execute_cell(cell, spec, train_ds, test_ds)
         return
+    dataset = read_dataset_spec(spec.dataset)
+    if cells and isinstance(dataset, Cifar10Spec) and dataset.normalize == "standard":
+        channel_stats(dataset.dir)  # once here, not once per worker
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init, initargs=(spec, workers)
     ) as pool:

@@ -243,7 +243,8 @@ def cifar10_arrays(root, normalize, dtype, stats=None):
     """(x_train, y_train, x_test, y_test, stats) for a CIFAR-10 directory.
 
     stats is {"mean": [...], "std": [...]}; when None it is computed from
-    the training set. The record count follows from each file's size.
+    the training set's single-precision [0,1] values at any dtype. The
+    record count follows from each file's size.
     """
     root = Path(root)
 
@@ -253,12 +254,13 @@ def cifar10_arrays(root, normalize, dtype, stats=None):
 
     train = [read(f"data_batch_{b}.bin") for b in range(1, 6)]
     test_pixels, y_test = read("test_batch.bin")
-    x_train = np.concatenate([pixels for pixels, _ in train]).astype(dtype) / 255.0
+    train_pixels = np.concatenate([pixels for pixels, _ in train])
+    x_train = train_pixels.astype(dtype) / 255.0
     x_test = test_pixels.astype(dtype) / 255.0
     y_train = np.concatenate([labels for _, labels in train])
     if normalize == "standard":
         if stats is None:
-            planes = x_train.reshape(-1, 3, 1024)
+            planes = (train_pixels.astype(np.float32) / 255.0).reshape(-1, 3, 1024)
             stats = {
                 "mean": planes.mean(axis=(0, 2), dtype=np.float64).tolist(),
                 "std": planes.std(axis=(0, 2), dtype=np.float64).tolist(),

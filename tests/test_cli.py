@@ -60,7 +60,7 @@ class TestGenMetrics:
         assert summary["nodes"] == graph.node_count
         assert summary["edges"] == graph.edge_count
         assert summary["bridges"] == 0
-        assert {"mean_degree", "clustering", "avg_path_length"} <= set(summary)
+        assert {"mean_degree", "clustering", "avg_path_len"} <= set(summary)
 
     def test_gen_complete(self, capsys, tmp_path):
         out = tmp_path / "k.edges"
@@ -555,6 +555,8 @@ class TestSweepReport:
             ({"axis2": {"name": "mu", "values": [float("nan")]}, "communities": [1]},
              "axis2.values"),
             ({"fixed": {"m": float("inf")}}, "fixed.m"),
+            ({"axis1": {"name": "gamma", "values": [2.5]}}, "gamma"),
+            ({"fixed": {"m": 3}}, "m"),
         ],
         ids=["no-family", "unknown-train-key", "model-not-object",
              "axis-values-not-list", "cifar10-without-dir", "unknown-top-level-key",
@@ -564,7 +566,7 @@ class TestSweepReport:
              "string-fixed-value", "unknown-fixed-key", "string-epochs", "float-epochs",
              "integer-lr-schedule", "float-classes", "string-dataset-seed",
              "integer-dataset-dir", "zero-community", "nan-axis-value",
-             "infinite-fixed-value"],
+             "infinite-fixed-value", "axis-not-taken", "fixed-not-taken"],
     )
     def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
         spec_dict = {**SWEEP_SPEC, **change}

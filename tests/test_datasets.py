@@ -24,6 +24,7 @@ from relnet.datasets import (
 from relnet.errors import FormatError
 from relnet.generators import gen_er
 from relnet.model import init_model
+from relnet.sweep import Axis, ModelSpec, SweepSpec, run_sweep
 from relnet.training import TrainConfig, evaluate, train
 
 FILES = [f"data_batch_{b}.bin" for b in range(1, 6)] + ["test_batch.bin"]
@@ -233,6 +234,41 @@ class TestLoaderMatchesWholeArrayArithmetic:
         train, test = load_cifar10(small_cifar_dir, normalize="standard")
         _assert_same_bytes(train, test, expected)
         assert sorted(p.name for p in small_cifar_dir.iterdir()) == sorted(FILES)
+
+    def test_cache_does_not_depend_on_first_precision(self, small_cifar_dir):
+        """The statistics come from the single-precision values whichever
+        precision loads the directory first."""
+        stats_path = small_cifar_dir / STATS_FILENAME
+        caches = []
+        for dtype in (np.float64, np.float32):
+            load_cifar10(small_cifar_dir, dtype=dtype)
+            caches.append(stats_path.read_bytes())
+            stats_path.unlink()
+        assert caches[0] == caches[1]
+
+    def test_pool_sweep_computes_stats_once(
+        self, small_cifar_dir, monkeypatch, tmp_path_factory
+    ):
+        """A 2-worker sweep computes the statistics before its pool starts,
+        so the workers read them from the cache. The workers are forked, so
+        the counting wrapper runs in them too; each call appends a line."""
+        calls = tmp_path_factory.mktemp("calls") / "cache_stats"
+        cache_stats = relnet.datasets._cache_stats
+
+        def counted(*args):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            cache_stats(*args)
+
+        monkeypatch.setattr(relnet.datasets, "_cache_stats", counted)
+        spec = SweepSpec(
+            family="er", n=8, axis1=Axis("p", (0.5,)), communities=(1,), seeds=(0, 1),
+            model=ModelSpec(width=8, rounds=1), train=TrainConfig(epochs=1, batch_size=64),
+            dataset={"kind": "cifar10", "dir": str(small_cifar_dir)},
+        )
+        records = run_sweep(spec, workers=2)
+        assert [r.status for r in records] == ["ok", "ok"]
+        assert calls.read_text().splitlines() == [str(os.getpid())]
 
 
 def _oracle_datasets(root, normalize, dtype):

@@ -59,6 +59,20 @@ class TestSpecValidation:
                 family="community", n=12, communities=2, mu=0.1, base="er"
             ).validate()
 
+    @pytest.mark.parametrize(
+        "base, params, stray",
+        [
+            ("er", dict(p=0.3, gamma=2.5, m=3), "gamma"),
+            ("static_sf", dict(gamma=2.5, m=3, p=0.3), "p"),
+        ],
+    )
+    def test_community_rejects_other_base_params(self, base, params, stray):
+        spec = GeneratorSpec(family="community", n=12, communities=2, mu=0.1, base=base, **params)
+        with pytest.raises(ValueError, match=f"with base '{base}' does not take {stray}$"):
+            spec.validate()
+        with pytest.raises(ValueError, match="does not take"):
+            generate_with_info(spec)
+
     def test_too_many_communities(self):
         with pytest.raises(TooManyCommunities):
             GeneratorSpec(

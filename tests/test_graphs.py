@@ -257,7 +257,7 @@ class TestComputeMetrics:
         m = compute_metrics(g)
         assert m.mean_degree == 2.0
         assert m.clustering == 0.0
-        assert math.isclose(m.avg_path_length, (1 + 1 + 2 + 1 + 2 + 1) / 6)
+        assert math.isclose(m.avg_path_len, (1 + 1 + 2 + 1 + 2 + 1) / 6)
         assert m.cross_density == 0.5
         assert m.giant_fraction == 1.0
         assert math.isclose(
@@ -267,7 +267,7 @@ class TestComputeMetrics:
     def test_disconnected_unlabeled(self):
         g = from_edge_pairs(5, [(0, 1), (1, 2), (0, 2)])
         m = compute_metrics(g)
-        assert m.avg_path_length is None
+        assert m.avg_path_len is None
         assert m.modularity is None
         assert m.cross_density is None
         assert m.giant_fraction == 0.6
@@ -336,6 +336,12 @@ class TestEdgeListFormat:
         path = tmp_path / "bad.edges"
         path.write_text("0 -2\n")
         with pytest.raises(FormatError):
+            read_edge_list(path)
+
+    def test_negative_community_node_reports_line(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("# community 0 0\n# community 1 0\n# community -1 5\n0 1\n")
+        with pytest.raises(FormatError, match=rf"{path}:3: negative node id"):
             read_edge_list(path)
 
     def test_declared_nodes_too_low(self, tmp_path):

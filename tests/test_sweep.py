@@ -98,6 +98,21 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="axis 'q'"):
             tiny_spec(axis1=Axis("q", (1.0,))).validate()
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            (dict(axis1=Axis("gamma", (2.5,))), "axis 'gamma'"),
+            (dict(axis2=Axis("m", (3.0,))), "axis 'm'"),
+            (dict(fixed={"gamma": 2.5}), "fixed 'gamma'"),
+            (dict(family="static_sf", fixed={"gamma": 2.5, "m": 3.0}), "axis 'p'"),
+            (dict(family="static_sf", axis1=Axis("gamma", (2.5,)), fixed={"p": 0.5}),
+             "fixed 'p'"),
+        ],
+    )
+    def test_parameter_not_taken_by_family(self, overrides, name):
+        with pytest.raises(ValueError, match=f"takes .*, not {name}"):
+            tiny_spec(**overrides).validate()
+
     def test_empty_axis(self):
         with pytest.raises(ValueError, match="has no values"):
             tiny_spec(axis1=Axis("p", ())).validate()
