@@ -240,6 +240,8 @@ def synthetic_blobs(
 ) -> Dataset:
     """Gaussian blob classification set: class c sits at 3*e_c with isotropic
     noise of standard deviation `spread`."""
+    if n_per_class < 1:
+        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
     if classes < 2:
         raise ValueError(f"classes must be >= 2, got {classes}")
     if dim < classes:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EdgeSaturation, TooManyCommunities, TooSmall
-from .graphs import Graph, bfs, from_adjacency, from_edge_pairs, largest_component
+from .graphs import (Graph, bfs, from_adjacency, from_edge_pairs, largest_component,
+                     near_equal_sizes)
 from .seeding import child_seed, rng
 
 # The parameters each family requires and takes (community: plus its base's).
@@ -162,9 +163,6 @@ def gen_static_sf(n: int, gamma: float, m: float, seed: int) -> Graph:
         raise ValueError(f"m must be > 0, got {m}")
     _check_sf_feasible(n, m)
     target = int(m * n // 2)
-    if target == 0:
-        return from_edge_pairs(n, [])
-
     alpha = 1.0 / (gamma - 1.0)
     weights = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
     cdf = np.cumsum(weights)
@@ -194,11 +192,6 @@ def gen_static_sf(n: int, gamma: float, m: float, seed: int) -> Graph:
     return from_edge_pairs(n, edges)
 
 
-def _split_sizes(n: int, k: int) -> list[int]:
-    base, extra = divmod(n, k)
-    return [base + 1 if c < extra else base for c in range(k)]
-
-
 def _draw(family: str, spec: GeneratorSpec, n: int, seed: int) -> Graph:
     """A graph of the flat `family` on n nodes, with spec's parameters."""
     if family == "complete":
@@ -217,7 +210,7 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
     k = spec.communities
     blocks = [
         largest_component(_draw(spec.base, spec, size, child_seed(spec.seed, c)))
-        for c, size in enumerate(_split_sizes(spec.n, k))
+        for c, size in enumerate(near_equal_sizes(spec.n, k))
     ]
     sizes = [b.node_count for b in blocks]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()

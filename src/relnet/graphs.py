@@ -84,6 +84,13 @@ class Graph:
         return sizes
 
 
+def near_equal_sizes(total: int, parts: int) -> list[int]:
+    """`total` split into `parts` sizes that differ by at most one; the first
+    (total mod parts) are the larger."""
+    base, extra = divmod(total, parts)
+    return [base + 1 if i < extra else base for i in range(parts)]
+
+
 def from_adjacency(adjacency: np.ndarray, community_of=None) -> Graph:
     """Graph of a symmetric boolean matrix with a False diagonal, labeled by
     the sequence `community_of`; the matrix becomes the graph's (read-only)

@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import FormatError, NumericError, ShapeError, TooManyNodes
-from .graphs import Graph
+from .graphs import Graph, near_equal_sizes
 from .seeding import rng
 
 CKPT_HEADER = "relnet-ckpt-v1"
@@ -47,29 +48,19 @@ class BlockPartition:
 
     def node_of_units(self) -> np.ndarray:
         """Map each hidden unit index to its owning node."""
-        owner = np.empty(self.width, dtype=np.int64)
-        for node, (off, length) in enumerate(self.slices):
-            owner[off : off + length] = node
-        return owner
+        return np.repeat(np.arange(self.node_count), [length for _, length in self.slices])
 
 
 def partition_width(n_nodes: int, width: int) -> BlockPartition:
-    """Split `width` units over `n_nodes` nodes as evenly as possible.
-
-    The first (width mod n_nodes) nodes receive the longer slices.
-    """
+    """Split `width` units over `n_nodes` nodes as evenly as possible: the
+    slice lengths are `near_equal_sizes(width, n_nodes)`, so the first
+    (width mod n_nodes) nodes receive the longer slices."""
     if n_nodes < 1:
         raise ShapeError(f"need at least one node, got {n_nodes}")
     if n_nodes > width:
         raise TooManyNodes(f"{n_nodes} nodes do not fit in width {width}")
-    base, extra = divmod(width, n_nodes)
-    slices = []
-    offset = 0
-    for node in range(n_nodes):
-        length = base + 1 if node < extra else base
-        slices.append((offset, length))
-        offset += length
-    return BlockPartition(width=width, slices=tuple(slices))
+    lengths = near_equal_sizes(width, n_nodes)
+    return BlockPartition(width=width, slices=tuple(zip(accumulate(lengths, initial=0), lengths)))
 
 
 @dataclass

@@ -19,7 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -104,6 +104,16 @@ class SweepSpec:
         unknown = sorted(set(self.fixed) - set(taken))
         if unknown:
             raise ValueError(f"family {self.family!r} takes {taken}, not fixed {unknown[0]!r}")
+        swept = [axis.name for axis in self.axes]
+        unset = [n for n in REQUIRED[self.family] if n not in swept and n not in self.fixed]
+        if unset:
+            raise ValueError(f"family {self.family!r} requires {unset[0]!r}, swept or fixed")
+        if self.n < 2:
+            raise ValueError(f"sweep spec 'n' must be >= 2, got {self.n}")
+        for name in ("width", "rounds"):
+            value = getattr(self.model, name)
+            if value < 1:
+                raise ValueError(f"sweep spec 'model.{name}' must be >= 1, got {value}")
         if not self.communities or min(self.communities) < 1:
             raise ValueError(f"sweep spec 'communities' must all be >= 1, got {self.communities}")
         if not self.seeds:
@@ -115,11 +125,6 @@ class SweepSpec:
     def from_dict(cls, d: dict) -> "SweepSpec":
         """Spec from its JSON form (see `read_spec`). Top-level keys starting
         with "_" are comments."""
-        if isinstance(d, dict) and isinstance(d.get("train"), dict) and "seed" in d["train"]:
-            raise FormatError(
-                "sweep spec 'train.seed' is not allowed: each run shuffles "
-                "from a stream of its run seed"
-            )
         spec = read_spec(cls, d, comments=True)
         spec.validate()
         return spec
@@ -292,10 +297,9 @@ def run_one(
     """Train one model on `graph` for the run seed `seed`; returns (model,
     final EvalResult, per-epoch log).
 
-    The shuffle and model seeds are child streams of `seed` (config.seed is
-    replaced), so `relnet train` with a sweep cell's parameters and seed
-    reproduces that cell's row."""
-    config = replace(config, seed=child_seed(seed, _SHUFFLE_STREAM))
+    The shuffle and model seeds are child streams of `seed`, so `relnet
+    train` with a sweep cell's parameters and seed reproduces that cell's
+    row."""
     mlp = init_model(
         graph,
         width=model.width,
@@ -306,7 +310,10 @@ def run_one(
         dtype=config.dtype,
         use_bias=model.use_bias,
     )
-    result, log = train(mlp, train_ds, test_ds, config, eval_every_epoch=eval_every_epoch)
+    result, log = train(
+        mlp, train_ds, test_ds, config,
+        seed=child_seed(seed, _SHUFFLE_STREAM), eval_every_epoch=eval_every_epoch,
+    )
     return mlp, result, log
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     lr_schedule: str = "cosine"
-    seed: int = 0
     precision: str = "single"
 
     def validate(self) -> None:
@@ -119,8 +118,8 @@ def loss_and_grads(model: MlpModel, batch_x, batch_y) -> tuple[float, Grads]:
 class SgdState:
     """Momentum buffers, one per parameter array."""
 
-    vel_w: list[np.ndarray] = field(default_factory=list)
-    vel_b: list[np.ndarray] = field(default_factory=list)
+    vel_w: list[np.ndarray]
+    vel_b: list[np.ndarray]
 
     @classmethod
     def zeros(cls, model: MlpModel) -> "SgdState":
@@ -138,17 +137,13 @@ def lr_at(config: TrainConfig, step: int, total_steps: int) -> float:
 
 
 def sgd_step(
-    model: MlpModel,
-    grads: Grads,
-    config: TrainConfig,
-    step_index: int,
-    state: SgdState,
-    total_steps: int,
+    model: MlpModel, grads: Grads, config: TrainConfig, lr: float, state: SgdState
 ) -> None:
-    """One in-place momentum-SGD update.
+    """One in-place momentum-SGD update at the learning rate `lr` (the
+    step's `lr_at`).
 
     v <- momentum*v + grad + weight_decay*w for weights (decay skips
-    biases), then w <- w - lr(step)*v; the round-weight mask is re-applied
+    biases), then w <- w - lr*v; the round-weight mask is re-applied
     afterwards.
 
     Each weight is walked in row blocks of at most SGD_CHUNK elements with
@@ -157,7 +152,6 @@ def sgd_step(
     through the same operations in the same order as whole-array updates,
     so results are identical bit for bit.
     """
-    lr = lr_at(config, step_index, total_steps)
     # A block holds at least one row, however wide.
     tmp = np.empty(max(SGD_CHUNK, model.width, model.out_dim), dtype=model.dtype)
     for w, g, v in zip(model.weights, grads.weights, state.vel_w):
@@ -212,6 +206,7 @@ def train(
     train_set: Dataset,
     test_set: Dataset,
     config: TrainConfig,
+    seed: int = 0,
     eval_every_epoch: bool = True,
 ) -> tuple[EvalResult, list[dict]]:
     """Run the full schedule; returns the final test result and a per-epoch log.
@@ -221,8 +216,9 @@ def train(
     evaluated after the last epoch, and after every epoch when
     eval_every_epoch is set; "test_top1" is None for an epoch not evaluated.
     Evaluation does not touch the model, so the final result and the
-    weights are the same either way. Runs are deterministic for a fixed
-    config seed.
+    weights are the same either way. Epoch e shuffles with
+    `batch_iter(train_set, config.batch_size, seed, e)`, so a run is
+    deterministic for a fixed model, config and seed.
 
     Besides the model, a run holds the momentum buffers, one step's
     gradients (released once applied) and one step's activations.
@@ -245,16 +241,15 @@ def train(
         tic = time.perf_counter()
         loss_sum = 0.0
         n_batches = 0
-        last_lr = lr_at(config, step, total_steps)
-        for x, y in batch_iter(train_set, config.batch_size, config.seed, epoch):
+        for x, y in batch_iter(train_set, config.batch_size, seed, epoch):
             try:
                 loss, grads = loss_and_grads(model, x, y)
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch}, step {step}: {exc}"
                 ) from exc
-            last_lr = lr_at(config, step, total_steps)
-            sgd_step(model, grads, config, step, state, total_steps)
+            lr = lr_at(config, step, total_steps)
+            sgd_step(model, grads, config, lr, state)
             del grads  # not kept through the next step's forward and backward
             loss_sum += loss
             n_batches += 1
@@ -269,7 +264,7 @@ def train(
                 "epoch": epoch,
                 "train_loss": loss_sum / n_batches,
                 "test_top1": result.top1_error_percent if evaluated else None,
-                "lr": last_lr,
+                "lr": lr,
                 "wall_ms": (time.perf_counter() - tic) * 1000.0,
             }
         )

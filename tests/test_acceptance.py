@@ -81,7 +81,7 @@ def test_criterion_2_dense_equivalence(acceptance):
         ref_loss, gw, gb = oracle.loss_and_grads(x, y)
         divergence = max(divergence, abs(loss - ref_loss))
         lr = lr_at(config, step, total)
-        sgd_step(model, grads, config, step, state, total)
+        sgd_step(model, grads, config, lr, state)
         oracle.step(gw, gb, lr, config.momentum, config.weight_decay)
     acceptance(
         2,
@@ -102,7 +102,7 @@ def test_criterion_3_mask_persistence(acceptance):
         x = rng.standard_normal((8, 5))
         y = rng.integers(0, 3, 8)
         _, grads = loss_and_grads(model, x, y)
-        sgd_step(model, grads, config, step, state, 100)
+        sgd_step(model, grads, config, lr_at(config, step, 100), state)
     off = ~model.mask.matrix
     exact_zero = all((w[off] == 0.0).all() for w in model.round_w)
     acceptance(
@@ -229,13 +229,13 @@ def test_criterion_7_desk_scale_learning(acceptance):
     test_ds = synthetic_blobs(
         100, 10, 48, spread=0.6, seed=child_seed(1234, 1), dtype=np.float32
     )
-    config = TrainConfig(epochs=30, batch_size=128, learning_rate=0.1, seed=0)
+    config = TrainConfig(epochs=30, batch_size=128, learning_rate=0.1)
 
     tic = time.perf_counter()
     complete_model = init_model(gen_complete(16), 64, 2, 48, 10, seed=5, dtype=np.float32)
-    complete_result, _ = train(complete_model, train_ds, test_ds, config)
+    complete_result, _ = train(complete_model, train_ds, test_ds, config, seed=0)
     er_model = init_model(gen_er(16, 0.5, seed=3), 64, 2, 48, 10, seed=5, dtype=np.float32)
-    er_result, _ = train(er_model, train_ds, test_ds, config)
+    er_result, _ = train(er_model, train_ds, test_ds, config, seed=0)
     wall = time.perf_counter() - tic
 
     complete_err = complete_result.top1_error_percent

@@ -222,6 +222,15 @@ class TestTrain:
         assert code == 2
         assert "requires --data-dir" in err
 
+    def test_empty_blobs_split_exits_2(self, capsys):
+        code, stdout, err = run(
+            capsys, "train", "--family", "complete", "--n", "4", "--width", "8",
+            "--rounds", "1", "--epochs", "1", "--blob-per-class", "0",
+        )
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "n_per_class must be >= 1" in line
+
     def test_train_deterministic(self, capsys, tmp_path):
         results = []
         for _ in range(2):
@@ -541,7 +550,7 @@ class TestSweepReport:
             ({"seeds": [0, False]}, "seeds"),
             ({"model": {"width": 16, "rounds": 1, "use_bias": "no"}}, "model.use_bias"),
             ({"model": {"width": 16, "rounds": 1, "use_bias": 0}}, "model.use_bias"),
-            ({"train": {**SWEEP_SPEC["train"], "seed": 7}}, "train.seed"),
+            ({"train": {**SWEEP_SPEC["train"], "seed": 7}}, "seed"),
             ({"axis1": {"name": "p", "values": ["x"]}}, "axis1.values"),
             ({"fixed": {"m": "x"}}, "fixed.m"),
             ({"fixed": {"q": 1}}, "q"),
@@ -557,6 +566,11 @@ class TestSweepReport:
             ({"fixed": {"m": float("inf")}}, "fixed.m"),
             ({"axis1": {"name": "gamma", "values": [2.5]}}, "gamma"),
             ({"fixed": {"m": 3}}, "m"),
+            ({"axis1": {"name": "mu", "values": [0.1]}, "axis2": None}, "p"),
+            ({"family": "static_sf", "axis1": {"name": "gamma", "values": [2.5]}}, "m"),
+            ({"n": 1}, "n"),
+            ({"model": {"width": 16, "rounds": 0}}, "model.rounds"),
+            ({"model": {"width": 0, "rounds": 1}}, "model.width"),
         ],
         ids=["no-family", "unknown-train-key", "model-not-object",
              "axis-values-not-list", "cifar10-without-dir", "unknown-top-level-key",
@@ -566,7 +580,9 @@ class TestSweepReport:
              "string-fixed-value", "unknown-fixed-key", "string-epochs", "float-epochs",
              "integer-lr-schedule", "float-classes", "string-dataset-seed",
              "integer-dataset-dir", "zero-community", "nan-axis-value",
-             "infinite-fixed-value", "axis-not-taken", "fixed-not-taken"],
+             "infinite-fixed-value", "axis-not-taken", "fixed-not-taken",
+             "required-not-set", "second-required-not-set", "one-node", "zero-rounds",
+             "zero-width"],
     )
     def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
         spec_dict = {**SWEEP_SPEC, **change}
@@ -613,6 +629,23 @@ class TestSweepReport:
             capfd, "sweep", "--spec", str(spec), "--out", str(out), "--workers", workers
         )
         assert code == 2 and err.startswith("error: ")
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_empty_test_split_exits_2_and_leaves_out_unchanged(self, capfd, tmp_path, workers):
+        out = tmp_path / "o.csv"
+        run(capfd, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out))
+        before = out.read_bytes()
+        spec = tmp_path / "empty-test.json"
+        spec.write_text(json.dumps(
+            {**SWEEP_SPEC, "dataset": {**SWEEP_SPEC["dataset"], "test_n_per_class": 0}}
+        ))
+        code, stdout, err = run(
+            capfd, "sweep", "--spec", str(spec), "--out", str(out), "--workers", workers
+        )
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "n_per_class must be >= 1" in line
         assert out.read_bytes() == before
 
     def test_fresh_sweep_replaces_out(self, capsys, tmp_path):

@@ -301,7 +301,7 @@ class TestCodedDataset:
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_training_matches_oracle_dataset(self, small_cifar_dir, precision):
         config = TrainConfig(
-            epochs=2, batch_size=48, learning_rate=0.05, seed=5, precision=precision
+            epochs=2, batch_size=48, learning_rate=0.05, precision=precision
         )
         coded = load_cifar10(small_cifar_dir, dtype=config.dtype)
         plain = _oracle_datasets(small_cifar_dir, "standard", config.dtype)
@@ -310,7 +310,7 @@ class TestCodedDataset:
             model = init_model(
                 gen_er(16, 0.3, seed=4), 32, 2, CIFAR_DIM, 10, seed=7, dtype=config.dtype
             )
-            result, log = train(model, train_set, test_set, config)
+            result, log = train(model, train_set, test_set, config, seed=5)
             small_blocks = evaluate(model, test_set, batch_size=24)
             runs.append((model, result, log, small_blocks))
         (model, result, log, blocks), (ref, ref_result, ref_log, ref_blocks) = runs
@@ -483,6 +483,8 @@ class TestSyntheticBlobs:
             synthetic_blobs(5, 1, 8, spread=1.0, seed=0)
         with pytest.raises(ValueError, match="must be >= classes"):
             synthetic_blobs(5, 8, 4, spread=1.0, seed=0)
+        with pytest.raises(ValueError, match="n_per_class must be >= 1"):
+            synthetic_blobs(0, 3, 8, spread=1.0, seed=0)
 
     def test_noise_scale(self):
         ds = synthetic_blobs(2000, 2, 4, spread=0.5, seed=3)

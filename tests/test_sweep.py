@@ -33,7 +33,7 @@ from relnet.sweep import (
 )
 from relnet.training import TrainConfig
 
-TINY_TRAIN = TrainConfig(epochs=1, batch_size=64, learning_rate=0.05, seed=0)
+TINY_TRAIN = TrainConfig(epochs=1, batch_size=64, learning_rate=0.05)
 TINY_DATASET = {
     "kind": "blobs",
     "classes": 3,
@@ -263,6 +263,14 @@ class TestRunSweep:
         assert all(r.status == "error:ValueError" for r in records)
         assert all(r.top1_error is None for r in records)
         assert all(r.nodes_realized is None for r in records)
+
+    def test_cell_level_infeasibility_stays_an_error_row(self):
+        # 5 communities leave blocks below 2 nodes; 8 nodes overfill width 4.
+        records = run_sweep(tiny_spec(axis2=None, communities=(1, 5), seeds=(0,)))
+        assert [r.status for r in records] == ["ok", "error:TooManyCommunities"] * 2
+        narrow = tiny_spec(axis1=Axis("p", (1.0,)), axis2=None, communities=(1,), seeds=(0,),
+                           model=ModelSpec(width=4, rounds=1))
+        assert [r.status for r in run_sweep(narrow)] == ["error:TooManyNodes"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_rows_do_not_abort_mixed_sweeps(self, workers):

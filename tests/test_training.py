@@ -129,7 +129,6 @@ class TestLossAndGrads:
             momentum=0.9,
             weight_decay=5e-4,
             lr_schedule="cosine",
-            seed=0,
             precision="double",
         )
         model = init_model(gen_complete(4), 8, 2, 6, 3, seed=13)
@@ -144,7 +143,7 @@ class TestLossAndGrads:
             ref_loss, gw, gb = oracle.loss_and_grads(x, y)
             assert abs(loss - ref_loss) <= 1e-12
             lr = lr_at(config, step, total)
-            sgd_step(model, grads, config, step, state, total)
+            sgd_step(model, grads, config, lr, state)
             oracle.step(gw, gb, lr, config.momentum, config.weight_decay)
         for a, b in zip(model.weights, oracle.w):
             assert np.abs(a - b).max() <= 1e-12
@@ -170,7 +169,7 @@ class TestMatchesWholeArrayArithmetic:
             loss, grads = loss_and_grads(model, x, y)
             ref_loss, gw, gb = masked_mlp_loss_and_grads(ref, x, y)
             assert loss == ref_loss
-            sgd_step(model, grads, config, step, state, total)
+            sgd_step(model, grads, config, lr_at(config, step, total), state)
             masked_mlp_sgd_step(
                 ref, gw, gb, ref_state.vel_w, ref_state.vel_b,
                 lr_at(config, step, total), config.momentum, config.weight_decay,
@@ -207,7 +206,7 @@ class TestSgdStep:
     def test_zero_grads_zero_decay_is_identity(self):
         model, config, state = self.make()
         before = [w.copy() for w in model.weights]
-        sgd_step(model, self.zero_grads(model), config, 0, state, 10)
+        sgd_step(model, self.zero_grads(model), config, lr_at(config, 0, 10), state)
         for w, prev in zip(model.weights, before):
             assert (w == prev).all()
 
@@ -218,7 +217,7 @@ class TestSgdStep:
         grads = self.zero_grads(model)
         grads.weights[0][:] = rng.standard_normal(grads.weights[0].shape)
         before = model.weights[0].copy()
-        sgd_step(model, grads, config, 0, state, 10)
+        sgd_step(model, grads, config, lr_at(config, 0, 10), state)
         expected = before - 0.1 * (grads.weights[0] + 0.01 * before)
         assert np.abs(model.weights[0] - expected).max() <= 1e-15
 
@@ -227,8 +226,8 @@ class TestSgdStep:
         grads = self.zero_grads(model)
         grads.biases[-1][:] = 1.0
         b0 = model.biases[-1].copy()
-        sgd_step(model, grads, config, 0, state, 10)
-        sgd_step(model, grads, config, 1, state, 10)
+        sgd_step(model, grads, config, lr_at(config, 0, 10), state)
+        sgd_step(model, grads, config, lr_at(config, 1, 10), state)
         # velocities 1 then 1.9, so the parameter moves by lr * (1 + 1.9)
         assert np.abs(model.biases[-1] - (b0 - 0.1 * 2.9)).max() <= 1e-15
 
@@ -239,7 +238,7 @@ class TestSgdStep:
         grads = self.zero_grads(model)
         for g in grads.weights[1:-1]:
             g[:] = 1.0  # deliberately dense gradients
-        sgd_step(model, grads, config, 0, state, 5)
+        sgd_step(model, grads, config, lr_at(config, 0, 5), state)
         assert model.masked_entries_zero()
 
     def test_cosine_schedule_endpoints(self):
@@ -259,7 +258,7 @@ class TestSgdStep:
         state = SgdState.zeros(model)
         grads = self.zero_grads(model)
         grads.biases[0][:] = 1.0
-        sgd_step(model, grads, config, 0, state, 5)
+        sgd_step(model, grads, config, lr_at(config, 0, 5), state)
         assert (model.biases[0] == 0).all()
 
 
@@ -319,7 +318,6 @@ class TestTrain:
             batch_size=32,
             learning_rate=0.05,
             precision="double",
-            seed=11,
         )
         fields.update(kw)
         return TrainConfig(**fields)
@@ -337,7 +335,7 @@ class TestTrain:
         monkeypatch.setattr(training, "sgd_step", counting)
         ds = self.blobs()
         model = init_model(gen_complete(4), 8, 1, 12, 4, seed=0)
-        _, log = train(model, ds, ds, self.config(epochs=1, batch_size=50))
+        _, log = train(model, ds, ds, self.config(epochs=1, batch_size=50), seed=11)
         assert len(log) == 1
         assert len(calls) == math.ceil(ds.n / 50)
 
@@ -345,33 +343,33 @@ class TestTrain:
         ds = self.blobs()
         model = init_model(gen_complete(4), 8, 1, 12, 4, seed=0)
         with pytest.raises(ValueError):
-            train(model, ds, ds, self.config(epochs=0))
+            train(model, ds, ds, self.config(epochs=0), seed=11)
 
     def test_dimension_mismatch(self):
         ds = self.blobs()
         model = init_model(gen_complete(4), 8, 1, 10, 4, seed=0)
         with pytest.raises(ShapeError):
-            train(model, ds, ds, self.config())
+            train(model, ds, ds, self.config(), seed=11)
 
     def test_class_count_exceeds_out_dim(self):
         ds = self.blobs()
         model = init_model(gen_complete(4), 8, 1, 12, 3, seed=0)
         with pytest.raises(ShapeError):
-            train(model, ds, ds, self.config())
+            train(model, ds, ds, self.config(), seed=11)
 
     def test_deterministic_reruns(self):
         ds = self.blobs()
         logs = []
         for _ in range(2):
             model = init_model(gen_er(6, 0.5, 3), 12, 2, 12, 4, seed=9)
-            _, log = train(model, ds, ds, self.config())
+            _, log = train(model, ds, ds, self.config(), seed=11)
             logs.append([(e["train_loss"], e["test_top1"], e["lr"]) for e in log])
         assert logs[0] == logs[1]
 
     def test_log_fields(self):
         ds = self.blobs()
         model = init_model(gen_complete(4), 8, 1, 12, 4, seed=0)
-        result, log = train(model, ds, ds, self.config(epochs=2))
+        result, log = train(model, ds, ds, self.config(epochs=2), seed=11)
         assert isinstance(result, EvalResult)
         assert [e["epoch"] for e in log] == [0, 1]
         for entry in log:
@@ -381,7 +379,7 @@ class TestTrain:
     def test_mask_persists_through_training(self):
         ds = self.blobs()
         model = init_model(gen_er(6, 0.4, 2), 12, 2, 12, 4, seed=5)
-        train(model, ds, ds, self.config(epochs=4))
+        train(model, ds, ds, self.config(epochs=4), seed=11)
         assert model.masked_entries_zero()
 
     def test_numeric_error_carries_context(self):
@@ -392,7 +390,7 @@ class TestTrain:
         bad.features[0, 0] = np.nan
         model = init_model(gen_complete(4), 8, 1, 12, 4, seed=0)
         with pytest.raises(NumericError, match="epoch 0"):
-            train(model, bad, ds, self.config())
+            train(model, bad, ds, self.config(), seed=11)
 
     def test_full_batch_loss_non_increasing(self):
         rng = np.random.default_rng(31)
@@ -412,7 +410,7 @@ class TestTrain:
             loss, grads = loss_and_grads(model, x, y)
             losses.append(loss)
             if step < 10:
-                sgd_step(model, grads, config, step, state, 10)
+                sgd_step(model, grads, config, lr_at(config, step, 10), state)
         increases = [
             b - a for a, b in zip(losses, losses[1:]) if b > a
         ]
@@ -428,9 +426,9 @@ class TestEvalCadence:
         states, evaluations = [], []
         sgd_step, evaluate = relnet.training.sgd_step, relnet.training.evaluate
 
-        def recording_sgd_step(model, grads, config, step, state, total):
+        def recording_sgd_step(model, grads, config, lr, state):
             states.append(state)
-            return sgd_step(model, grads, config, step, state, total)
+            return sgd_step(model, grads, config, lr, state)
 
         def counting_evaluate(*args, **kwargs):
             evaluations.append(args)
@@ -439,11 +437,11 @@ class TestEvalCadence:
         monkeypatch.setattr(relnet.training, "sgd_step", recording_sgd_step)
         monkeypatch.setattr(relnet.training, "evaluate", counting_evaluate)
         config = TrainConfig(
-            epochs=4, batch_size=16, learning_rate=0.05, precision=precision, seed=2
+            epochs=4, batch_size=16, learning_rate=0.05, precision=precision
         )
         ds = synthetic_blobs(30, 4, 10, spread=1.5, seed=6, dtype=config.dtype)
         model = init_model(gen_er(6, 0.6, seed=8), 12, 2, 10, 4, seed=8, dtype=config.dtype)
-        result, log = train(model, ds, ds, config, eval_every_epoch=eval_every_epoch)
+        result, log = train(model, ds, ds, config, seed=2, eval_every_epoch=eval_every_epoch)
         return model, states[-1], result, log, len(evaluations)
 
     @pytest.mark.parametrize("precision", ["single", "double"])
@@ -476,14 +474,14 @@ class TestMemoryBound:
         # batch, the mask and the update's temporary are small next to them.
         precision = "double" if dtype == np.float64 else "single"
         config = TrainConfig(
-            epochs=2, batch_size=16, learning_rate=0.01, precision=precision, seed=3
+            epochs=2, batch_size=16, learning_rate=0.01, precision=precision
         )
         ds = synthetic_blobs(8, 4, 4096, spread=1.0, seed=0, dtype=dtype)
         model = init_model(gen_er(8, 0.5, seed=1), 256, 1, 4096, 4, seed=1, dtype=dtype)
         params = sum(a.nbytes for a in [*model.weights, *model.biases])
         tracemalloc.start()
         try:
-            train(model, ds, ds, config)
+            train(model, ds, ds, config, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -539,10 +537,10 @@ class TestPermutationEquivariance:
 
         ds = synthetic_blobs(30, 3, 5, spread=1.0, seed=2)
         config = TrainConfig(
-            epochs=3, batch_size=16, learning_rate=0.05, precision="double", seed=4
+            epochs=3, batch_size=16, learning_rate=0.05, precision="double"
         )
-        _, log_a = train(base, ds, ds, config)
-        _, log_b = train(other, ds, ds, config)
+        _, log_a = train(base, ds, ds, config, seed=4)
+        _, log_b = train(other, ds, ds, config, seed=4)
         for ea, eb in zip(log_a, log_b):
             assert abs(ea["train_loss"] - eb["train_loss"]) <= 1e-9
             assert ea["test_top1"] == eb["test_top1"]
