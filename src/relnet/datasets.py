@@ -26,6 +26,7 @@ CIFAR_FILE_BYTES = CIFAR_RECORD_BYTES * CIFAR_RECORDS_PER_FILE
 CIFAR_DIM = 3072
 CIFAR_CLASSES = 10
 STATS_FILENAME = "cifar10_stats.json"
+ChannelStats = tuple[list[float], list[float]]  # per-channel (mean, std), RGB order
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,14 @@ def decode_pixels(pixels: np.ndarray, dtype, mean=None, std=None) -> np.ndarray:
     return x
 
 
-def channel_stats(dir_path) -> tuple[list[float], list[float]]:
-    """Per-channel mean and std of the CIFAR-10 training set under dir_path,
+def channel_stats(dir_path) -> ChannelStats:
+    """Per-channel (mean, std) of the CIFAR-10 training set under dir_path,
     read from the cache next to the data when it exists. Else they are
     computed from the single-precision [0,1] values at any load precision, so
     the cache never depends on which load wrote it, and cached
     (`_cache_stats`); that decodes the whole training set once, plus a
-    float64 temporary of it."""
+    float64 temporary of it. A sweep's pool calls this once, in the sweep
+    process, and hands the result to its workers (`load_cifar10`'s `stats`)."""
     path = Path(dir_path) / STATS_FILENAME
     if path.exists():
         stats = json.loads(path.read_text())
@@ -190,9 +192,7 @@ def _cache_stats(path: Path, mean: list[float], std: list[float]) -> None:
 
 
 def load_cifar10(
-    dir_path,
-    normalize: str = "standard",
-    dtype=np.float32,
+    dir_path, dtype=np.float32, stats: ChannelStats | None = None
 ) -> tuple[Dataset, Dataset]:
     """Load the six binary batches under dir_path.
 
@@ -200,31 +200,26 @@ def load_cifar10(
     over the mapped files (`MappedPixels`): no load-time copy, and every
     process on the machine that loads the same files shares the one copy the
     page cache holds (0.18 GB in all). Rows decode to dtype features as they
-    are read (`decode_pixels`):
-    normalize="standard" scales to [0,1] then standardizes each channel with
-    the training-set statistics of `channel_stats`, computed once and cached
-    as JSON next to the data (written atomically; skipped when the directory
-    is read-only). normalize="raw": stop at the [0,1] scaling.
+    are read (`decode_pixels`): scaled to [0,1], then each channel
+    standardized with the training set's (mean, std). `stats` gives them;
+    None looks them up with `channel_stats`, which computes them once and
+    caches them as JSON next to the data (written atomically; skipped when
+    the directory is read-only).
 
     The files must not change while the datasets are in use: after one is
     rewritten in place (a copy over it, a truncation), reading a row past its
     new end kills the process with SIGBUS, and rewritten rows change under
     it. Replacing a file by a rename is safe: the mapping keeps the old file.
     """
-    if normalize not in ("standard", "raw"):
-        raise ValueError(f"unknown normalize mode {normalize!r}")
     x_train, y_train = _load_split(_train_paths(dir_path))
     x_test, y_test = _load_split([Path(dir_path) / "test_batch.bin"])
-
-    decode = partial(decode_pixels, dtype=dtype)
-    if normalize == "standard":
-        mean, std = channel_stats(dir_path)
-        decode = partial(
-            decode,
-            mean=np.asarray(mean, dtype=dtype).reshape(1, 3, 1),
-            std=np.asarray(std, dtype=dtype).reshape(1, 3, 1),
-        )
-
+    mean, std = channel_stats(dir_path) if stats is None else stats
+    decode = partial(
+        decode_pixels,
+        dtype=dtype,
+        mean=np.asarray(mean, dtype=dtype).reshape(1, 3, 1),
+        std=np.asarray(std, dtype=dtype).reshape(1, 3, 1),
+    )
     train = Dataset(x_train, y_train, CIFAR_CLASSES, decode)
     test = Dataset(x_test, y_test, CIFAR_CLASSES, decode)
     return train, test

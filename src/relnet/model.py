@@ -196,26 +196,17 @@ def init_model(
     return MlpModel(weights, biases, mask=mask, seed=int(seed), use_bias=use_bias)
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates retained for the backward pass.
-
-    Pre-activations are not kept: the ReLU derivative is `act > 0`, which
-    equals `pre > 0` for every value, NaN included.
-    """
-
-    x: np.ndarray
-    act: list[np.ndarray]  # post-ReLU activations: input layer then each round
-
-
 def forward(
     model: MlpModel, batch: np.ndarray, keep_cache: bool = True
-) -> tuple[np.ndarray, ForwardCache | None]:
-    """Run the network on a (batch, in_dim) matrix; returns (logits, cache).
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """Run the network on a (batch, in_dim) matrix; returns (logits, inputs).
 
-    The bias, and on every layer but the last the ReLU, are applied in place
-    on each matmul output. With keep_cache False (inference) the cache is
-    None and nothing is kept: each layer's input, the batch included, is
+    `inputs[layer]` is that layer's input, kept for the backward pass: the
+    batch, then each post-ReLU activation. Pre-activations are not kept: the
+    ReLU derivative is `act > 0`, which equals `pre > 0` for every value, NaN
+    included. The bias, and on every layer but the last the ReLU, are applied
+    in place on each matmul output. With keep_cache False (inference) inputs
+    is None and nothing is kept: each layer's input, the batch included, is
     released as soon as that layer's output exists, provided the caller
     holds no other reference to it.
     """
@@ -225,16 +216,16 @@ def forward(
         raise ShapeError(f"batch shape {h.shape} incompatible with in_dim {model.in_dim}")
     if not np.all(np.isfinite(h)):
         raise NumericError("non-finite values in input batch")
-    cache = ForwardCache(x=h, act=[]) if keep_cache else None
+    inputs = [h] if keep_cache else None
     last = len(model.weights) - 1
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
         h = h @ w
         h += b
         if layer < last:
             np.maximum(h, 0.0, out=h)
-            if cache is not None:
-                cache.act.append(h)
-    return h, cache
+            if inputs is not None:
+                inputs.append(h)
+    return h, inputs
 
 
 # ---------------------------------------------------------------------------

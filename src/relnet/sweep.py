@@ -25,7 +25,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .datasets import Dataset, channel_stats, load_cifar10, synthetic_blobs
+from .datasets import ChannelStats, Dataset, channel_stats, load_cifar10, synthetic_blobs
 from .errors import FitError, FormatError, RelnetError, WorkerLost
 from .generators import BASE_FAMILIES, PARAMETERS, REQUIRED, GeneratorSpec, generate_with_info
 from .graphs import Graph, GraphMetrics, compute_metrics
@@ -65,7 +65,6 @@ class BlobsSpec:
 @dataclass(frozen=True)
 class Cifar10Spec:
     dir: str
-    normalize: str = "standard"
 
 
 DATASET_KINDS = {"blobs": BlobsSpec, "cifar10": Cifar10Spec}
@@ -119,7 +118,12 @@ class SweepSpec:
         if not self.seeds:
             raise ValueError("seeds list is empty")
         self.train.validate()
-        read_dataset_spec(self.dataset)
+        dataset = read_dataset_spec(self.dataset)
+        if isinstance(dataset, BlobsSpec):
+            for name in ("n_per_class", "test_n_per_class"):
+                value = getattr(dataset, name)
+                if value < 1:
+                    raise ValueError(f"sweep spec 'dataset.{name}' must be >= 1, got {value}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
@@ -254,12 +258,15 @@ METRIC_FIELDS = [f.name for f in fields(GraphMetrics) if f.name in CSV_HEADER]
 AGG_HEADER = GROUP_FIELDS + ["n_seeds", "n_failed", "top1_mean", "top1_std"] + METRIC_FIELDS
 
 
-def build_dataset(dspec: dict | None, dtype=np.float32) -> tuple[Dataset, Dataset]:
+def build_dataset(
+    dspec: dict | None, dtype=np.float32, stats: ChannelStats | None = None
+) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) from a dataset spec dict (`read_dataset_spec`):
-    kind "blobs" (the default) or "cifar10"."""
+    kind "blobs" (the default) or "cifar10", whose channel `stats` are passed
+    to `load_cifar10`."""
     ds = read_dataset_spec(dspec)
     if isinstance(ds, Cifar10Spec):
-        return load_cifar10(ds.dir, normalize=ds.normalize, dtype=dtype)
+        return load_cifar10(ds.dir, dtype, stats=stats)
     train_ds = synthetic_blobs(ds.n_per_class, ds.classes, ds.dim, ds.spread, ds.seed, dtype=dtype)
     test_ds = synthetic_blobs(
         ds.test_n_per_class, ds.classes, ds.dim, ds.spread, child_seed(ds.seed, 1), dtype=dtype
@@ -384,8 +391,9 @@ def _openblas_function(name: str):
     return None
 
 
-def _worker_init(spec: SweepSpec, workers: int) -> None:
-    """Take the sweep-wide settings and load the worker's datasets. Unless
+def _worker_init(spec: SweepSpec, workers: int, stats: ChannelStats | None) -> None:
+    """Take the sweep-wide settings and load the worker's datasets, with the
+    CIFAR-10 channel `stats` the sweep process resolved (None for blobs). Unless
     OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, give the worker's
     OpenBLAS an equal share of the usable CPUs, so the pool's BLAS threads do
     not outnumber the cores."""
@@ -395,7 +403,7 @@ def _worker_init(spec: SweepSpec, workers: int) -> None:
         if set_threads is not None:
             set_threads(max(1, len(os.sched_getaffinity(0)) // workers))
     try:
-        _WORKER_ARGS = (spec, *build_dataset(spec.dataset, dtype=spec.train.dtype))
+        _WORKER_ARGS = (spec, *build_dataset(spec.dataset, dtype=spec.train.dtype, stats=stats))
     except Exception as exc:  # raised by every cell, so the sweep ends as at --workers 1
         _WORKER_ARGS = exc
 
@@ -415,19 +423,18 @@ def record_key(cell: SweepCell) -> tuple[str, ...]:
 def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
     """The records of `cells` in their order: computed in this process at
     `workers` <= 1, else by a pool of `workers` processes. Before the pool
-    starts, this process computes and caches the CIFAR-10 channel statistics
-    when their cache is missing (on a read-only data directory each worker
-    computes them again)."""
+    starts, this process resolves the CIFAR-10 channel statistics
+    (`channel_stats`) and hands them to every worker, so a sweep computes
+    them at most once, even on a read-only data directory."""
     if workers <= 1:
         train_ds, test_ds = build_dataset(spec.dataset, dtype=spec.train.dtype)
         for cell in cells:
             yield _execute_cell(cell, spec, train_ds, test_ds)
         return
     dataset = read_dataset_spec(spec.dataset)
-    if cells and isinstance(dataset, Cifar10Spec) and dataset.normalize == "standard":
-        channel_stats(dataset.dir)  # once here, not once per worker
+    stats = channel_stats(dataset.dir) if cells and isinstance(dataset, Cifar10Spec) else None
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(spec, workers)
+        max_workers=workers, initializer=_worker_init, initargs=(spec, workers, stats)
     ) as pool:
         yield from pool.map(_worker_run, cells)
 

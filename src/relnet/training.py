@@ -87,7 +87,7 @@ def loss_and_grads(model: MlpModel, batch_x, batch_y) -> tuple[float, Grads]:
     y = np.asarray(batch_y)
     if y.size and (y.min() < 0 or y.max() >= model.out_dim):
         raise ShapeError(f"labels must lie in [0, {model.out_dim})")
-    logits, cache = forward(model, batch_x)
+    logits, inputs = forward(model, batch_x)
     losses, probs = _softmax_stats(logits, y)
     loss = float(losses.mean())
     if not math.isfinite(loss):
@@ -98,7 +98,6 @@ def loss_and_grads(model: MlpModel, batch_x, batch_y) -> tuple[float, Grads]:
     da[np.arange(batch), y] -= 1.0
     da /= batch
 
-    inputs = [cache.x, *cache.act]  # each layer's input
     last = len(model.weights) - 1
     grads = Grads(weights=[None] * (last + 1), biases=[None] * (last + 1))
     for layer in range(last, -1, -1):

@@ -239,8 +239,9 @@ class DenseMlp:
 # pre-activations and boolean-index masking.
 
 
-def cifar10_arrays(root, normalize, dtype, stats=None):
-    """(x_train, y_train, x_test, y_test, stats) for a CIFAR-10 directory.
+def cifar10_arrays(root, dtype, stats=None):
+    """(x_train, y_train, x_test, y_test, stats) for a CIFAR-10 directory,
+    standardized per channel.
 
     stats is {"mean": [...], "std": [...]}; when None it is computed from
     the training set's single-precision [0,1] values at any dtype. The
@@ -258,17 +259,16 @@ def cifar10_arrays(root, normalize, dtype, stats=None):
     x_train = train_pixels.astype(dtype) / 255.0
     x_test = test_pixels.astype(dtype) / 255.0
     y_train = np.concatenate([labels for _, labels in train])
-    if normalize == "standard":
-        if stats is None:
-            planes = (train_pixels.astype(np.float32) / 255.0).reshape(-1, 3, 1024)
-            stats = {
-                "mean": planes.mean(axis=(0, 2), dtype=np.float64).tolist(),
-                "std": planes.std(axis=(0, 2), dtype=np.float64).tolist(),
-            }
-        mean_a = np.asarray(stats["mean"], dtype=dtype).reshape(1, 3, 1)
-        std_a = np.asarray(stats["std"], dtype=dtype).reshape(1, 3, 1)
-        x_train = ((x_train.reshape(-1, 3, 1024) - mean_a) / std_a).reshape(-1, 3072)
-        x_test = ((x_test.reshape(-1, 3, 1024) - mean_a) / std_a).reshape(-1, 3072)
+    if stats is None:
+        planes = (train_pixels.astype(np.float32) / 255.0).reshape(-1, 3, 1024)
+        stats = {
+            "mean": planes.mean(axis=(0, 2), dtype=np.float64).tolist(),
+            "std": planes.std(axis=(0, 2), dtype=np.float64).tolist(),
+        }
+    mean_a = np.asarray(stats["mean"], dtype=dtype).reshape(1, 3, 1)
+    std_a = np.asarray(stats["std"], dtype=dtype).reshape(1, 3, 1)
+    x_train = ((x_train.reshape(-1, 3, 1024) - mean_a) / std_a).reshape(-1, 3072)
+    x_test = ((x_test.reshape(-1, 3, 1024) - mean_a) / std_a).reshape(-1, 3072)
     return x_train, y_train, x_test, y_test, stats
 
 

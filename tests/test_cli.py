@@ -571,6 +571,11 @@ class TestSweepReport:
             ({"n": 1}, "n"),
             ({"model": {"width": 16, "rounds": 0}}, "model.rounds"),
             ({"model": {"width": 0, "rounds": 1}}, "model.width"),
+            ({"dataset": {"kind": "cifar10", "dir": "d", "normalize": "standard"}},
+             "normalize"),
+            ({"dataset": {**SWEEP_SPEC["dataset"], "n_per_class": 0}}, "dataset.n_per_class"),
+            ({"dataset": {**SWEEP_SPEC["dataset"], "test_n_per_class": 0}},
+             "dataset.test_n_per_class"),
         ],
         ids=["no-family", "unknown-train-key", "model-not-object",
              "axis-values-not-list", "cifar10-without-dir", "unknown-top-level-key",
@@ -582,7 +587,7 @@ class TestSweepReport:
              "integer-dataset-dir", "zero-community", "nan-axis-value",
              "infinite-fixed-value", "axis-not-taken", "fixed-not-taken",
              "required-not-set", "second-required-not-set", "one-node", "zero-rounds",
-             "zero-width"],
+             "zero-width", "cifar10-normalize", "zero-train-split", "zero-test-split"],
     )
     def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
         spec_dict = {**SWEEP_SPEC, **change}
@@ -645,7 +650,7 @@ class TestSweepReport:
         )
         assert (code, stdout) == (2, "")
         (line,) = err.splitlines()
-        assert line.startswith("error: ") and "n_per_class must be >= 1" in line
+        assert line == "error: sweep spec 'dataset.test_n_per_class' must be >= 1, got 0"
         assert out.read_bytes() == before
 
     def test_fresh_sweep_replaces_out(self, capsys, tmp_path):

@@ -3,6 +3,7 @@ import math
 import mmap
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from relnet.datasets import (
     STATS_FILENAME,
     Dataset,
     batch_iter,
+    decode_pixels,
     load_cifar10,
     synthetic_blobs,
 )
@@ -28,6 +30,9 @@ from relnet.sweep import Axis, ModelSpec, SweepSpec, run_sweep
 from relnet.training import TrainConfig, evaluate, train
 
 FILES = [f"data_batch_{b}.bin" for b in range(1, 6)] + ["test_batch.bin"]
+# Channel statistics that leave the [0,1] values as they are: a load given
+# them computes and caches none.
+IDENTITY_STATS = ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
 
 
 def _synthetic_file(path: Path, seed: int, records: int = CIFAR_RECORDS_PER_FILE) -> None:
@@ -70,7 +75,7 @@ def _train_stats_oracle(root: Path):
 
 class TestLoadCifar10:
     def test_shapes_and_label_ranges(self, cifar_dir):
-        train, test = load_cifar10(cifar_dir, normalize="raw")
+        train, test = load_cifar10(cifar_dir, stats=IDENTITY_STATS)
         assert train.features.shape == (50000, CIFAR_DIM)
         assert test.features.shape == (10000, CIFAR_DIM)
         assert train.labels.shape == (50000,)
@@ -78,8 +83,8 @@ class TestLoadCifar10:
         assert train.labels.min() >= 0 and train.labels.max() <= 9
 
     def test_raw_mode_range_and_values(self, cifar_dir):
-        train, _ = load_cifar10(cifar_dir, normalize="raw")
-        features = train.rows(slice(None))
+        train, _ = load_cifar10(cifar_dir, stats=IDENTITY_STATS)
+        features = decode_pixels(train.features[:], np.float32)
         assert features.min() >= 0.0
         assert features.max() <= 1.0
         # rows 0..199 come from the first training file, in record order
@@ -87,7 +92,7 @@ class TestLoadCifar10:
         assert np.abs(features[:200] - raw).max() <= 1e-6
 
     def test_standard_mode_statistics(self, cifar_dir):
-        train, _ = load_cifar10(cifar_dir, normalize="standard")
+        train, _ = load_cifar10(cifar_dir)
         planes = train.rows(slice(None)).reshape(-1, 3, 1024)
         mean = planes.mean(axis=(0, 2), dtype=np.float64)
         std = planes.std(axis=(0, 2), dtype=np.float64)
@@ -95,7 +100,7 @@ class TestLoadCifar10:
         assert np.abs(std - 1.0).max() <= 1e-4
 
     def test_stats_cached_as_json(self, cifar_dir):
-        load_cifar10(cifar_dir, normalize="standard")
+        load_cifar10(cifar_dir)
         stats = json.loads((cifar_dir / STATS_FILENAME).read_text())
         expect_mean, expect_std = _train_stats_oracle(cifar_dir)
         # loader features are float32, so its stats differ from the float64
@@ -110,14 +115,14 @@ class TestLoadCifar10:
             os.link(cifar_dir / name, root / name)
         fake = {"mean": [0.5, 0.5, 0.5], "std": [2.0, 2.0, 2.0]}
         (root / STATS_FILENAME).write_text(json.dumps(fake))
-        train, _ = load_cifar10(root, normalize="standard")
+        train, _ = load_cifar10(root)
         raw = _file_pixels01(root / "data_batch_1.bin", rows=200)
         expected = (raw.reshape(-1, 3, 1024) - 0.5) / 2.0
         features = train.rows(slice(None))
         assert np.abs(features[:200] - expected.reshape(-1, CIFAR_DIM)).max() <= 1e-6
 
     def test_test_set_uses_train_statistics(self, cifar_dir):
-        _, test = load_cifar10(cifar_dir, normalize="standard")
+        _, test = load_cifar10(cifar_dir)
         stats = json.loads((cifar_dir / STATS_FILENAME).read_text())
         raw01 = _file_pixels01(cifar_dir / "test_batch.bin", rows=200)
         planes = raw01.reshape(-1, 3, 1024)
@@ -136,7 +141,7 @@ class TestLoadCifar10:
         data = (cifar_dir / "data_batch_3.bin").read_bytes()[:-7]
         (root / "data_batch_3.bin").write_bytes(data)
         with pytest.raises(FormatError) as err:
-            load_cifar10(root, normalize="raw")
+            load_cifar10(root, stats=IDENTITY_STATS)
         msg = str(err.value)
         assert "data_batch_3.bin" in msg
         assert str(CIFAR_FILE_BYTES) in msg
@@ -149,23 +154,19 @@ class TestLoadCifar10:
         data[5 * CIFAR_RECORD_BYTES] = 10
         (root / "data_batch_1.bin").write_bytes(bytes(data))
         with pytest.raises(FormatError, match="label byte 10 exceeds 9"):
-            load_cifar10(root, normalize="raw")
-
-    def test_unknown_normalize_mode(self, cifar_dir):
-        with pytest.raises(ValueError, match="unknown normalize mode"):
-            load_cifar10(cifar_dir, normalize="whiten")
+            load_cifar10(root, stats=IDENTITY_STATS)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_cifar10(tmp_path, normalize="raw")
+            load_cifar10(tmp_path, stats=IDENTITY_STATS)
 
     @pytest.mark.skipif(
         "RELNET_CIFAR10_DIR" not in os.environ,
         reason="real CIFAR-10 directory not configured",
     )
     def test_real_channel_means(self):
-        train, _ = load_cifar10(os.environ["RELNET_CIFAR10_DIR"], normalize="raw")
-        planes = train.rows(slice(None)).reshape(-1, 3, 1024)
+        train, _ = load_cifar10(os.environ["RELNET_CIFAR10_DIR"], stats=IDENTITY_STATS)
+        planes = decode_pixels(train.features[:], np.float32).reshape(-1, 3, 1024)
         mean = planes.mean(axis=(0, 2), dtype=np.float64)
         # published per-channel means of the CIFAR-10 training set
         assert np.abs(mean - [0.4914, 0.4822, 0.4465]).max() < 5e-3
@@ -188,6 +189,12 @@ def small_cifar_dir(tmp_path, monkeypatch) -> Path:
     return tmp_path
 
 
+# Both precisions of the standardized decode.
+STANDARD_DTYPES = pytest.mark.parametrize(
+    "dtype", [np.float32, np.float64], ids=["standard-float32", "standard-float64"]
+)
+
+
 def _assert_same_bytes(train, test, expected):
     x_train, y_train, x_test, y_test, _ = expected
     for got, want in [
@@ -200,27 +207,37 @@ def _assert_same_bytes(train, test, expected):
         assert got.tobytes() == want.tobytes()
 
 
-class TestLoaderMatchesWholeArrayArithmetic:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("normalize", ["standard", "raw"])
-    def test_fresh_stats(self, small_cifar_dir, normalize, dtype):
-        expected = cifar10_arrays(small_cifar_dir, normalize, dtype)
-        train, test = load_cifar10(small_cifar_dir, normalize=normalize, dtype=dtype)
-        _assert_same_bytes(train, test, expected)
-        stats_path = small_cifar_dir / STATS_FILENAME
-        if normalize == "standard":
-            assert json.loads(stats_path.read_text()) == expected[4]
-        else:
-            assert not stats_path.exists()
+def _cifar10_sweep(root) -> SweepSpec:
+    """A two-seed sweep of one small cell on the CIFAR-10 files under root."""
+    return SweepSpec(
+        family="er", n=8, axis1=Axis("p", (0.5,)), communities=(1,), seeds=(0, 1),
+        model=ModelSpec(width=8, rounds=1), train=TrainConfig(epochs=1, batch_size=64),
+        dataset={"kind": "cifar10", "dir": str(root)},
+    )
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("normalize", ["standard", "raw"])
-    def test_cached_stats(self, small_cifar_dir, normalize, dtype):
+
+class TestLoaderMatchesWholeArrayArithmetic:
+    @STANDARD_DTYPES
+    def test_fresh_stats(self, small_cifar_dir, dtype):
+        expected = cifar10_arrays(small_cifar_dir, dtype)
+        train, test = load_cifar10(small_cifar_dir, dtype=dtype)
+        _assert_same_bytes(train, test, expected)
+        assert json.loads((small_cifar_dir / STATS_FILENAME).read_text()) == expected[4]
+
+    @STANDARD_DTYPES
+    def test_cached_stats(self, small_cifar_dir, dtype):
         stats = {"mean": [0.41, 0.52, 0.47], "std": [0.23, 0.29, 0.31]}
         (small_cifar_dir / STATS_FILENAME).write_text(json.dumps(stats))
-        expected = cifar10_arrays(small_cifar_dir, normalize, dtype, stats)
-        train, test = load_cifar10(small_cifar_dir, normalize=normalize, dtype=dtype)
+        expected = cifar10_arrays(small_cifar_dir, dtype, stats)
+        train, test = load_cifar10(small_cifar_dir, dtype=dtype)
         _assert_same_bytes(train, test, expected)
+
+    def test_given_stats_are_used_and_not_cached(self, small_cifar_dir):
+        stats = {"mean": [0.41, 0.52, 0.47], "std": [0.23, 0.29, 0.31]}
+        expected = cifar10_arrays(small_cifar_dir, np.float32, stats)
+        train, test = load_cifar10(small_cifar_dir, stats=(stats["mean"], stats["std"]))
+        _assert_same_bytes(train, test, expected)
+        assert sorted(p.name for p in small_cifar_dir.iterdir()) == sorted(FILES)
 
     @pytest.mark.parametrize(
         "target, name", [(Path, "write_text"), (os, "replace")]
@@ -229,9 +246,9 @@ class TestLoaderMatchesWholeArrayArithmetic:
         def refuse(*args, **kwargs):
             raise PermissionError("read-only data directory")
 
-        expected = cifar10_arrays(small_cifar_dir, "standard", np.float32)
+        expected = cifar10_arrays(small_cifar_dir, np.float32)
         monkeypatch.setattr(target, name, refuse)
-        train, test = load_cifar10(small_cifar_dir, normalize="standard")
+        train, test = load_cifar10(small_cifar_dir)
         _assert_same_bytes(train, test, expected)
         assert sorted(p.name for p in small_cifar_dir.iterdir()) == sorted(FILES)
 
@@ -249,9 +266,9 @@ class TestLoaderMatchesWholeArrayArithmetic:
     def test_pool_sweep_computes_stats_once(
         self, small_cifar_dir, monkeypatch, tmp_path_factory
     ):
-        """A 2-worker sweep computes the statistics before its pool starts,
-        so the workers read them from the cache. The workers are forked, so
-        the counting wrapper runs in them too; each call appends a line."""
+        """A 2-worker sweep computes and caches the statistics once, in the
+        sweep process, before its pool starts. The workers are forked, so the
+        counting wrapper runs in them too; each call appends a line."""
         calls = tmp_path_factory.mktemp("calls") / "cache_stats"
         cache_stats = relnet.datasets._cache_stats
 
@@ -261,35 +278,59 @@ class TestLoaderMatchesWholeArrayArithmetic:
             cache_stats(*args)
 
         monkeypatch.setattr(relnet.datasets, "_cache_stats", counted)
-        spec = SweepSpec(
-            family="er", n=8, axis1=Axis("p", (0.5,)), communities=(1,), seeds=(0, 1),
-            model=ModelSpec(width=8, rounds=1), train=TrainConfig(epochs=1, batch_size=64),
-            dataset={"kind": "cifar10", "dir": str(small_cifar_dir)},
-        )
+        spec = _cifar10_sweep(small_cifar_dir)
         records = run_sweep(spec, workers=2)
         assert [r.status for r in records] == ["ok", "ok"]
         assert calls.read_text().splitlines() == [str(os.getpid())]
 
+    def test_pool_sweep_on_read_only_dir_computes_stats_once(
+        self, small_cifar_dir, monkeypatch, tmp_path_factory
+    ):
+        """With no statistics cache to share, a 2-worker sweep still decodes
+        the training set for its statistics once, in the sweep process, and
+        its rows equal those of a 1-worker sweep. The workers are forked, so
+        the counting wrapper runs in them too; each statistics decode (a
+        decode without mean and std) appends its pid to a file."""
+        calls = tmp_path_factory.mktemp("calls") / "stats_decodes"
+        decode = relnet.datasets.decode_pixels
 
-def _oracle_datasets(root, normalize, dtype):
+        def counted(pixels, dtype, mean=None, std=None):
+            if mean is None:
+                with open(calls, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+            return decode(pixels, dtype, mean, std)
+
+        monkeypatch.setattr(relnet.datasets, "decode_pixels", counted)
+        monkeypatch.setattr(relnet.datasets, "_cache_stats", lambda *args: None)
+        spec = _cifar10_sweep(small_cifar_dir)
+        pooled = run_sweep(spec, workers=2)
+        assert calls.read_text().splitlines() == [str(os.getpid())]
+        assert not (small_cifar_dir / STATS_FILENAME).exists()
+        serial = run_sweep(spec, workers=1)
+        assert [r.status for r in pooled] == ["ok", "ok"]
+        assert [replace(r, wall_ms=0.0) for r in pooled] == [
+            replace(r, wall_ms=0.0) for r in serial
+        ]
+
+
+def _oracle_datasets(root, dtype):
     """Plain (train, test) Datasets holding the whole-array oracle's values."""
-    x_train, y_train, x_test, y_test, _ = cifar10_arrays(root, normalize, dtype)
+    x_train, y_train, x_test, y_test, _ = cifar10_arrays(root, dtype)
     return Dataset(x_train, y_train, 10), Dataset(x_test, y_test, 10)
 
 
 class TestCodedDataset:
     def test_full_size_split_stored_as_bytes(self, cifar_dir):
-        train, test = load_cifar10(cifar_dir, normalize="raw")
+        train, test = load_cifar10(cifar_dir, stats=IDENTITY_STATS)
         assert train.features.dtype == np.uint8
         assert train.features.nbytes == 50000 * CIFAR_DIM
         assert test.features.dtype == np.uint8
         assert test.features.nbytes == 10000 * CIFAR_DIM
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("normalize", ["standard", "raw"])
-    def test_batches_match_oracle_rows(self, small_cifar_dir, normalize, dtype):
-        train, _ = load_cifar10(small_cifar_dir, normalize=normalize, dtype=dtype)
-        oracle, _ = _oracle_datasets(small_cifar_dir, normalize, dtype)
+    @STANDARD_DTYPES
+    def test_batches_match_oracle_rows(self, small_cifar_dir, dtype):
+        train, _ = load_cifar10(small_cifar_dir, dtype=dtype)
+        oracle, _ = _oracle_datasets(small_cifar_dir, dtype)
         got = list(batch_iter(train, 48, seed=3, epoch=1))
         want = list(batch_iter(oracle, 48, seed=3, epoch=1))
         assert len(got) == len(want) == 7
@@ -304,7 +345,7 @@ class TestCodedDataset:
             epochs=2, batch_size=48, learning_rate=0.05, precision=precision
         )
         coded = load_cifar10(small_cifar_dir, dtype=config.dtype)
-        plain = _oracle_datasets(small_cifar_dir, "standard", config.dtype)
+        plain = _oracle_datasets(small_cifar_dir, config.dtype)
         runs = []
         for train_set, test_set in (coded, plain):
             model = init_model(
@@ -342,7 +383,7 @@ def _anonymous_kb() -> int:
 class TestMappedPixels:
     @pytest.fixture(scope="class")
     def mapped(self, cifar_dir):
-        train, test = load_cifar10(cifar_dir, normalize="raw")
+        train, test = load_cifar10(cifar_dir, stats=IDENTITY_STATS)
         return train.features, _split_pixels(cifar_dir, FILES[:5])
 
     def assert_rows(self, got, want):
@@ -417,7 +458,7 @@ class TestMappedPixels:
     )
     def test_load_copies_no_pixels(self, cifar_dir):
         before = _anonymous_kb()
-        splits = load_cifar10(cifar_dir, normalize="raw")
+        splits = load_cifar10(cifar_dir, stats=IDENTITY_STATS)
         grown = _anonymous_kb() - before
         copy_kb = sum(ds.features.nbytes for ds in splits) // 1024  # 184 MB
         assert grown < copy_kb // 10, f"{grown} kB anonymous memory after the load"
@@ -438,7 +479,7 @@ class TestMappedPixels:
 
         monkeypatch.setattr(mmap, "mmap", recording_mmap)
         with pytest.raises(FormatError, match="data_batch_3.bin: expected"):
-            load_cifar10(tmp_path, normalize="raw")
+            load_cifar10(tmp_path, stats=IDENTITY_STATS)
         assert mapped_sizes == [CIFAR_FILE_BYTES, CIFAR_FILE_BYTES]
 
 

@@ -193,8 +193,8 @@ class TestForward:
 
     def test_cache_layer_count(self):
         model = init_model(ALMOST_K4, 8, 3, 6, 2, seed=0)
-        _, cache = forward(model, np.zeros((1, 6)))
-        assert len(cache.act) == 4
+        _, inputs = forward(model, np.zeros((1, 6)))
+        assert len(inputs) == 5
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_cache_same_logits(self, dtype):
@@ -202,9 +202,9 @@ class TestForward:
         for b in model.biases:
             b += np.linspace(-0.1, 0.1, b.size, dtype=dtype)
         x = np.random.default_rng(1).standard_normal((9, 6))
-        logits, cache = forward(model, x)
+        logits, inputs = forward(model, x)
         bare, none = forward(model, x, keep_cache=False)
-        assert none is None and cache is not None
+        assert none is None and inputs is not None
         assert bare.dtype == logits.dtype == dtype
         assert bare.tobytes() == logits.tobytes()
 

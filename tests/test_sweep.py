@@ -374,7 +374,7 @@ class TestPoolBlasThreads:
         with ProcessPoolExecutor(
             max_workers=2,
             initializer=relnet.sweep._worker_init,
-            initargs=(tiny_spec(), 2),
+            initargs=(tiny_spec(), 2, None),
         ) as pool:
             counts = list(pool.map(_blas_threads_once_both_arrive, [str(tmp_path)] * 2))
         assert len(os.listdir(tmp_path)) == 2  # two workers answered
