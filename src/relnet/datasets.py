@@ -8,6 +8,7 @@ then 1024 red, 1024 green, 1024 blue bytes, row-major).
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 from dataclasses import dataclass
@@ -165,17 +166,38 @@ def channel_stats(dir_path) -> ChannelStats:
     the cache never depends on which load wrote it, and cached
     (`_cache_stats`); that decodes the whole training set once, plus a
     float64 temporary of it. A sweep's pool calls this once, in the sweep
-    process, and hands the result to its workers (`load_cifar10`'s `stats`)."""
+    process, and hands the result to its workers (`load_cifar10`'s `stats`).
+    A cache that is not a JSON object whose "mean" and "std" are each three
+    finite numbers, every std > 0, raises FormatError."""
     path = Path(dir_path) / STATS_FILENAME
     if path.exists():
-        stats = json.loads(path.read_text())
-        return stats["mean"], stats["std"]
+        return _read_stats(path)
     x_train, _ = _load_split(_train_paths(dir_path))
     # Channels are the three contiguous 1024-byte planes of each record.
     planes = decode_pixels(x_train[:], np.float32).reshape(-1, 3, 1024)
     mean = planes.mean(axis=(0, 2), dtype=np.float64).tolist()
     std = planes.std(axis=(0, 2), dtype=np.float64).tolist()
     _cache_stats(path, mean, std)
+    return mean, std
+
+
+def _three_finite(values) -> bool:
+    return isinstance(values, list) and len(values) == 3 and all(
+        type(v) in (int, float) and math.isfinite(v) for v in values
+    )
+
+
+def _read_stats(path: Path) -> ChannelStats:
+    try:
+        stats = json.loads(path.read_text())
+        mean, std = stats["mean"], stats["std"]
+    except (ValueError, TypeError, KeyError):  # not JSON text, not an object, a key missing
+        mean = std = None
+    if not (_three_finite(mean) and _three_finite(std) and min(std) > 0):
+        raise FormatError(
+            f"{path}: not CIFAR-10 channel statistics (three finite \"mean\" and "
+            f"three positive \"std\" values); delete it to have them recomputed"
+        )
     return mean, std
 
 

@@ -10,9 +10,9 @@ only when (i, j) is an edge or i == j (self-connections are always present).
 A dense input projection feeds the first round and a dense output projection
 reads the last one, so only the hidden rounds carry graph structure.
 
-Masked entries are exactly zero at initialization and stay exactly zero
-through training: gradients are masked and the mask is re-applied after
-every optimizer step.
+Masked entries are set to +0.0 once, by `MlpModel.apply_mask` at
+initialization, and stay +0.0 through training because their gradients are
+masked (see `relnet.training`).
 """
 
 from __future__ import annotations
@@ -143,15 +143,13 @@ class MlpModel:
         return all(not np.any(w[off]) for w in self.round_w)
 
     def apply_mask(self) -> None:
-        """Zero the masked round-weight entries by multiplying with
-        `mask_values`; unmasked entries are unchanged bit for bit.
-
-        Under masked gradients the masked entries stay +0.0. A -0.0 can
-        appear only after an update with dense gradients moved a masked
-        entry below zero; it still compares equal to 0.
+        """Set the masked round-weight entries to +0.0 by assignment;
+        unmasked entries are unchanged bit for bit. `init_model` calls this
+        once; training keeps the entries +0.0 through masked gradients.
         """
+        off = ~self.mask.matrix
         for w in self.round_w:
-            w *= self.mask_values
+            w[off] = 0.0
 
 
 def init_model(
@@ -171,7 +169,8 @@ def init_model(
     variance comparable across sparsity levels. Biases start at zero. The
     draw order (input, rounds in order, output) is fixed, and the full
     width x width matrix is drawn before masking, so models that differ only
-    in mask share the underlying draws for a given seed.
+    in mask share the underlying draws for a given seed. The masked entries
+    are then set to +0.0 by one `apply_mask` call.
     """
     if rounds < 1:
         raise ShapeError(f"rounds must be >= 1, got {rounds}")
@@ -186,14 +185,13 @@ def init_model(
     weights = []
     biases = []
     for layer, (rows, cols) in enumerate(shapes):
-        masked = 0 < layer <= rounds
-        limit = limit_round if masked else np.sqrt(6.0 / (rows + cols))
+        limit = limit_round if 0 < layer <= rounds else np.sqrt(6.0 / (rows + cols))
         w = gen.uniform(-1.0, 1.0, size=(rows, cols)) * limit
-        if masked:
-            w[~mask.matrix] = 0.0
         weights.append(w.astype(dtype))
         biases.append(np.zeros(cols, dtype=dtype))
-    return MlpModel(weights, biases, mask=mask, seed=int(seed), use_bias=use_bias)
+    model = MlpModel(weights, biases, mask=mask, seed=int(seed), use_bias=use_bias)
+    model.apply_mask()
+    return model
 
 
 def forward(

@@ -422,11 +422,11 @@ def record_key(cell: SweepCell) -> tuple[str, ...]:
 
 def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
     """The records of `cells` in their order: computed in this process at
-    `workers` <= 1, else by a pool of `workers` processes. Before the pool
+    `workers` == 1, else by a pool of `workers` processes. Before the pool
     starts, this process resolves the CIFAR-10 channel statistics
     (`channel_stats`) and hands them to every worker, so a sweep computes
     them at most once, even on a read-only data directory."""
-    if workers <= 1:
+    if workers == 1:
         train_ds, test_ds = build_dataset(spec.dataset, dtype=spec.train.dtype)
         for cell in cells:
             yield _execute_cell(cell, spec, train_ds, test_ds)
@@ -452,8 +452,10 @@ def run_sweep(
     `progress`, when given, is called with each finished record. A pool
     worker that dies (killed by a signal, say) raises WorkerLost naming the
     first cell not delivered; every record delivered before it has been
-    passed to `progress`.
+    passed to `progress`. `workers` below 1 raises ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     spec.validate()
     cells = [cell for cell in sweep_cells(spec) if record_key(cell) not in (skip_keys or ())]
     records: list[ExperimentRecord] = []

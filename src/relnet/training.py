@@ -1,9 +1,9 @@
 """Deterministic minibatch SGD training and top-1 evaluation.
 
 Backpropagation is exact (verified against finite differences in the test
-suite); gradients of the masked round weights are zeroed on the masked
-entries and the mask is re-applied after every update, so structurally
-absent connections stay at exactly zero through any training run.
+suite). Gradients of the masked round weights are zeroed on the masked
+entries, so structurally absent connections, +0.0 from initialization, stay
++0.0 through any training run, and so do their momentum buffers.
 """
 
 from __future__ import annotations
@@ -142,8 +142,9 @@ def sgd_step(
     step's `lr_at`).
 
     v <- momentum*v + grad + weight_decay*w for weights (decay skips
-    biases), then w <- w - lr*v; the round-weight mask is re-applied
-    afterwards.
+    biases), then w <- w - lr*v. Nothing is re-masked: a masked entry with
+    w and v at +0.0 and a zero gradient of either sign (as `loss_and_grads`
+    returns) gets v = +0.0, then w = +0.0 - lr*(+0.0) = +0.0.
 
     Each weight is walked in row blocks of at most SGD_CHUNK elements with
     one preallocated temporary, so a block of w, v, grad and the temporary
@@ -171,7 +172,6 @@ def sgd_step(
             v *= config.momentum
             v += g
             b -= lr * v
-    model.apply_mask()
 
 
 def evaluate(model: MlpModel, dataset: Dataset, batch_size: int = 1000) -> EvalResult:

@@ -653,6 +653,18 @@ class TestSweepReport:
         assert line == "error: sweep spec 'dataset.test_n_per_class' must be >= 1, got 0"
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_2_and_leaves_out_unchanged(self, capsys, tmp_path, workers):
+        out = tmp_path / "o.csv"
+        out.write_text("earlier,output\n")
+        code, stdout, err = run(
+            capsys, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out),
+            "--workers", workers,
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: workers must be >= 1, got {workers}"]
+        assert out.read_text() == "earlier,output\n"
+
     def test_fresh_sweep_replaces_out(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
         out.write_text("not,a,records,csv\n")

@@ -23,6 +23,7 @@ from relnet.datasets import (
     load_cifar10,
     synthetic_blobs,
 )
+from relnet.cli import main
 from relnet.errors import FormatError
 from relnet.generators import gen_er
 from relnet.model import init_model
@@ -311,6 +312,76 @@ class TestLoaderMatchesWholeArrayArithmetic:
         assert [replace(r, wall_ms=0.0) for r in pooled] == [
             replace(r, wall_ms=0.0) for r in serial
         ]
+
+
+# Statistics caches that are not three finite means and three positive stds.
+BAD_STATS = {
+    "no-std": '{"mean": [0.4, 0.5, 0.5]}',
+    "zero-std": '{"mean": [0.4, 0.5, 0.5], "std": [0.2, 0.0, 0.3]}',
+    "negative-std": '{"mean": [0.4, 0.5, 0.5], "std": [0.2, -0.2, 0.3]}',
+    "nan-mean": '{"mean": [NaN, 0.5, 0.5], "std": [0.2, 0.2, 0.3]}',
+    "infinite-std": '{"mean": [0.4, 0.5, 0.5], "std": [0.2, Infinity, 0.3]}',
+    "two-channels": '{"mean": [0.4, 0.5], "std": [0.2, 0.3]}',
+    "string-values": '{"mean": ["0.4", "0.5", "0.5"], "std": [0.2, 0.2, 0.3]}',
+    "boolean-std": '{"mean": [0.4, 0.5, 0.5], "std": [true, true, true]}',
+    "string-mean": '{"mean": "abc", "std": [0.2, 0.2, 0.3]}',
+    "not-an-object": "[[0.4, 0.5, 0.5], [0.2, 0.2, 0.3]]",
+    "truncated": '{"mean": [0.4, 0.5, 0.5], "std": [0.2,',
+    "empty": "",
+}
+
+
+class TestMalformedStatsCache:
+    @pytest.mark.parametrize("text", BAD_STATS.values(), ids=BAD_STATS.keys())
+    def test_raises_format_error_naming_the_file(self, tmp_path, text):
+        path = tmp_path / STATS_FILENAME
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            relnet.datasets.channel_stats(tmp_path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert "delete it" in str(info.value)
+
+    def test_integer_values_are_numbers(self, tmp_path):
+        (tmp_path / STATS_FILENAME).write_text('{"mean": [0, 0, 1], "std": [1, 2, 1]}')
+        assert relnet.datasets.channel_stats(tmp_path) == ([0, 0, 1], [1, 2, 1])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("text", [BAD_STATS["no-std"], BAD_STATS["zero-std"]],
+                             ids=["no-std", "zero-std"])
+    def test_sweep_exits_2_and_leaves_out_unchanged(
+        self, small_cifar_dir, capfd, tmp_path_factory, workers, text
+    ):
+        path = small_cifar_dir / STATS_FILENAME
+        path.write_text(text)
+        spec_dir = tmp_path_factory.mktemp("spec")
+        spec = spec_dir / "spec.json"
+        spec.write_text(json.dumps({
+            "family": "er", "n": 8, "axis1": {"name": "p", "values": [0.5]},
+            "communities": [1], "seeds": [0, 1], "model": {"width": 8, "rounds": 1},
+            "train": {"epochs": 1, "batch_size": 64},
+            "dataset": {"kind": "cifar10", "dir": str(small_cifar_dir)},
+        }))
+        out = spec_dir / "o.csv"
+        out.write_text("earlier,output\n")
+        code = main(["sweep", "--spec", str(spec), "--out", str(out), "--workers", workers])
+        captured = capfd.readouterr()
+        assert (code, captured.out) == (2, "")
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {path}: ") and "delete it" in line
+        assert out.read_text() == "earlier,output\n"
+        assert path.read_text() == text
+
+    def test_train_exits_2_naming_the_file(self, small_cifar_dir, capfd):
+        path = small_cifar_dir / STATS_FILENAME
+        path.write_text(BAD_STATS["no-std"])
+        code = main([
+            "train", "--family", "complete", "--n", "4", "--width", "8", "--rounds", "1",
+            "--epochs", "1", "--dataset", "cifar10", "--data-dir", str(small_cifar_dir),
+        ])
+        captured = capfd.readouterr()
+        assert (code, captured.out) == (2, "")
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {path}: ") and "delete it" in line
 
 
 def _oracle_datasets(root, dtype):

@@ -12,7 +12,7 @@ from relnet.datasets import Dataset, decode_pixels, synthetic_blobs
 from relnet.errors import NumericError, ShapeError
 from relnet.generators import gen_complete, gen_er
 from relnet.graphs import from_edge_pairs
-from relnet.model import forward, init_model
+from relnet.model import MlpModel, forward, init_model
 from relnet.training import (
     EvalResult,
     SgdState,
@@ -158,6 +158,9 @@ class TestMatchesWholeArrayArithmetic:
         g = gen_complete(16) if graph == "complete" else gen_er(16, 0.3, seed=4)
         config = TrainConfig(learning_rate=0.05, precision=precision)
         model = init_model(g, 128, 3, 600, 10, seed=7, dtype=config.dtype)
+        off = ~model.mask.matrix
+        for w in model.round_w:
+            assert not np.signbit(w[off]).any()
         ref = copy.deepcopy(model)
         state = SgdState.zeros(model)
         ref_state = SgdState.zeros(ref)
@@ -178,9 +181,8 @@ class TestMatchesWholeArrayArithmetic:
         want = [*ref.weights, *ref.biases, *ref_state.vel_w, *ref_state.vel_b]
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        off = ~model.mask.matrix
         assert off.any() == (graph == "sparse")
-        for w in model.round_w:
+        for w in [*model.round_w, *state.vel_w[1:-1]]:
             assert (w[off] == 0).all() and not np.signbit(w[off]).any()
 
 
@@ -230,16 +232,6 @@ class TestSgdStep:
         sgd_step(model, grads, config, lr_at(config, 1, 10), state)
         # velocities 1 then 1.9, so the parameter moves by lr * (1 + 1.9)
         assert np.abs(model.biases[-1] - (b0 - 0.1 * 2.9)).max() <= 1e-15
-
-    def test_mask_reapplied_after_update(self):
-        model = tiny_model(9, p=0.3)
-        config = TrainConfig(lr_schedule="constant")
-        state = SgdState.zeros(model)
-        grads = self.zero_grads(model)
-        for g in grads.weights[1:-1]:
-            g[:] = 1.0  # deliberately dense gradients
-        sgd_step(model, grads, config, lr_at(config, 0, 5), state)
-        assert model.masked_entries_zero()
 
     def test_cosine_schedule_endpoints(self):
         config = TrainConfig(learning_rate=0.2, lr_schedule="cosine")
@@ -418,6 +410,58 @@ class TestTrain:
         assert all(inc < 1e-6 for inc in increases)
 
 
+class TestOneMaskRule:
+    """`init_model` zeroes the masked round weights with one `apply_mask`
+    call and training re-masks nothing; the masked gradients keep those
+    weights and their velocities at +0.0, which
+    `TestMatchesWholeArrayArithmetic` and `TestEvalCadence` check by bit
+    pattern."""
+
+    def blobs(self):
+        return synthetic_blobs(40, 4, 12, spread=1.0, seed=0)
+
+    def model(self):
+        return init_model(gen_er(6, 0.4, 2), 12, 2, 12, 4, seed=5)
+
+    def config(self):
+        return TrainConfig(epochs=3, batch_size=32, learning_rate=0.05, precision="double")
+
+    def test_apply_mask_called_once_at_init_and_never_in_training(self, monkeypatch):
+        calls = []
+        original = MlpModel.apply_mask
+
+        def counting(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(MlpModel, "apply_mask", counting)
+        model = self.model()
+        assert len(calls) == 1 and calls[0] is model
+        ds = self.blobs()
+        train(model, ds, ds, self.config(), seed=11)
+        assert len(calls) == 1
+
+    def test_nan_masked_gradient_fails_the_epoch_check(self, monkeypatch):
+        ds = self.blobs()
+        config = self.config()
+        steps_per_epoch = math.ceil(ds.n / config.batch_size)
+        model = self.model()
+        row, col = np.argwhere(~model.mask.matrix)[0]
+        calls = []
+        original = relnet.training.loss_and_grads
+
+        def poisoned(*args):
+            loss, grads = original(*args)
+            calls.append(None)
+            if len(calls) == steps_per_epoch:  # the last step of epoch 0
+                grads.weights[1][row, col] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(relnet.training, "loss_and_grads", poisoned)
+        with pytest.raises(NumericError, match="mask violated at epoch 0"):
+            train(model, ds, ds, config, seed=11)
+
+
 class TestEvalCadence:
     """Evaluation never touches the model, so evaluating only after the last
     epoch leaves every weight, velocity and the final result unchanged."""
@@ -462,6 +506,10 @@ class TestEvalCadence:
             assert set(a) == set(b)
             assert (a["epoch"], a["train_loss"], a["lr"]) == (b["epoch"], b["train_loss"], b["lr"])
         assert log[-1]["test_top1"] == log2[-1]["test_top1"]
+        off = ~model.mask.matrix  # after train, masked entries are +0.0 too
+        assert off.any()
+        for w in [*model.round_w, *state.vel_w[1:-1]]:
+            assert (w[off] == 0).all() and not np.signbit(w[off]).any()
 
 
 class TestMemoryBound:
