@@ -6,6 +6,8 @@ rounds of message exchange, trains those networks on image-classification
 data, and sweeps structural parameters into analysis-ready CSV grids.
 """
 
+from types import ModuleType as _ModuleType
+
 from .connectome import import_connectome, matched_er, sample_subgraph
 from .datasets import Dataset, batch_iter, load_cifar10, synthetic_blobs
 from .errors import (
@@ -49,15 +51,14 @@ from .graphs import (
     write_edge_list,
 )
 from .model import (
-    BlockPartition,
     LayerMask,
     MlpModel,
     build_mask,
     forward,
     init_model,
     load_checkpoint,
-    partition_width,
     save_checkpoint,
+    unit_owners,
 )
 from .seeding import child_seed, splitmix64
 from .sweep import (
@@ -83,73 +84,9 @@ from .training import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockPartition",
-    "CorrelationReport",
-    "Dataset",
-    "DisconnectedGraph",
-    "EdgeSaturation",
-    "EvalResult",
-    "ExperimentRecord",
-    "FitError",
-    "FormatError",
-    "GenerationInfo",
-    "GeneratorSpec",
-    "Graph",
-    "GraphMetrics",
-    "InvalidNodeId",
-    "LayerMask",
-    "MlpModel",
-    "NumericError",
-    "RelnetError",
-    "SgdState",
-    "ShapeError",
-    "SweepSpec",
-    "TooLarge",
-    "TooManyCommunities",
-    "TooManyNodes",
-    "TooSmall",
-    "TrainConfig",
-    "UndefinedMetric",
-    "WorkerLost",
-    "aggregate",
-    "avg_path_length",
-    "batch_iter",
-    "build_mask",
-    "child_seed",
-    "clustering_coefficient",
-    "compute_metrics",
-    "connected_components",
-    "correlation_report",
-    "cross_density",
-    "degree_stats",
-    "evaluate",
-    "forward",
-    "from_edge_pairs",
-    "gen_complete",
-    "gen_er",
-    "gen_static_sf",
-    "generate_with_info",
-    "import_connectome",
-    "induced_subgraph",
-    "init_model",
-    "largest_component",
-    "load_checkpoint",
-    "load_cifar10",
-    "loss_and_grads",
-    "lr_at",
-    "matched_er",
-    "modularity",
-    "partition_width",
-    "read_edge_list",
-    "read_records_csv",
-    "run_sweep",
-    "sample_subgraph",
-    "save_checkpoint",
-    "sgd_step",
-    "splitmix64",
-    "synthetic_blobs",
-    "train",
-    "write_edge_list",
-    "write_records_csv",
-]
+# Every public name bound above, modules (`relnet.sweep`, say) aside.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

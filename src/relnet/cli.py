@@ -33,6 +33,7 @@ from .sweep import (
     correlation_report,
     cut_partial_row,
     existing_keys,
+    one_blas_thread,
     read_records_csv,
     record_key,
     run_one,
@@ -70,10 +71,10 @@ def _metrics_dict(graph) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    spec = _generator_spec(args, args.seed)
-    graph, info = generate_with_info(spec)
+    with one_blas_thread():
+        graph, info = generate_with_info(_generator_spec(args, args.seed))
+        summary = _metrics_dict(graph)
     write_edge_list(graph, args.out)
-    summary = _metrics_dict(graph)
     summary["bridges"] = info.bridge_edges
     summary["community_sizes"] = list(info.community_sizes)
     print(json.dumps(summary))
@@ -81,19 +82,22 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    graph = read_edge_list(args.edges)
-    print(json.dumps(_metrics_dict(graph)))
+    with one_blas_thread():
+        summary = _metrics_dict(read_edge_list(args.edges))
+    print(json.dumps(summary))
     return 0
 
 
 def _cmd_import(args) -> int:
-    graph = import_connectome(args.edges, declared_nodes=args.expect_nodes)
-    if args.sample is not None:
-        graph = sample_subgraph(graph, args.sample, args.seed)
-    if args.matched_er:
-        graph = matched_er(graph, args.seed)
+    with one_blas_thread():
+        graph = import_connectome(args.edges, declared_nodes=args.expect_nodes)
+        if args.sample is not None:
+            graph = sample_subgraph(graph, args.sample, args.seed)
+        if args.matched_er:
+            graph = matched_er(graph, args.seed)
+        summary = _metrics_dict(graph)
     write_edge_list(graph, args.out)
-    print(json.dumps(_metrics_dict(graph)))
+    print(json.dumps(summary))
     return 0
 
 
@@ -125,12 +129,13 @@ def _cmd_train(args) -> int:
     config, model_spec, dspec = _train_specs(args)
     train_ds, test_ds = build_dataset(dspec, dtype=config.dtype)
 
-    if args.edges is not None:
-        graph = read_edge_list(args.edges)
-    else:
-        graph = generate_with_info(
-            _generator_spec(args, child_seed(args.seed, _GRAPH_STREAM))
-        )[0]
+    with one_blas_thread():
+        if args.edges is not None:
+            graph = read_edge_list(args.edges)
+        else:
+            graph = generate_with_info(
+                _generator_spec(args, child_seed(args.seed, _GRAPH_STREAM))
+            )[0]
 
     tic = time.perf_counter()
     model, result, log = run_one(
@@ -193,16 +198,7 @@ def _cmd_report(args) -> int:
     if args.aggregate_out is not None:
         write_aggregate_csv(rows, args.aggregate_out)
     report = correlation_report(records, x_field=args.x)
-    print(
-        json.dumps(
-            {
-                "x_field": report.x_field,
-                "coefficients": list(report.coefficients),
-                "points": [list(p) for p in report.points],
-                "cells": len(rows),
-            }
-        )
-    )
+    print(json.dumps(asdict(report) | {"cells": len(rows)}))
     return 0
 
 

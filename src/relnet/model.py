@@ -31,36 +31,15 @@ from .seeding import rng
 CKPT_HEADER = "relnet-ckpt-v1"
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Assignment of graph nodes to contiguous hidden-unit slices.
-
-    Slices cover [0, width) without gaps, in ascending node order, and their
-    lengths differ by at most one.
-    """
-
-    width: int
-    slices: tuple[tuple[int, int], ...]  # (offset, length) per node
-
-    @property
-    def node_count(self) -> int:
-        return len(self.slices)
-
-    def node_of_units(self) -> np.ndarray:
-        """Map each hidden unit index to its owning node."""
-        return np.repeat(np.arange(self.node_count), [length for _, length in self.slices])
-
-
-def partition_width(n_nodes: int, width: int) -> BlockPartition:
-    """Split `width` units over `n_nodes` nodes as evenly as possible: the
-    slice lengths are `near_equal_sizes(width, n_nodes)`, so the first
-    (width mod n_nodes) nodes receive the longer slices."""
+def unit_owners(n_nodes: int, width: int) -> np.ndarray:
+    """The node that owns each of `width` hidden units: node i owns the i-th
+    contiguous run of `near_equal_sizes(width, n_nodes)` units, so the first
+    (width mod n_nodes) nodes own one unit more than the rest."""
     if n_nodes < 1:
         raise ShapeError(f"need at least one node, got {n_nodes}")
     if n_nodes > width:
         raise TooManyNodes(f"{n_nodes} nodes do not fit in width {width}")
-    lengths = near_equal_sizes(width, n_nodes)
-    return BlockPartition(width=width, slices=tuple(zip(accumulate(lengths, initial=0), lengths)))
+    return np.repeat(np.arange(n_nodes), near_equal_sizes(width, n_nodes))
 
 
 @dataclass
@@ -68,26 +47,22 @@ class LayerMask:
     """Unit-level boolean mask shared by all message-exchange rounds.
 
     block_adjacency is the node-level view (diagonal True); `matrix` expands
-    it blockwise over the partition's slices.
+    it blockwise over the units each node owns (`unit_owners`).
     """
 
     block_adjacency: np.ndarray  # (n, n) bool
-    partition: BlockPartition
+    width: int
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """(width, width) bool, True iff the units' owning nodes are adjacent or identical."""
-        owner = self.partition.node_of_units()
+        owner = unit_owners(len(self.block_adjacency), self.width)
         return self.block_adjacency[np.ix_(owner, owner)]
 
 
-def build_mask(g: Graph, part: BlockPartition) -> LayerMask:
-    """The mask of graph adjacency plus self-loops over the partition."""
-    if g.node_count != part.node_count:
-        raise ShapeError(
-            f"graph has {g.node_count} nodes, partition has {part.node_count}"
-        )
-    return LayerMask(g.adjacency | np.eye(g.node_count, dtype=bool), part)
+def build_mask(g: Graph, width: int) -> LayerMask:
+    """The mask of graph adjacency plus self-loops over `width` units."""
+    return LayerMask(g.adjacency | np.eye(g.node_count, dtype=bool), width)
 
 
 @dataclass
@@ -152,6 +127,11 @@ class MlpModel:
             w[off] = 0.0
 
 
+def _layer_shapes(in_dim: int, width: int, rounds: int, out_dim: int) -> list[tuple[int, int]]:
+    """(rows, cols) of each layer's weights, in layer order; its bias has `cols` entries."""
+    return [(in_dim, width)] + [(width, width)] * rounds + [(width, out_dim)]
+
+
 def init_model(
     g: Graph,
     width: int,
@@ -174,17 +154,15 @@ def init_model(
     """
     if rounds < 1:
         raise ShapeError(f"rounds must be >= 1, got {rounds}")
-    part = partition_width(g.node_count, width)
-    mask = build_mask(g, part)
+    mask = build_mask(g, width)
     gen = rng(seed)
 
     fan_in = mask.matrix.sum(axis=0).astype(np.float64)  # unmasked inputs per unit
     fan_out = mask.matrix.sum(axis=1).astype(np.float64)
     limit_round = np.sqrt(6.0 / (fan_in[None, :] + fan_out[:, None]))
-    shapes = [(in_dim, width)] + [(width, width)] * rounds + [(width, out_dim)]
     weights = []
     biases = []
-    for layer, (rows, cols) in enumerate(shapes):
+    for layer, (rows, cols) in enumerate(_layer_shapes(in_dim, width, rounds, out_dim)):
         limit = limit_round if 0 < layer <= rounds else np.sqrt(6.0 / (rows + cols))
         w = gen.uniform(-1.0, 1.0, size=(rows, cols)) * limit
         weights.append(w.astype(dtype))
@@ -228,8 +206,13 @@ def forward(
 
 # ---------------------------------------------------------------------------
 # Checkpoint container: one .npz file with a version header, a JSON metadata
-# blob (width, rounds, seed, use_bias, partition), the node-level mask, and
-# every weight and bias under the keys of `_param_keys`.
+# blob (the keys of `_META_TYPES`), the node-level mask, and every weight and
+# bias under the keys of `_param_keys`. The meta's width, rounds and slices
+# restate the layout the arrays hold, and `load_checkpoint` checks that they
+# agree with it.
+
+# The meta keys `load_checkpoint` reads, with their JSON types.
+_META_TYPES = {"width": int, "rounds": int, "seed": int, "use_bias": bool, "slices": list}
 
 
 def _param_keys(rounds: int) -> list[tuple[str, str]]:
@@ -238,13 +221,19 @@ def _param_keys(rounds: int) -> list[tuple[str, str]]:
     return [("input_w", "input_b"), *rounds_keys, ("output_w", "output_b")]
 
 
+def _slices(n_nodes: int, width: int) -> list[list[int]]:
+    """[offset, length] of the units each node owns (`unit_owners`): the meta's `slices`."""
+    lengths = near_equal_sizes(width, n_nodes)
+    return [[offset, length] for offset, length in zip(accumulate(lengths, initial=0), lengths)]
+
+
 def save_checkpoint(model: MlpModel, path) -> None:
     meta = {
         "width": model.width,
         "rounds": model.rounds,
         "seed": model.seed,
         "use_bias": model.use_bias,
-        "slices": [list(s) for s in model.mask.partition.slices],
+        "slices": _slices(len(model.mask.block_adjacency), model.width),
     }
     arrays = {
         "header": np.array(CKPT_HEADER),
@@ -259,20 +248,55 @@ def save_checkpoint(model: MlpModel, path) -> None:
 
 
 def load_checkpoint(path) -> MlpModel:
+    """The model of a checkpoint file. Its layout comes from the arrays: the
+    width from `input_w`, the node count from `block_adjacency`. A missing
+    array or meta key, a meta `width`, `rounds` or `slices` that disagrees
+    with the arrays, an array whose shape does not fit the layout, or a
+    nonzero masked entry raises FormatError naming the path."""
     with np.load(path, allow_pickle=False) as data:
         if "header" not in data or str(data["header"]) != CKPT_HEADER:
             raise FormatError(f"{path}: not a {CKPT_HEADER} checkpoint")
-        meta = json.loads(str(data["meta"]))
-        part = BlockPartition(meta["width"], tuple(tuple(s) for s in meta["slices"]))
-        mask = LayerMask(data["block_adjacency"], part)
+
+        def array(key: str) -> np.ndarray:
+            if key not in data:
+                raise FormatError(f"{path}: no {key!r} array")
+            return data[key]
+
+        try:
+            meta = json.loads(str(array("meta")))
+        except ValueError as exc:
+            raise FormatError(f"{path}: meta is not JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: meta is not a JSON object")
+        for key, kind in _META_TYPES.items():
+            if type(meta.get(key)) is not kind:
+                raise FormatError(f"{path}: meta has no JSON {kind.__name__} {key!r}")
         keys = _param_keys(meta["rounds"])
-        model = MlpModel(
-            weights=[data[w_key] for w_key, _ in keys],
-            biases=[data[b_key] for _, b_key in keys],
-            mask=mask,
-            seed=meta["seed"],
-            use_bias=meta["use_bias"],
-        )
+        weights = [array(w_key) for w_key, _ in keys]
+        biases = [array(b_key) for _, b_key in keys]
+        block = array("block_adjacency")
+        rounds = sum(key.startswith("round_w_") for key in data.files)
+    if meta["rounds"] != rounds:
+        raise FormatError(f"{path}: meta 'rounds' is {meta['rounds']}, but {rounds} are stored")
+    if any(a.ndim != 2 for a in [*weights, block]) or any(b.ndim != 1 for b in biases):
+        raise FormatError(f"{path}: a weight or the mask is not a matrix, or a bias not a vector")
+    (in_dim, width), out_dim, n_nodes = weights[0].shape, weights[-1].shape[1], len(block)
+    if meta["width"] != width:
+        raise FormatError(f"{path}: meta 'width' is {meta['width']}, but input_w's is {width}")
+    shapes = _layer_shapes(in_dim, width, rounds, out_dim)
+    for (w_key, b_key), w, b, (rows, cols) in zip(keys, weights, biases, shapes):
+        for key, a, shape in ((w_key, w, (rows, cols)), (b_key, b, (cols,))):
+            if a.shape != shape:
+                raise FormatError(f"{path}: {key!r} has shape {a.shape}, not {shape}")
+    if block.dtype != bool or block.shape != (n_nodes, n_nodes):
+        raise FormatError(f"{path}: block_adjacency is not a square bool matrix")
+    try:
+        unit_owners(n_nodes, width)
+    except (ShapeError, TooManyNodes) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if meta["slices"] != _slices(n_nodes, width):
+        raise FormatError(f"{path}: meta 'slices' are not {n_nodes} nodes' units of width {width}")
+    model = MlpModel(weights, biases, LayerMask(block, width), meta["seed"], meta["use_bias"])
     if not model.masked_entries_zero():
         raise FormatError(f"{path}: masked entries are not zero")
     return model

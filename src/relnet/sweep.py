@@ -9,8 +9,10 @@ failures become error rows, never aborts, so long sweeps stay resumable.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
+import functools
 import io
 import itertools
 import json
@@ -339,8 +341,9 @@ def _execute_cell(
             seed=child_seed(cell.seed, _GRAPH_STREAM),
             **({name: getattr(cell, name) for name in AXIS_NAMES} | {"mu": cell.mu or 0.0}),
         )
-        graph, info = generate_with_info(gspec)
-        metrics = compute_metrics(graph)
+        with one_blas_thread():
+            graph, info = generate_with_info(gspec)
+            metrics = compute_metrics(graph)
         _, result, _ = run_one(
             graph,
             cell.seed,
@@ -372,11 +375,12 @@ def _execute_cell(
 _WORKER_ARGS: tuple[SweepSpec, Dataset, Dataset] | Exception | None = None
 
 
+@functools.cache
 def _openblas_function(name: str):
     """The function `name` (such as "set_num_threads") of the OpenBLAS this
-    process has loaded, as a ctypes function; None when no OpenBLAS is among
-    its mapped libraries. numpy's wheels prefix and suffix the symbol
-    name ("scipy_openblas_set_num_threads64_")."""
+    process has loaded, as a ctypes function, looked up once per process;
+    None when no OpenBLAS is among its mapped libraries. numpy's wheels
+    prefix and suffix the symbol name ("scipy_openblas_set_num_threads64_")."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
@@ -389,6 +393,25 @@ def _openblas_function(name: str):
             if fn is not None:
                 return fn
     return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+    Graph work (BFS, clustering) multiplies small 0/1 matrices, which more
+    threads slow down; their sums are exact, so the count changes no result.
+    Without OpenBLAS, do nothing."""
+    get_threads = _openblas_function("get_num_threads")
+    set_threads = _openblas_function("set_num_threads")
+    if get_threads is None or set_threads is None:
+        yield
+        return
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _worker_init(spec: SweepSpec, workers: int, stats: ChannelStats | None) -> None:
@@ -517,11 +540,19 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict]:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """(x, mean top-1 error) pairs plus quadratic fit y = a x^2 + b x + c."""
+    """(x, mean top-1 error) pairs plus their least-squares quadratic fit
+    y = a x^2 + b x + c.
+
+    `r_squared` is the share of the means' variance the fit explains (None
+    when all means are equal); `residual_dof` is the number of points less
+    the three coefficients, so 0 means the curve passes through every point
+    whatever the data."""
 
     x_field: str
     points: tuple[tuple[float, float], ...]
     coefficients: tuple[float, float, float]
+    r_squared: float | None
+    residual_dof: int
 
 
 def correlation_report(
@@ -530,7 +561,8 @@ def correlation_report(
     """Relate one parameter to performance across grid cells.
 
     Takes the per-cell seed-averaged errors, pairs them with the cell's
-    x_field value, and fits a quadratic by least squares (normal equations).
+    x_field value, and fits a quadratic by least squares (`np.polyfit`).
+    Fewer than 3 distinct x values, or a fit of rank below 3, raise FitError.
     """
     rows = aggregate(records)
     points = [
@@ -545,17 +577,21 @@ def correlation_report(
             f"quadratic fit needs >= 3 distinct {x_field} values, "
             f"got {len(set(xs.tolist()))}"
         )
-    design = np.stack([xs**2, xs, np.ones_like(xs)], axis=1)
-    lhs = design.T @ design
-    rhs = design.T @ ys
     try:
-        coeffs = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise FitError(f"normal equations singular: {exc}") from exc
+        with np.errstate(all="ignore"):  # x^2 out of float range shows as rank < 3
+            coeffs, _, rank, _, _ = np.polyfit(xs, ys, 2, full=True)
+    except np.linalg.LinAlgError:
+        rank = 0
+    if rank < 3:
+        raise FitError(f"quadratic fit of top1_mean against {x_field} has rank {rank}, not 3")
+    residuals = ys - np.polyval(coeffs, xs)
+    spread = float(np.sum((ys - ys.mean()) ** 2))
     return CorrelationReport(
         x_field=x_field,
         points=tuple(points),
         coefficients=tuple(float(c) for c in coeffs),
+        r_squared=1.0 - float(residuals @ residuals) / spread if spread else None,
+        residual_dof=len(points) - 3,
     )
 
 

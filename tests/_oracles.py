@@ -133,9 +133,13 @@ def message_exchange_logits(model, x_row):
     x_i' = relu( sum over j in N(i) or j == i of W[j block -> i block] x_j ),
     then the dense output read-out. Biases added where the model trains them.
     """
-    part = model.mask.partition
     block = model.mask.block_adjacency
-    width = part.width
+    width = model.width
+    # Node i owns the units [offsets[i], offsets[i] + lengths[i]): the width
+    # split into near-equal runs, the (width mod n) longer ones first.
+    base, extra = divmod(width, len(block))
+    lengths = [base + (i < extra) for i in range(len(block))]
+    offsets = [sum(lengths[:i]) for i in range(len(block))]
 
     h = [0.0] * width
     for u in range(width):
@@ -148,15 +152,13 @@ def message_exchange_logits(model, x_row):
         w = model.round_w[r]
         b = model.biases[r + 1]
         nxt = [0.0] * width
-        for i in range(part.node_count):
-            off_i, len_i = part.slices[i]
-            for ui in range(off_i, off_i + len_i):
+        for i in range(len(block)):
+            for ui in range(offsets[i], offsets[i] + lengths[i]):
                 s = float(b[ui])
-                for j in range(part.node_count):
+                for j in range(len(block)):
                     if not block[j, i]:
                         continue
-                    off_j, len_j = part.slices[j]
-                    for uj in range(off_j, off_j + len_j):
+                    for uj in range(offsets[j], offsets[j] + lengths[j]):
                         s += h[uj] * float(w[uj, ui])
                 nxt[ui] = max(s, 0.0)
         h = nxt

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -6,6 +7,7 @@ import time
 
 import pytest
 
+import relnet.cli
 import relnet.sweep
 import relnet.training
 from relnet.cli import _generator_spec, _train_specs, build_parser, main
@@ -110,6 +112,48 @@ class TestGenMetrics:
         code, _, err = run(capsys, "metrics", "--edges", str(tmp_path / "no.edges"))
         assert code == 2
         assert "error:" in err
+
+
+class TestGraphWorkOnOneBlasThread:
+    """gen, metrics, import and train do their graph work on one OpenBLAS
+    thread, and train restores the previous count before training."""
+
+    def test_gen_and_metrics(self, capsys, tmp_path, fake_blas):
+        fake_blas.watch(relnet.cli, "generate_with_info")
+        fake_blas.watch(relnet.cli, "compute_metrics")
+        out = tmp_path / "g.edges"
+        code, _, _ = run(
+            capsys, "gen", "--family", "er", "--n", "12", "--p", "0.5", "--out", str(out)
+        )
+        assert code == 0
+        code, _, _ = run(capsys, "metrics", "--edges", str(out))
+        assert code == 0
+        assert fake_blas.seen == [
+            ("generate_with_info", 1), ("compute_metrics", 1), ("compute_metrics", 1)
+        ]
+        assert fake_blas.threads == 3
+
+    def test_import(self, capsys, tmp_path, fake_blas):
+        for name in ("import_connectome", "sample_subgraph", "matched_er", "compute_metrics"):
+            fake_blas.watch(relnet.cli, name)
+        src = TestImport().make_file(tmp_path)
+        code, _, _ = run(
+            capsys, "import", "--edges", str(src), "--sample", "12", "--matched-er",
+            "--out", str(tmp_path / "out.edges"),
+        )
+        assert code == 0
+        assert fake_blas.seen == [
+            ("import_connectome", 1), ("sample_subgraph", 1), ("matched_er", 1),
+            ("compute_metrics", 1),
+        ]
+        assert fake_blas.threads == 3
+
+    def test_train(self, capsys, fake_blas):
+        fake_blas.watch(relnet.cli, "generate_with_info")
+        fake_blas.watch(relnet.cli, "run_one")
+        code, _, _ = run(capsys, *TestTrain.BASE)
+        assert code == 0
+        assert fake_blas.seen == [("generate_with_info", 1), ("run_one", 3)]
 
 
 class TestImport:
@@ -471,6 +515,8 @@ class TestSweepReport:
         summary = last_json(stdout)
         assert summary["x_field"] == "p"
         assert len(summary["coefficients"]) == 3
+        assert summary["residual_dof"] == 0  # three points, three coefficients
+        assert summary["r_squared"] is None or math.isclose(summary["r_squared"], 1.0)
         assert len(summary["points"]) == 3  # three distinct p cells
         assert summary["cells"] == 3
         assert agg.exists()

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from _oracles import all_labeled_graphs, message_exchange_logits
 from relnet.errors import FormatError, NumericError, ShapeError, TooManyNodes
 from relnet.generators import gen_complete
-from relnet.graphs import from_edge_pairs
+from relnet.graphs import from_edge_pairs, near_equal_sizes
 from relnet.model import (
     CKPT_HEADER,
     build_mask,
     forward,
     init_model,
     load_checkpoint,
-    partition_width,
     save_checkpoint,
+    unit_owners,
 )
 
 # Four fully connected nodes except for the (1, 3) pair; the one worked
@@ -25,27 +25,30 @@ ALMOST_K4 = from_edge_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
 
 
 class TestPartitionWidth:
+    """`unit_owners` gives node i the i-th contiguous run of
+    `near_equal_sizes(width, n)` units."""
+
     def test_exact_division(self):
-        part = partition_width(128, 512)
-        assert all(length == 4 for _, length in part.slices)
-        assert part.slices[0] == (0, 4) and part.slices[127] == (508, 4)
+        owner = unit_owners(128, 512)
+        assert np.bincount(owner).tolist() == [4] * 128
+        assert owner[:4].tolist() == [0] * 4 and owner[508:].tolist() == [127] * 4
 
     def test_uneven_division(self):
-        part = partition_width(4, 10)
-        assert [length for _, length in part.slices] == [3, 3, 2, 2]
-        assert [off for off, _ in part.slices] == [0, 3, 6, 8]
+        assert unit_owners(4, 10).tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 3, 3]
 
     def test_too_many_nodes(self):
-        with pytest.raises(TooManyNodes):
-            partition_width(600, 512)
+        with pytest.raises(TooManyNodes, match="600 nodes do not fit in width 512"):
+            unit_owners(600, 512)
+
+    def test_no_nodes(self):
+        with pytest.raises(ShapeError, match="need at least one node, got 0"):
+            unit_owners(0, 5)
 
     def test_single_node(self):
-        part = partition_width(1, 5)
-        assert part.slices == ((0, 5),)
+        assert unit_owners(1, 5).tolist() == [0] * 5
 
     def test_node_of_units(self):
-        owner = partition_width(3, 7).node_of_units()
-        assert owner.tolist() == [0, 0, 0, 1, 1, 2, 2]
+        assert unit_owners(3, 7).tolist() == [0, 0, 0, 1, 1, 2, 2]
 
     @given(
         st.integers(min_value=1, max_value=40),
@@ -55,26 +58,25 @@ class TestPartitionWidth:
     def test_covers_width_contiguously(self, n, width):
         if n > width:
             with pytest.raises(TooManyNodes):
-                partition_width(n, width)
+                unit_owners(n, width)
             return
-        part = partition_width(n, width)
-        lengths = [length for _, length in part.slices]
-        assert sum(lengths) == width
-        assert max(lengths) - min(lengths) <= 1
-        offset = 0
-        for off, length in part.slices:
-            assert off == offset
-            offset += length
+        owner = unit_owners(n, width)
+        assert len(owner) == width
+        assert (np.diff(owner) >= 0).all()  # each node's units are one run
+        lengths = np.bincount(owner, minlength=n)
+        assert lengths.sum() == width
+        assert lengths.max() - lengths.min() <= 1
+        assert (np.diff(lengths) <= 0).all()  # the longer runs come first
 
 
 class TestBuildMask:
     def test_complete_graph_all_true(self):
         g = gen_complete(4)
-        mask = build_mask(g, partition_width(4, 8))
+        mask = build_mask(g, 8)
         assert mask.matrix.all()
 
     def test_missing_pair_blocks(self):
-        mask = build_mask(ALMOST_K4, partition_width(4, 16))
+        mask = build_mask(ALMOST_K4, 16)
         block = mask.block_adjacency
         expected = np.ones((4, 4), dtype=bool)
         expected[1, 3] = expected[3, 1] = False
@@ -86,19 +88,15 @@ class TestBuildMask:
 
     def test_edgeless_is_block_diagonal(self):
         g = from_edge_pairs(3, [])
-        mask = build_mask(g, partition_width(3, 6))
-        expected = np.zeros((6, 6), dtype=bool)
-        for off, length in mask.partition.slices:
+        mask = build_mask(g, 7)
+        expected = np.zeros((7, 7), dtype=bool)
+        for off, length in ((0, 3), (3, 2), (5, 2)):
             expected[off : off + length, off : off + length] = True
         assert (mask.matrix == expected).all()
 
-    def test_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            build_mask(gen_complete(3), partition_width(4, 8))
-
     def test_symmetry_at_block_level(self):
         g = from_edge_pairs(5, [(0, 3), (1, 4), (2, 3)])
-        mask = build_mask(g, partition_width(5, 11))
+        mask = build_mask(g, 11)
         assert (mask.block_adjacency == mask.block_adjacency.T).all()
         assert mask.block_adjacency.diagonal().all()
 
@@ -219,6 +217,7 @@ class TestForward:
 def save_v1_checkpoint(model, path):
     """The first relnet-ckpt-v1 writer: full meta, the parameters stored one
     named key per array."""
+    lengths = near_equal_sizes(model.width, len(model.mask.block_adjacency))
     meta = {
         "width": model.width,
         "rounds": model.rounds,
@@ -227,7 +226,7 @@ def save_v1_checkpoint(model, path):
         "seed": model.seed,
         "use_bias": model.use_bias,
         "dtype": str(model.dtype),
-        "slices": [list(s) for s in model.mask.partition.slices],
+        "slices": [[sum(lengths[:i]), length] for i, length in enumerate(lengths)],
     }
     arrays = {
         "header": np.array(CKPT_HEADER),
@@ -259,7 +258,7 @@ class TestCheckpoint:
         assert back.rounds == model.rounds
         assert back.seed == model.seed
         assert back.use_bias == model.use_bias
-        assert back.mask.partition.slices == model.mask.partition.slices
+        assert back.mask.width == model.mask.width
         want = [*model.weights, *model.biases, model.mask.matrix, model.mask.block_adjacency]
         got = [*back.weights, *back.biases, back.mask.matrix, back.mask.block_adjacency]
         assert len(got) == len(want)
@@ -308,3 +307,110 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         with pytest.raises(FormatError, match="masked"):
             load_checkpoint(path)
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint whose meta or arrays are missing, or whose meta disagrees
+    with the layout its arrays hold, raises FormatError naming the file."""
+
+    def write_altered(self, tmp_path, meta=(), arrays=(), drop=()):
+        """The checkpoint of TestCheckpoint's model with the `meta` keys set,
+        the `arrays` replaced and the `drop` keys (meta keys or arrays) removed."""
+        path = tmp_path / "model.npz"
+        save_checkpoint(TestCheckpoint().make_model(), path)
+        with np.load(path) as data:
+            contents = {key: data[key] for key in data.files}
+        fields = json.loads(str(contents["meta"])) | dict(meta)
+        contents["meta"] = np.array(json.dumps({k: v for k, v in fields.items() if k not in drop}))
+        contents |= dict(arrays)
+        np.savez(path, **{k: v for k, v in contents.items() if k not in drop})
+        return path
+
+    def assert_rejected(self, path, message):
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key, kind",
+        [("width", "int"), ("rounds", "int"), ("seed", "int"), ("use_bias", "bool"),
+         ("slices", "list")],
+    )
+    def test_missing_meta_key(self, tmp_path, key, kind):
+        path = self.write_altered(tmp_path, drop=[key])
+        self.assert_rejected(path, f"meta has no JSON {kind} {key!r}")
+
+    @pytest.mark.parametrize(
+        "key", ["block_adjacency", "input_w", "input_b", "round_w_1", "round_b_0", "output_w"]
+    )
+    def test_missing_array(self, tmp_path, key):
+        self.assert_rejected(self.write_altered(tmp_path, drop=[key]), f"no {key!r} array")
+
+    def test_missing_meta_array(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.savez(path, header=np.array(CKPT_HEADER))
+        self.assert_rejected(path, "no 'meta' array")
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    def test_meta_not_a_json_object(self, tmp_path, text):
+        path = self.write_altered(tmp_path, arrays={"meta": np.array(text)})
+        self.assert_rejected(path, "meta is not")
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("seed", "21", "int"), ("rounds", 2.0, "int"), ("width", True, "int"),
+         ("use_bias", 1, "bool"), ("slices", {}, "list")],
+    )
+    def test_meta_value_of_the_wrong_type(self, tmp_path, key, value, kind):
+        path = self.write_altered(tmp_path, meta={key: value})
+        self.assert_rejected(path, f"meta has no JSON {kind} {key!r}")
+
+    @pytest.mark.parametrize("width", [8, 12])
+    def test_width_disagrees_with_input_w(self, tmp_path, width):
+        path = self.write_altered(tmp_path, meta={"width": width})
+        self.assert_rejected(path, f"meta 'width' is {width}, but input_w's is 10")
+
+    def test_fewer_rounds_than_the_file_holds(self, tmp_path):
+        path = self.write_altered(tmp_path, meta={"rounds": 1})
+        self.assert_rejected(path, "meta 'rounds' is 1, but 2 are stored")
+
+    def test_more_rounds_than_the_file_holds(self, tmp_path):
+        path = self.write_altered(tmp_path, meta={"rounds": 3})
+        self.assert_rejected(path, "no 'round_w_2' array")
+
+    @pytest.mark.parametrize(
+        "slices",
+        [
+            [[0, 3], [3, 3], [6, 2]],  # three nodes' slices for four nodes
+            [[0, 3], [3, 3], [6, 2], [8, 1]],  # do not cover the width
+            [[0, 3], [3, 3], [6, 2], [8, 4]],  # run past the width
+            [[0, 4], [4, 2], [6, 2], [8, 2]],  # cover it, but not as the rule splits it
+        ],
+    )
+    def test_slices_disagree_with_the_layout(self, tmp_path, slices):
+        path = self.write_altered(tmp_path, meta={"slices": slices})
+        self.assert_rejected(path, "meta 'slices' are not 4 nodes' units of width 10")
+
+    def test_more_nodes_than_units(self, tmp_path):
+        path = self.write_altered(tmp_path, arrays={"block_adjacency": np.eye(11, dtype=bool)})
+        self.assert_rejected(path, "11 nodes do not fit in width 10")
+
+    @pytest.mark.parametrize("block", [np.eye(4, dtype=np.int8), np.ones((4, 5), dtype=bool)])
+    def test_block_adjacency_not_a_square_bool_matrix(self, tmp_path, block):
+        path = self.write_altered(tmp_path, arrays={"block_adjacency": block})
+        self.assert_rejected(path, "block_adjacency is not a square bool matrix")
+
+    @pytest.mark.parametrize(
+        "key, shape", [("round_w_0", (10, 9)), ("round_b_1", (9,)), ("output_w", (9, 3))]
+    )
+    def test_array_shape_outside_the_layout(self, tmp_path, key, shape):
+        path = self.write_altered(tmp_path, arrays={key: np.zeros(shape)})
+        self.assert_rejected(path, f"{key!r} has shape {shape}")
+
+    @pytest.mark.parametrize(
+        "key, shape", [("input_w", (10,)), ("input_b", (10, 1)), ("block_adjacency", (4,))]
+    )
+    def test_array_of_the_wrong_rank(self, tmp_path, key, shape):
+        path = self.write_altered(tmp_path, arrays={key: np.ones(shape, dtype=bool)})
+        self.assert_rejected(path, "is not a matrix, or a bias not a vector")

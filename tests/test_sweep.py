@@ -26,8 +26,10 @@ from relnet.sweep import (
     correlation_report,
     existing_keys,
     read_records_csv,
+    one_blas_thread,
     record_key,
     run_sweep,
+    sweep_cells,
     write_aggregate_csv,
     write_records_csv,
 )
@@ -395,6 +397,38 @@ class TestPoolBlasThreads:
         assert self.pool_counts(tmp_path) == [parent, parent]
 
 
+class TestGraphWorkOnOneBlasThread:
+    def run_cell(self, spec):
+        train_ds, test_ds = build_dataset(spec.dataset)
+        return relnet.sweep._execute_cell(sweep_cells(spec)[0], spec, train_ds, test_ds)
+
+    def test_generation_and_metrics_on_one_thread_training_on_the_previous_count(
+        self, fake_blas
+    ):
+        for name in ("generate_with_info", "compute_metrics", "run_one"):
+            fake_blas.watch(relnet.sweep, name)
+        assert self.run_cell(tiny_spec()).status == "ok"
+        assert fake_blas.seen == [
+            ("generate_with_info", 1), ("compute_metrics", 1), ("run_one", 3)
+        ]
+        assert fake_blas.threads == 3
+
+    def test_count_restored_when_generation_fails(self, fake_blas):
+        record = self.run_cell(tiny_spec(n=4, communities=(3,)))
+        assert record.status == "error:TooManyCommunities"
+        assert fake_blas.threads == 3
+
+    def test_nothing_to_do_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(relnet.sweep, "_openblas_function", lambda name: None)
+        with one_blas_thread():
+            pass
+
+    def test_functions_looked_up_once_per_process(self):
+        assert relnet.sweep._openblas_function("set_num_threads") is (
+            relnet.sweep._openblas_function("set_num_threads")
+        )
+
+
 class TestAggregate:
     def test_identical_seeds_zero_std(self):
         rows = aggregate([make_record(seed=s, top1_error=30.0) for s in range(5)])
@@ -511,6 +545,44 @@ class TestCorrelationReport:
         records = [make_record(mu=x, top1_error=1.0) for x in (0.1, 0.1, 0.4)]
         with pytest.raises(FitError, match="needs >= 3 distinct"):
             correlation_report(records, x_field="mu")
+
+    def test_exact_fit_through_three_points(self):
+        points = ((0.0, 5.0), (1.0, 2.0), (2.0, 9.0))
+        records = [make_record(mu=x, top1_error=y) for x, y in points]
+        report = correlation_report(records, x_field="mu")
+        assert report.residual_dof == 0
+        assert math.isclose(report.r_squared, 1.0, rel_tol=1e-12)
+
+    def test_r_squared_of_a_noisy_parabola(self):
+        xs, noise = (0.0, 1.0, 2.0, 3.0, 4.0), (0.5, -1.0, 0.0, 1.0, -0.5)
+        ys = [x * x + d for x, d in zip(xs, noise)]
+        report = correlation_report(
+            [make_record(mu=x, top1_error=y) for x, y in zip(xs, ys)], x_field="mu"
+        )
+        fitted = [report.coefficients[0] * x * x + report.coefficients[1] * x
+                  + report.coefficients[2] for x in xs]
+        mean = sum(ys) / len(ys)
+        expected = 1 - (sum((y - f) ** 2 for y, f in zip(ys, fitted))
+                        / sum((y - mean) ** 2 for y in ys))
+        assert report.residual_dof == 2
+        assert 0.9 < report.r_squared < 1.0
+        assert math.isclose(report.r_squared, expected, rel_tol=1e-9)
+
+    def test_equal_means_have_no_r_squared(self):
+        records = [make_record(p=x, top1_error=7.0) for x in (0.1, 0.2, 0.3, 0.4)]
+        report = correlation_report(records, x_field="p")
+        assert report.r_squared is None and report.residual_dof == 1
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e154])
+    def test_x_squared_out_of_float_range_is_rank_deficient(self, scale):
+        records = [make_record(p=x * scale, top1_error=float(x)) for x in (1, 2, 3)]
+        with pytest.raises(FitError, match="rank"):
+            correlation_report(records, x_field="p")
+
+    def test_nearly_equal_x_is_rank_deficient(self):
+        records = [make_record(p=1e10 + x, top1_error=float(x * x)) for x in (0, 1, 2)]
+        with pytest.raises(FitError, match="rank 2, not 3"):
+            correlation_report(records, x_field="p")
 
 
 class TestCsv:
