@@ -12,20 +12,22 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
+from types import UnionType
+from typing import get_args, get_type_hints
 
 from .connectome import import_connectome, matched_er, sample_subgraph
 from .errors import RelnetError
-from .generators import BASE_FAMILIES, FAMILIES, GeneratorSpec, generate_with_info
+from .generators import GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
 from .model import save_checkpoint
 from .seeding import _GRAPH_STREAM, child_seed
 from .sweep import (
     DATASET_KINDS,
-    BlobsSpec,
     ModelSpec,
     SweepSpec,
     aggregate,
@@ -35,6 +37,7 @@ from .sweep import (
     existing_keys,
     one_blas_thread,
     read_records_csv,
+    read_spec,
     record_key,
     run_one,
     run_sweep,
@@ -42,32 +45,46 @@ from .sweep import (
     write_aggregate_csv,
     write_records_csv,
 )
-from .training import SCHEDULES, PRECISIONS, TrainConfig
+from .training import TrainConfig
+
+# The flag prefix of each dataset kind's spec fields in `relnet train`.
+_DATASET_PREFIX = {"blobs": "blob_", "cifar10": "data_"}
 
 
-def _add_generator_flags(parser: argparse.ArgumentParser, require_family: bool) -> None:
-    parser.add_argument("--family", choices=FAMILIES, required=require_family)
-    parser.add_argument("--n", type=int, default=GeneratorSpec.n)
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--m", type=float, default=None)
-    parser.add_argument("--communities", type=int, default=None)
-    parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--base", choices=BASE_FAMILIES, default=None)
+def _add_spec_flags(parser, cls, prefix: str = "", skip=(), required: bool = True) -> None:
+    """One flag per field of the dataclass `cls` but `skip`, named `--` +
+    `prefix` + the field name with `_` as `-`, of the field's type (X for
+    `X | None`) and default; a bool field is `--x/--no-x`. A field without a
+    default is a required flag, or with `required=False` one defaulting to
+    None that the command checks."""
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        kind = types[f.name]
+        kind = get_args(kind)[0] if isinstance(kind, UnionType) else kind
+        flag = "--" + (prefix + f.name).replace("_", "-")
+        if f.default is MISSING:
+            parser.add_argument(flag, type=kind, required=required)
+        elif kind is bool:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=f.default)
+        else:
+            parser.add_argument(flag, type=kind, default=f.default)
+
+
+def _flag_values(args, cls, prefix: str = "") -> dict:
+    """The JSON object of `cls` that its flags (`_add_spec_flags`) set, for
+    `read_spec` to read: each field name with its flag's value."""
+    return {f.name: getattr(args, prefix + f.name) for f in fields(cls)}
 
 
 def _generator_spec(args, seed: int) -> GeneratorSpec:
-    """The spec of the generator flags, one per GeneratorSpec field but seed."""
-    names = [f.name for f in fields(GeneratorSpec) if f.name != "seed"]
-    return GeneratorSpec(**{name: getattr(args, name) for name in names}, seed=seed)
+    """The spec of the generator flags, with `seed` for the graph."""
+    return read_spec(GeneratorSpec, _flag_values(args, GeneratorSpec) | {"seed": seed})
 
 
 def _metrics_dict(graph) -> dict:
-    metrics = compute_metrics(graph)
-    out = asdict(metrics)
-    out["nodes"] = graph.node_count
-    out["edges"] = len(graph.edges)
-    return out
+    return asdict(compute_metrics(graph)) | {"nodes": graph.node_count, "edges": len(graph.edges)}
 
 
 def _cmd_gen(args) -> int:
@@ -101,34 +118,14 @@ def _cmd_import(args) -> int:
     return 0
 
 
-def _train_specs(args) -> tuple[TrainConfig, ModelSpec, dict]:
-    """The training config, model spec and dataset spec dict of `relnet train`."""
-    config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        lr_schedule=args.schedule,
-        precision=args.precision,
-    )
-    model = ModelSpec(width=args.width, rounds=args.rounds, use_bias=not args.no_bias)
-    dspec = {"kind": args.dataset}
-    if args.dataset == "cifar10":
-        if args.data_dir is None:
-            raise ValueError("--dataset cifar10 requires --data-dir")
-        dspec["dir"] = args.data_dir
-    else:
-        dspec.update(classes=args.blob_classes, dim=args.blob_dim, n_per_class=args.blob_per_class)
-    return config, model, dspec
-
-
 def _cmd_train(args) -> int:
     if (args.edges is None) == (args.family is None):
         raise ValueError("train needs exactly one of --edges or --family")
-    config, model_spec, dspec = _train_specs(args)
-    train_ds, test_ds = build_dataset(dspec, dtype=config.dtype)
-
+    if args.dataset == "cifar10" and args.data_dir is None:
+        raise ValueError("--dataset cifar10 requires --data-dir")
+    # Flags that fail need not wait for the dataset to load.
+    config = read_spec(TrainConfig, _flag_values(args, TrainConfig))
+    config.validate()
     with one_blas_thread():
         if args.edges is not None:
             graph = read_edge_list(args.edges)
@@ -136,12 +133,14 @@ def _cmd_train(args) -> int:
             graph = generate_with_info(
                 _generator_spec(args, child_seed(args.seed, _GRAPH_STREAM))
             )[0]
+    dataset = _flag_values(args, DATASET_KINDS[args.dataset], _DATASET_PREFIX[args.dataset])
+    train_ds, test_ds = build_dataset({"kind": args.dataset} | dataset, dtype=config.dtype)
 
     tic = time.perf_counter()
     model, result, log = run_one(
         graph,
         args.seed,
-        model=model_spec,
+        model=read_spec(ModelSpec, _flag_values(args, ModelSpec)),
         config=config,
         train_ds=train_ds,
         test_ds=test_ds,
@@ -155,18 +154,10 @@ def _cmd_train(args) -> int:
                 fh.write(json.dumps(entry) + "\n")
     if args.ckpt_out is not None:
         save_checkpoint(model, args.ckpt_out)
-    print(
-        json.dumps(
-            {
-                "top1_error": result.top1_error_percent,
-                "loss": result.loss,
-                "n_examples": result.n_examples,
-                "nodes": graph.node_count,
-                "edges": len(graph.edges),
-                "wall_ms": wall_ms,
-            }
-        )
-    )
+    summary = {"top1_error": result.top1_error_percent, "loss": result.loss,
+               "n_examples": result.n_examples, "nodes": graph.node_count,
+               "edges": len(graph.edges), "wall_ms": wall_ms}
+    print(json.dumps(summary))
     return 0
 
 
@@ -203,12 +194,13 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="relnet")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No flag is abbreviated: `--lr` is not taken for `--lr-schedule`.
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = no_abbrev(prog="relnet")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
     p_gen = sub.add_parser("gen", help="generate a graph edge list")
-    _add_generator_flags(p_gen, require_family=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    _add_spec_flags(p_gen, GeneratorSpec)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -227,22 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model on one graph")
     p_train.add_argument("--edges", default=None)
-    _add_generator_flags(p_train, require_family=False)
-    p_train.add_argument("--width", type=int, default=ModelSpec.width)
-    p_train.add_argument("--rounds", type=int, default=ModelSpec.rounds)
-    p_train.add_argument("--no-bias", action="store_true")
+    # --seed is the run seed. --family is needed without --edges, --data-dir
+    # with --dataset cifar10.
+    _add_spec_flags(p_train, GeneratorSpec, skip=("seed",), required=False)
+    for cls in (ModelSpec, TrainConfig):
+        _add_spec_flags(p_train, cls)
     p_train.add_argument("--dataset", choices=tuple(DATASET_KINDS), default="blobs")
-    p_train.add_argument("--data-dir", default=None)
-    p_train.add_argument("--blob-classes", type=int, default=BlobsSpec.classes)
-    p_train.add_argument("--blob-dim", type=int, default=BlobsSpec.dim)
-    p_train.add_argument("--blob-per-class", type=int, default=BlobsSpec.n_per_class)
-    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p_train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p_train.add_argument("--momentum", type=float, default=TrainConfig.momentum)
-    p_train.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
-    p_train.add_argument("--schedule", choices=SCHEDULES, default=TrainConfig.lr_schedule)
-    p_train.add_argument("--precision", choices=PRECISIONS, default=TrainConfig.precision)
+    for kind, prefix in _DATASET_PREFIX.items():
+        _add_spec_flags(p_train, DATASET_KINDS[kind], prefix, required=False)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--log", default=None, help="JSONL per-epoch log path")
     p_train.add_argument("--ckpt-out", default=None)

@@ -18,6 +18,8 @@ masked (see `relnet.training`).
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -252,7 +254,10 @@ def load_checkpoint(path) -> MlpModel:
     width from `input_w`, the node count from `block_adjacency`. A missing
     array or meta key, a meta `width`, `rounds` or `slices` that disagrees
     with the arrays, an array whose shape does not fit the layout, or a
-    nonzero masked entry raises FormatError naming the path."""
+    nonzero masked entry raises FormatError naming the path, as does a file
+    that is not an .npz archive (text, an .npy array, cut short)."""
+    if os.path.exists(path) and not zipfile.is_zipfile(path):  # else np.load raises OSError
+        raise FormatError(f"{path}: not an .npz archive")
     with np.load(path, allow_pickle=False) as data:
         if "header" not in data or str(data["header"]) != CKPT_HEADER:
             raise FormatError(f"{path}: not a {CKPT_HEADER} checkpoint")

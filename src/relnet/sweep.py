@@ -307,7 +307,8 @@ def run_one(
     final EvalResult, per-epoch log).
 
     The shuffle and model seeds are child streams of `seed`, so `relnet
-    train` with a sweep cell's parameters and seed reproduces that cell's
+    train` with a sweep cell's parameters and seed, and its spec's settings
+    as flags (one per spec field, named after it), reproduces that cell's
     row."""
     mlp = init_model(
         graph,
@@ -563,6 +564,8 @@ def correlation_report(
     Takes the per-cell seed-averaged errors, pairs them with the cell's
     x_field value, and fits a quadratic by least squares (`np.polyfit`).
     Fewer than 3 distinct x values, or a fit of rank below 3, raise FitError.
+    So does a norm of the columns (x^2, x, 1), which `np.polyfit` divides by,
+    of 0 or inf (|x| below about 1e-81 or above 1e77): LAPACK gets NaNs.
     """
     rows = aggregate(records)
     points = [
@@ -577,11 +580,14 @@ def correlation_report(
             f"quadratic fit needs >= 3 distinct {x_field} values, "
             f"got {len(set(xs.tolist()))}"
         )
-    try:
-        with np.errstate(all="ignore"):  # x^2 out of float range shows as rank < 3
-            coeffs, _, rank, _, _ = np.polyfit(xs, ys, 2, full=True)
-    except np.linalg.LinAlgError:
-        rank = 0
+    with np.errstate(all="ignore"):
+        norms = np.sqrt((np.vander(xs, 3) ** 2).sum(axis=0))
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise FitError(
+            f"quadratic fit of top1_mean against {x_field} has rank below 3: "
+            "a column of (x^2, x, 1) has norm 0 or out of float range"
+        )
+    coeffs, _, rank, _, _ = np.polyfit(xs, ys, 2, full=True)
     if rank < 3:
         raise FitError(f"quadratic fit of top1_mean against {x_field} has rank {rank}, not 3")
     residuals = ys - np.polyval(coeffs, xs)
@@ -611,17 +617,20 @@ def _record_to_row(record: ExperimentRecord) -> dict:
     return {name: _fmt(getattr(record, name)) for name in CSV_HEADER}
 
 
-def _column_parser(field):
-    """Parser of one CSV column, from the field's declared type (a string,
-    under postponed annotations): an empty value reads as None for an
+def _column_parser(kind, default):
+    """Parser of one CSV column, from its field's type `kind` (str, int,
+    float or `X | None`) and `default`: an empty value reads as None for an
     `X | None` field and as the default for a field that has one; any other
     empty or malformed number raises ValueError."""
-    parse = {"str": str, "int": int, "float": float}[field.type.split(" | ")[0]]
-    empty = None if field.type.endswith(" | None") else field.default
-    return lambda text: parse(text) if text or empty is MISSING else empty
+    if isinstance(kind, UnionType):
+        kind, default = get_args(kind)[0], None
+    return lambda text: kind(text) if text or default is MISSING else default
 
 
-_COLUMN_PARSERS = [_column_parser(f) for f in fields(ExperimentRecord)]
+_COLUMN_PARSERS = [
+    _column_parser(get_type_hints(ExperimentRecord)[f.name], f.default)
+    for f in fields(ExperimentRecord)
+]
 
 
 def write_records_csv(records: list[ExperimentRecord], path, append: bool = False) -> None:

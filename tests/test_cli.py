@@ -1,21 +1,26 @@
+import argparse
 import json
 import math
 import multiprocessing
 import os
 import signal
 import time
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
 import relnet.cli
 import relnet.sweep
 import relnet.training
-from relnet.cli import _generator_spec, _train_specs, build_parser, main
+from relnet.cli import _flag_values, _generator_spec, build_parser, main
 from relnet.errors import FormatError
 from relnet.generators import GeneratorSpec
 from relnet.graphs import read_edge_list
 from relnet.model import load_checkpoint
-from relnet.sweep import CSV_HEADER, BlobsSpec, ModelSpec, read_dataset_spec, read_records_csv
+from relnet.sweep import (
+    CSV_HEADER, BlobsSpec, Cifar10Spec, ModelSpec, read_records_csv, read_spec,
+)
 from relnet.training import TrainConfig
 
 
@@ -209,17 +214,72 @@ class TestTrain:
     BASE = [
         "train", "--family", "complete", "--n", "4", "--width", "8",
         "--rounds", "1", "--blob-classes", "3", "--blob-dim", "6",
-        "--blob-per-class", "20", "--epochs", "2", "--batch-size", "32",
-        "--lr", "0.05", "--seed", "7",
+        "--blob-n-per-class", "20", "--epochs", "2", "--batch-size", "32",
+        "--learning-rate", "0.05", "--seed", "7",
     ]
+    # The spec dataclasses of each subcommand, with their flags' prefix.
+    SPEC_FLAGS = {
+        "gen": [(GeneratorSpec, "")],
+        "train": [(GeneratorSpec, ""), (ModelSpec, ""), (TrainConfig, ""),
+                  (BlobsSpec, "blob-"), (Cifar10Spec, "data-")],
+    }
+    OTHER_FLAGS = {
+        "gen": {"-h", "--help", "--out"},
+        "train": {"-h", "--help", "--edges", "--seed", "--log", "--ckpt-out", "--dataset"},
+    }
+
+    @staticmethod
+    def subcommands():
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_no_subcommand_abbreviates_flags(self):
+        assert [name for name, p in self.subcommands().items() if p.allow_abbrev] == []
 
     def test_flag_defaults_are_the_dataclass_defaults(self):
         args = build_parser().parse_args(["train", "--family", "er", "--p", "0.5"])
-        config, model, dspec = _train_specs(args)
-        assert config == TrainConfig()
-        assert model == ModelSpec()
-        assert read_dataset_spec(dspec) == BlobsSpec()
+        assert read_spec(TrainConfig, _flag_values(args, TrainConfig)) == TrainConfig()
+        assert read_spec(ModelSpec, _flag_values(args, ModelSpec)) == ModelSpec()
+        assert read_spec(BlobsSpec, _flag_values(args, BlobsSpec, "blob_")) == BlobsSpec()
         assert _generator_spec(args, 0) == GeneratorSpec(family="er", p=0.5)
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_one_flag_per_spec_field(self, command):
+        """Every field has exactly one flag, named after it, with its
+        default, but GeneratorSpec's seed in train, whose --seed is the run
+        seed; no other flag sets a spec field."""
+        actions = self.subcommands()[command]._actions
+        derived = set()
+        for cls, prefix in self.SPEC_FLAGS[command]:
+            for f in fields(cls):
+                if (command, cls, f.name) == ("train", GeneratorSpec, "seed"):
+                    continue
+                flag = "--" + prefix + f.name.replace("_", "-")
+                (action,) = [a for a in actions if flag in a.option_strings]
+                assert action.default == (None if f.default is MISSING else f.default)
+                derived.update(action.option_strings)
+        every = {option for a in actions for option in a.option_strings}
+        assert every - derived == self.OTHER_FLAGS[command]
+
+    def test_bool_field_is_a_flag_pair(self):
+        args = build_parser().parse_args(["train", "--family", "er", "--no-use-bias"])
+        assert read_spec(ModelSpec, _flag_values(args, ModelSpec)) == ModelSpec(use_bias=False)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lr", "0.05"), ("--schedule", "constant"), ("--no-bias", None),
+         ("--blob-per-class", "20"), ("--learning", "0.05"), ("--lr-sched", "constant")],
+    )
+    def test_old_and_abbreviated_flags_exit_2(self, capsys, flag, value):
+        """The flags renamed to their spec keys are gone, and no flag stands
+        for a longer one it begins (`--lr` is not `--lr-schedule`)."""
+        argv = ["train", "--family", "complete", "--n", "4", "--width", "8", "--rounds", "1",
+                "--epochs", "1", "--blob-n-per-class", "5", flag] + ([value] if value else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_train_generated_graph(self, capsys, tmp_path):
         log = tmp_path / "log.jsonl"
@@ -253,7 +313,7 @@ class TestTrain:
     def test_train_requires_one_graph_source(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "train", "--epochs", "1", "--blob-classes", "3",
-            "--blob-dim", "6", "--blob-per-class", "5",
+            "--blob-dim", "6", "--blob-n-per-class", "5",
         )
         assert code == 2
         assert "exactly one of --edges or --family" in err
@@ -266,10 +326,28 @@ class TestTrain:
         assert code == 2
         assert "requires --data-dir" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--lr-schedule", "linear", "lr_schedule must be one of"),
+         ("--precision", "half", "precision must be one of"),
+         ("--family", "ring", "unknown family 'ring'"),
+         ("--base", "ring", "does not take base")],
+    )
+    def test_bad_setting_exits_2_before_the_data_loads(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        code, stdout, err = run(
+            capsys, "train", "--family", "complete", "--n", "4", "--dataset", "cifar10",
+            "--data-dir", str(tmp_path / "no-such-dir"), flag, value,
+        )
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and message in line
+
     def test_empty_blobs_split_exits_2(self, capsys):
         code, stdout, err = run(
             capsys, "train", "--family", "complete", "--n", "4", "--width", "8",
-            "--rounds", "1", "--epochs", "1", "--blob-per-class", "0",
+            "--rounds", "1", "--epochs", "1", "--blob-n-per-class", "0",
         )
         assert (code, stdout) == (2, "")
         (line,) = err.splitlines()
@@ -318,7 +396,8 @@ class TestTrain:
             "seeds": [3],
             "model": {"width": 16, "rounds": 2},
             "train": {"epochs": 2, "batch_size": 32},
-            "dataset": {"kind": "blobs", "n_per_class": 30},
+            "dataset": {"kind": "blobs", "n_per_class": 30, "test_n_per_class": 40,
+                        "spread": 0.8, "seed": 5},
         }))
         out = tmp_path / "out.csv"
         code, _, _ = run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
@@ -330,7 +409,33 @@ class TestTrain:
             "train", "--family", "community", "--base", "er", "--n", "16",
             "--communities", "2", "--p", "0.5", "--mu", "0.3", "--seed", "3",
             "--width", "16", "--rounds", "2", "--epochs", "2",
-            "--batch-size", "32", "--blob-per-class", "30",
+            "--batch-size", "32", "--blob-n-per-class", "30",
+            "--blob-test-n-per-class", "40", "--blob-spread", "0.8", "--blob-seed", "5",
+        )
+        assert code == 0
+        summary = last_json(stdout)
+        assert summary["nodes"] == record.nodes_realized
+        assert summary["top1_error"] == record.top1_error
+        assert summary["n_examples"] == 40 * BlobsSpec.classes
+
+    def test_train_reproduces_a_demo_sweep_cell(self, capsys, tmp_path):
+        """The shipped demo sweep, narrowed to one cell: its blobs spread 0.6
+        differs from BlobsSpec's default, so the rerun needs --blob-spread."""
+        spec = json.loads((Path(__file__).parents[1] / "sweeps" / "blobs_demo.json").read_text())
+        spec |= {"axis1": {"name": "p", "values": [0.5]},
+                 "axis2": {"name": "mu", "values": [0.3]}, "communities": [2], "seeds": [1]}
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "sweep", "--spec", str(path), "--out", str(out))
+        assert code == 0
+        (record,) = read_records_csv(out)
+        assert record.status == "ok"
+        code, stdout, _ = run(
+            capsys,
+            "train", "--family", "community", "--base", "er", "--n", "16",
+            "--communities", "2", "--p", "0.5", "--mu", "0.3", "--seed", "1",
+            "--width", "64", "--rounds", "2", "--epochs", "30", "--blob-spread", "0.6",
         )
         assert code == 0
         summary = last_json(stdout)

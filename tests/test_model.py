@@ -414,3 +414,20 @@ class TestMalformedCheckpoint:
     def test_array_of_the_wrong_rank(self, tmp_path, key, shape):
         path = self.write_altered(tmp_path, arrays={key: np.ones(shape, dtype=bool)})
         self.assert_rejected(path, "is not a matrix, or a bias not a vector")
+
+    def test_text_file_is_not_an_archive(self, tmp_path):
+        path = tmp_path / "model.npz"
+        path.write_text("width 10\n")
+        self.assert_rejected(path, "not an .npz archive")
+
+    def test_npy_file_is_not_an_archive(self, tmp_path):
+        path = tmp_path / "model.npy"
+        np.save(path, np.zeros(3))
+        self.assert_rejected(path, "not an .npz archive")
+
+    @pytest.mark.parametrize("keep", [0, 0.5, 0.99])
+    def test_truncated_archive(self, tmp_path, keep):
+        path = self.write_altered(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * keep)])
+        self.assert_rejected(path, "not an .npz archive")

@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
@@ -574,10 +576,34 @@ class TestCorrelationReport:
         assert report.r_squared is None and report.residual_dof == 1
 
     @pytest.mark.parametrize("scale", [1e-200, 1e154])
-    def test_x_squared_out_of_float_range_is_rank_deficient(self, scale):
+    def test_x_squared_out_of_float_range_is_rank_deficient(self, capfd, scale):
+        """Rejected before LAPACK, which would print DLASCL errors."""
         records = [make_record(p=x * scale, top1_error=float(x)) for x in (1, 2, 3)]
         with pytest.raises(FitError, match="rank"):
             correlation_report(records, x_field="p")
+        assert capfd.readouterr() == ("", "")
+
+    def test_tiny_x_ends_without_hanging(self):
+        """x near 1e-100 has a finite, nonzero x^2 whose column norm underflows
+        to 0; handed to LAPACK, that spun at full CPU without end. A child
+        process with a timeout turns a regression into a failure."""
+        code = (
+            "from relnet.sweep import correlation_report\n"
+            "from relnet.errors import FitError\n"
+            "from test_sweep import make_record\n"
+            "records = [make_record(p=x * 1e-100, top1_error=float(x)) for x in (1, 2, 3)]\n"
+            "try:\n"
+            "    correlation_report(records, x_field='p')\n"
+            "except FitError as exc:\n"
+            "    print('FitError', exc)\n"
+        )
+        paths = [Path(relnet.sweep.__file__).parents[1], Path(__file__).parent]
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(map(str, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("FitError quadratic fit of top1_mean against p")
 
     def test_nearly_equal_x_is_rank_deficient(self):
         records = [make_record(p=1e10 + x, top1_error=float(x * x)) for x in (0, 1, 2)]
