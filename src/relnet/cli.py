@@ -51,19 +51,23 @@ from .training import TrainConfig
 _DATASET_PREFIX = {"blobs": "blob_", "cifar10": "data_"}
 
 
+def _flag(prefix: str, name: str) -> str:
+    """The flag of the spec field `name`: `--` + `prefix` + `name`, `_` as `-`."""
+    return "--" + (prefix + name).replace("_", "-")
+
+
 def _add_spec_flags(parser, cls, prefix: str = "", skip=(), required: bool = True) -> None:
-    """One flag per field of the dataclass `cls` but `skip`, named `--` +
-    `prefix` + the field name with `_` as `-`, of the field's type (X for
-    `X | None`) and default; a bool field is `--x/--no-x`. A field without a
-    default is a required flag, or with `required=False` one defaulting to
-    None that the command checks."""
+    """One flag per field of the dataclass `cls` but `skip` (`_flag`), of
+    the field's type (X for `X | None`) and default; a bool field is
+    `--x/--no-x`. A field without a default is a required flag, or with
+    `required=False` one defaulting to None that the command checks."""
     types = get_type_hints(cls)
     for f in fields(cls):
         if f.name in skip:
             continue
         kind = types[f.name]
         kind = get_args(kind)[0] if isinstance(kind, UnionType) else kind
-        flag = "--" + (prefix + f.name).replace("_", "-")
+        flag = _flag(prefix, f.name)
         if f.default is MISSING:
             parser.add_argument(flag, type=kind, required=required)
         elif kind is bool:
@@ -78,9 +82,15 @@ def _flag_values(args, cls, prefix: str = "") -> dict:
     return {f.name: getattr(args, prefix + f.name) for f in fields(cls)}
 
 
+def _read_flags(args, cls, prefix: str = "", **values):
+    """The `cls` that its flags and `values` set (`read_spec`); errors name the flag."""
+    source = functools.partial(_flag, prefix)
+    return read_spec(cls, _flag_values(args, cls, prefix) | values, source=source)
+
+
 def _generator_spec(args, seed: int) -> GeneratorSpec:
     """The spec of the generator flags, with `seed` for the graph."""
-    return read_spec(GeneratorSpec, _flag_values(args, GeneratorSpec) | {"seed": seed})
+    return _read_flags(args, GeneratorSpec, seed=seed)
 
 
 def _metrics_dict(graph) -> dict:
@@ -124,8 +134,9 @@ def _cmd_train(args) -> int:
     if args.dataset == "cifar10" and args.data_dir is None:
         raise ValueError("--dataset cifar10 requires --data-dir")
     # Flags that fail need not wait for the dataset to load.
-    config = read_spec(TrainConfig, _flag_values(args, TrainConfig))
+    config = _read_flags(args, TrainConfig)
     config.validate()
+    dataset = _read_flags(args, DATASET_KINDS[args.dataset], _DATASET_PREFIX[args.dataset])
     with one_blas_thread():
         if args.edges is not None:
             graph = read_edge_list(args.edges)
@@ -133,14 +144,13 @@ def _cmd_train(args) -> int:
             graph = generate_with_info(
                 _generator_spec(args, child_seed(args.seed, _GRAPH_STREAM))
             )[0]
-    dataset = _flag_values(args, DATASET_KINDS[args.dataset], _DATASET_PREFIX[args.dataset])
-    train_ds, test_ds = build_dataset({"kind": args.dataset} | dataset, dtype=config.dtype)
+    train_ds, test_ds = build_dataset({"kind": args.dataset} | asdict(dataset), dtype=config.dtype)
 
     tic = time.perf_counter()
     model, result, log = run_one(
         graph,
         args.seed,
-        model=read_spec(ModelSpec, _flag_values(args, ModelSpec)),
+        model=_read_flags(args, ModelSpec),
         config=config,
         train_ds=train_ds,
         test_ds=test_ds,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 
-from .errors import TooLarge
+from .errors import TooLarge, TooSmall
 from .generators import gen_er
 from .graphs import Graph, induced_subgraph, largest_component, read_edge_list
 from .seeding import rng
@@ -46,6 +46,8 @@ def sample_subgraph(g: Graph, n_sample: int, seed: int) -> Graph:
     The component step keeps the trained architecture connected; the
     realized node count can therefore fall below n_sample.
     """
+    if n_sample < 1:
+        raise TooSmall(f"sample size must be >= 1, got {n_sample}")
     if n_sample > g.node_count:
         raise TooLarge(
             f"cannot sample {n_sample} nodes from a {g.node_count}-node graph"
@@ -58,5 +60,7 @@ def matched_er(g: Graph, seed: int) -> Graph:
     """ER control graph: same node count, p matched to g's edge density,
     reduced to its largest component."""
     n = g.node_count
+    if n < 2:
+        raise TooSmall(f"a matched ER control needs >= 2 nodes, got {n}")
     p = g.edge_count / (n * (n - 1) / 2)
     return largest_component(gen_er(n, min(1.0, p), seed))

@@ -65,46 +65,37 @@ class GeneratorSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        """Check that the spec is well formed: a known family (and base), the
+        parameters it requires set and no others, each in range, n >= 2. It
+        does not report whether the graph can be built (communities <= n/2,
+        a feasible, unsaturated static-model block): `generate_with_info` does."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2:
-            raise TooSmall(f"n must be >= 2, got {self.n}")
-        required = taken = REQUIRED[self.family]
+            raise TooSmall(f"'n' must be >= 2, got {self.n}")
+        required = REQUIRED[self.family]
         owner = f"family {self.family!r}"
-        if self.family == "community":
-            taken += REQUIRED[self.base] if self.base in BASE_FAMILIES else ()
+        if self.family == "community" and self.base is not None:
+            if self.base not in BASE_FAMILIES:
+                raise ValueError(f"base family must be one of {BASE_FAMILIES}, got {self.base!r}")
+            required += REQUIRED[self.base]
             owner += f" with base {self.base!r}"
         for name in PARAMETERS:
-            value = getattr(self, name)
-            if name in required and value is None:
-                raise ValueError(f"family {self.family!r} requires {name}")
-            if name not in taken and value is not None:
-                raise ValueError(f"{owner} does not take {name}")
-        if self.p is not None and not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"p must be in [0,1], got {self.p}")
-        if self.mu is not None and not (0.0 <= self.mu <= 1.0):
-            raise ValueError(f"mu must be in [0,1], got {self.mu}")
-        if self.gamma is not None and self.gamma < 2.0:
-            raise ValueError(f"gamma must be >= 2, got {self.gamma}")
-        if self.m is not None and self.m <= 0:
-            raise ValueError(f"m must be > 0, got {self.m}")
-        drawn, size = self.family, self.n
-        if self.family == "community":
-            k = self.communities
-            if k < 1:
-                raise ValueError(f"communities must be >= 1, got {k}")
-            if k > self.n / 2:
-                raise TooManyCommunities(
-                    f"{k} communities leave blocks below 2 nodes for n={self.n}"
-                )
-            if self.base not in BASE_FAMILIES:
-                raise ValueError(f"base must be one of {BASE_FAMILIES}, got {self.base!r}")
-            base_required = REQUIRED[self.base]
-            if any(getattr(self, name) is None for name in base_required):
-                raise ValueError(f"base {self.base!r} requires {' and '.join(base_required)}")
-            drawn, size = self.base, self.n // k
-        if drawn == "static_sf":
-            _check_sf_feasible(size, self.m)
+            if name not in required and getattr(self, name) is not None:
+                raise ValueError(f"{owner} does not take {name!r}")
+        for name in required:
+            if getattr(self, name) is None:
+                raise ValueError(f"{owner} requires {name!r}")
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"'p' must be in [0,1], got {self.p}")
+        if self.mu is not None and not 0.0 <= self.mu <= 1.0:
+            raise ValueError(f"'mu' must be in [0,1], got {self.mu}")
+        if self.gamma is not None and not self.gamma >= 2.0:
+            raise ValueError(f"'gamma' must be >= 2, got {self.gamma}")
+        if self.m is not None and not self.m > 0:
+            raise ValueError(f"'m' must be > 0, got {self.m}")
+        if self.communities is not None and self.communities < 1:
+            raise ValueError(f"'communities' must be >= 1, got {self.communities}")
 
 
 def _check_sf_feasible(n: int, m: float) -> None:
@@ -130,17 +121,13 @@ class GenerationInfo:
 
 def gen_complete(n: int) -> Graph:
     """Complete graph on n nodes (the dense baseline)."""
-    if n < 2:
-        raise TooSmall(f"complete graph needs n >= 2, got {n}")
+    GeneratorSpec("complete", n).validate()
     return from_adjacency(~np.eye(n, dtype=bool))
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): each pair included independently with probability p."""
-    if n < 2:
-        raise TooSmall(f"ER graph needs n >= 2, got {n}")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0,1], got {p}")
+    GeneratorSpec("er", n, p=p).validate()
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[np.triu_indices(n, k=1)] = rng(seed).random(n * (n - 1) // 2) < p
     return from_adjacency(adjacency | adjacency.T)
@@ -152,15 +139,11 @@ def gen_static_sf(n: int, gamma: float, m: float, seed: int) -> Graph:
     Node i (1-based) carries weight i^(-alpha), alpha = 1/(gamma-1); two
     endpoints are drawn independently in proportion to the weights, and the
     edge is kept when the endpoints are distinct and the edge is new, until
-    exactly floor(m*n/2) edges exist. A run of 200*E consecutive rejected
-    draws aborts with EdgeSaturation (dense or very low gamma regimes).
+    exactly floor(m*n/2) edges exist. A target above the n(n-1)/2 possible
+    edges raises ValueError; a run of 200*E consecutive rejected draws aborts
+    with EdgeSaturation (dense or very low gamma regimes).
     """
-    if n < 2:
-        raise TooSmall(f"static model needs n >= 2, got {n}")
-    if gamma < 2.0:
-        raise ValueError(f"gamma must be >= 2, got {gamma}")
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m}")
+    GeneratorSpec("static_sf", n, gamma=gamma, m=m).validate()
     _check_sf_feasible(n, m)
     target = int(m * n // 2)
     alpha = 1.0 / (gamma - 1.0)
@@ -203,11 +186,14 @@ def _draw(family: str, spec: GeneratorSpec, n: int, seed: int) -> Graph:
 
 def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
     """Community-structured graph per the composed family (see the module
-    docstring), with its composition bookkeeping."""
+    docstring), with its composition bookkeeping. More communities than n/2
+    raise TooManyCommunities, and each block raises its family's errors."""
     spec.validate()
     if spec.family != "community":
         raise ValueError(f"expected family 'community', got {spec.family!r}")
     k = spec.communities
+    if k > spec.n / 2:
+        raise TooManyCommunities(f"{k} communities leave blocks below 2 nodes for n={spec.n}")
     blocks = [
         largest_component(_draw(spec.base, spec, size, child_seed(spec.seed, c)))
         for c, size in enumerate(near_equal_sizes(spec.n, k))

@@ -21,7 +21,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .datasets import ChannelStats, Dataset, channel_stats, load_cifar10, synthetic_blobs
 from .errors import FitError, FormatError, RelnetError, WorkerLost
-from .generators import BASE_FAMILIES, PARAMETERS, REQUIRED, GeneratorSpec, generate_with_info
+from .generators import PARAMETERS, GeneratorSpec, generate_with_info
 from .graphs import Graph, GraphMetrics, compute_metrics
 from .model import MlpModel, init_model
 from .seeding import _GRAPH_STREAM, _MODEL_STREAM, _SHUFFLE_STREAM, child_seed
@@ -90,42 +90,35 @@ class SweepSpec:
         return [self.axis1] + ([self.axis2] if self.axis2 else [])
 
     def validate(self) -> None:
-        if self.family not in BASE_FAMILIES:
-            raise ValueError(f"sweep family must be one of {BASE_FAMILIES}")
-        taken = tuple(n for n in AXIS_NAMES if n in REQUIRED[self.family] + REQUIRED["community"])
+        """Check the sweep-level rules, and each grid point's graph spec (one
+        per axis values and community count) by `GeneratorSpec.validate`.
+        A graph that cannot be built is its cell's error row."""
         for axis in self.axes:
-            if axis.name not in taken:
-                raise ValueError(f"family {self.family!r} takes {taken}, not axis {axis.name!r}")
+            if axis.name not in AXIS_NAMES:
+                raise ValueError(f"axis {axis.name!r} is not one of {AXIS_NAMES}")
             if not axis.values:
                 raise ValueError(f"axis {axis.name!r} has no values")
             if axis.name in self.fixed:
                 raise ValueError(f"{axis.name!r} both swept and fixed")
         if self.axis2 and self.axis2.name == self.axis1.name:
             raise ValueError("axis1 and axis2 sweep the same parameter")
-        unknown = sorted(set(self.fixed) - set(taken))
+        unknown = sorted(set(self.fixed) - set(AXIS_NAMES))
         if unknown:
-            raise ValueError(f"family {self.family!r} takes {taken}, not fixed {unknown[0]!r}")
-        swept = [axis.name for axis in self.axes]
-        unset = [n for n in REQUIRED[self.family] if n not in swept and n not in self.fixed]
-        if unset:
-            raise ValueError(f"family {self.family!r} requires {unset[0]!r}, swept or fixed")
-        if self.n < 2:
-            raise ValueError(f"sweep spec 'n' must be >= 2, got {self.n}")
-        for name in ("width", "rounds"):
-            value = getattr(self.model, name)
-            if value < 1:
-                raise ValueError(f"sweep spec 'model.{name}' must be >= 1, got {value}")
-        if not self.communities or min(self.communities) < 1:
-            raise ValueError(f"sweep spec 'communities' must all be >= 1, got {self.communities}")
-        if not self.seeds:
-            raise ValueError("seeds list is empty")
+            raise ValueError(f"fixed {unknown[0]!r} is not one of {AXIS_NAMES}")
+        for name in ("communities", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"sweep spec {name!r} is empty")
+        for cell in sweep_cells(replace(self, seeds=self.seeds[:1])):
+            _graph_spec(cell, self.n).validate()
         self.train.validate()
+        counts = {f"model.{name}": getattr(self.model, name) for name in ("width", "rounds")}
         dataset = read_dataset_spec(self.dataset)
         if isinstance(dataset, BlobsSpec):
-            for name in ("n_per_class", "test_n_per_class"):
-                value = getattr(dataset, name)
-                if value < 1:
-                    raise ValueError(f"sweep spec 'dataset.{name}' must be >= 1, got {value}")
+            counts |= {f"dataset.{name}": getattr(dataset, name)
+                       for name in ("n_per_class", "test_n_per_class")}
+        for key, value in counts.items():
+            if value < 1:
+                raise ValueError(f"sweep spec {key!r} must be >= 1, got {value}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
@@ -157,13 +150,14 @@ def _is_json(value, kind: type) -> bool:
     )
 
 
-def read_spec(cls, d, name: str = "", *, comments: bool = False):
+def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep spec {!r}".format):
     """The dataclass `cls` from the JSON object `d`: each key is a field,
     read as the field's declared type (`_read_value`), and an absent key
     takes the field's default. A missing, unknown or mistyped key raises
-    FormatError naming it; `name` is the object's dotted path ("" at the top
-    level). With `comments`, keys starting with "_" are skipped."""
-    where = f"sweep spec {name!r}" if name else "sweep spec"
+    FormatError naming it as `source` of its dotted path (the flag, for
+    `relnet train`); `name` is the object's path ("" at the top level).
+    With `comments`, keys starting with "_" are skipped."""
+    where = source(name) if name else "sweep spec"
     if not isinstance(d, dict):
         raise FormatError(f"{where} must be a JSON object, got {d!r}")
     types = get_type_hints(cls)
@@ -174,37 +168,37 @@ def read_spec(cls, d, name: str = "", *, comments: bool = False):
     for f in fields(cls):
         if f.name in d:
             path = f"{name}.{f.name}" if name else f.name
-            values[f.name] = _read_value(types[f.name], d[f.name], path)
+            values[f.name] = _read_value(types[f.name], d[f.name], path, source)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise FormatError(f"{where} has no {f.name!r}")
     return cls(**values)
 
 
-def _read_value(kind, value, name: str):
+def _read_value(kind, value, name: str, source):
     """`value` read as the type `kind`: a dataclass (`read_spec`), `X | None`
     (JSON null or an X), `tuple[X, ...]` (a list of X), `dict[str, X]`, a
     bare `dict` (any object) or a scalar of `_JSON_OF_TYPE`."""
     args = get_args(kind)
     if isinstance(kind, UnionType):
-        return None if value is None else _read_value(args[0], value, name)
+        return None if value is None else _read_value(args[0], value, name, source)
     if is_dataclass(kind):
-        return read_spec(kind, value, name)
+        return read_spec(kind, value, name, source=source)
     json_kind = get_origin(kind) or kind
     if not _is_json(value, json_kind):
         raise FormatError(
-            f"sweep spec {name!r} must be a JSON {_JSON_OF_TYPE[json_kind][1]}, got {value!r}"
+            f"{source(name)} must be a JSON {_JSON_OF_TYPE[json_kind][1]}, got {value!r}"
         )
     if json_kind is tuple:
         bad = [v for v in value if not _is_json(v, args[0])]
         if bad:
             raise FormatError(
-                f"sweep spec {name!r} must hold JSON {_JSON_OF_TYPE[args[0]][1]}s, got {bad[0]!r}"
+                f"{source(name)} must hold JSON {_JSON_OF_TYPE[args[0]][1]}s, got {bad[0]!r}"
             )
         return tuple(map(args[0], value))
     if json_kind is dict:
         if not args:
             return value
-        return {k: _read_value(args[1], v, f"{name}.{k}") for k, v in value.items()}
+        return {k: _read_value(args[1], v, f"{name}.{k}", source) for k, v in value.items()}
     return json_kind(value)
 
 
@@ -293,6 +287,14 @@ def sweep_cells(spec: SweepSpec) -> list[SweepCell]:
     ]
 
 
+def _graph_spec(cell: SweepCell, n: int) -> GeneratorSpec:
+    """The spec of a cell's graph: `cell.communities` blocks of its family
+    on `n` nodes, joined at density mu (0 when unset), seeded from the cell."""
+    params = {name: getattr(cell, name) for name in AXIS_NAMES} | {"mu": cell.mu or 0.0}
+    return GeneratorSpec("community", n, communities=cell.communities, base=cell.family,
+                         seed=child_seed(cell.seed, _GRAPH_STREAM), **params)
+
+
 def run_one(
     graph: Graph,
     seed: int,
@@ -334,16 +336,8 @@ def _execute_cell(
     settings of `spec`; an infeasible cell becomes an error row."""
     tic = time.perf_counter()
     try:
-        gspec = GeneratorSpec(
-            family="community",
-            n=spec.n,
-            communities=cell.communities,
-            base=cell.family,
-            seed=child_seed(cell.seed, _GRAPH_STREAM),
-            **({name: getattr(cell, name) for name in AXIS_NAMES} | {"mu": cell.mu or 0.0}),
-        )
         with one_blas_thread():
-            graph, info = generate_with_info(gspec)
+            graph, info = generate_with_info(_graph_spec(cell, spec.n))
             metrics = compute_metrics(graph)
         _, result, _ = run_one(
             graph,
@@ -547,13 +541,15 @@ class CorrelationReport:
     `r_squared` is the share of the means' variance the fit explains (None
     when all means are equal); `residual_dof` is the number of points less
     the three coefficients, so 0 means the curve passes through every point
-    whatever the data."""
+    whatever the data. `standard_errors` are the coefficients' (from
+    np.polyfit's covariance), None when `residual_dof` is 0."""
 
     x_field: str
     points: tuple[tuple[float, float], ...]
     coefficients: tuple[float, float, float]
     r_squared: float | None
     residual_dof: int
+    standard_errors: tuple[float, float, float] | None
 
 
 def correlation_report(
@@ -592,12 +588,15 @@ def correlation_report(
         raise FitError(f"quadratic fit of top1_mean against {x_field} has rank {rank}, not 3")
     residuals = ys - np.polyval(coeffs, xs)
     spread = float(np.sum((ys - ys.mean()) ** 2))
+    dof = len(points) - 3
+    cov = np.polyfit(xs, ys, 2, cov=True)[1] if dof else None
     return CorrelationReport(
         x_field=x_field,
         points=tuple(points),
         coefficients=tuple(float(c) for c in coeffs),
         r_squared=1.0 - float(residuals @ residuals) / spread if spread else None,
-        residual_dof=len(points) - 3,
+        residual_dof=dof,
+        standard_errors=None if cov is None else tuple(map(float, np.sqrt(np.diag(cov)))),
     )
 
 

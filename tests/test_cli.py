@@ -19,7 +19,8 @@ from relnet.generators import GeneratorSpec
 from relnet.graphs import read_edge_list
 from relnet.model import load_checkpoint
 from relnet.sweep import (
-    CSV_HEADER, BlobsSpec, Cifar10Spec, ModelSpec, read_records_csv, read_spec,
+    CSV_HEADER, BlobsSpec, Cifar10Spec, ModelSpec, correlation_report, read_records_csv,
+    read_spec,
 )
 from relnet.training import TrainConfig
 
@@ -209,6 +210,27 @@ class TestImport:
         assert code == 2
         assert "cannot sample" in err
 
+    @pytest.mark.parametrize(
+        "lines, flags, message",
+        [(["0 1", "1 2"], ["--sample", "1", "--matched-er"],
+          "a matched ER control needs >= 2 nodes, got 1"),
+         (["# nodes 1"], ["--matched-er"], "a matched ER control needs >= 2 nodes, got 1"),
+         (["0 1", "1 2"], ["--sample", "0"], "sample size must be >= 1, got 0"),
+         (["0 1", "1 2"], ["--sample", "-1"], "sample size must be >= 1, got -1")],
+        ids=["sampled-one-node-matched-er", "one-node-file-matched-er", "sample-0",
+             "sample-minus-1"],
+    )
+    def test_too_few_nodes_exits_2(self, capsys, tmp_path, lines, flags, message):
+        src = tmp_path / "small.edges"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.edges"
+        code, stdout, err = run(
+            capsys, "import", "--edges", str(src), *flags, "--out", str(out)
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
 
 class TestTrain:
     BASE = [
@@ -331,7 +353,7 @@ class TestTrain:
         [("--lr-schedule", "linear", "lr_schedule must be one of"),
          ("--precision", "half", "precision must be one of"),
          ("--family", "ring", "unknown family 'ring'"),
-         ("--base", "ring", "does not take base")],
+         ("--base", "ring", "does not take 'base'")],
     )
     def test_bad_setting_exits_2_before_the_data_loads(
         self, capsys, tmp_path, flag, value, message
@@ -343,6 +365,23 @@ class TestTrain:
         assert (code, stdout) == (2, "")
         (line,) = err.splitlines()
         assert line.startswith("error: ") and message in line
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["train", "--family", "complete", "--n", "4", "--width", "8", "--rounds", "1",
+           "--epochs", "1", "--learning-rate", "nan"], "--learning-rate"),
+         (["gen", "--family", "er", "--n", "10", "--p", "nan"], "--p"),
+         (["train", "--family", "complete", "--n", "4", "--width", "8", "--rounds", "1",
+           "--epochs", "1", "--blob-spread", "nan"], "--blob-spread")],
+        ids=["train-learning-rate", "gen-p", "train-blob-spread"],
+    )
+    def test_bad_flag_value_exits_2_naming_the_flag(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "x.edges"
+        code, stdout, err = run(capsys, *argv, *(["--out", str(out)] if argv[0] == "gen" else []))
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert line == f"error: {flag} must be a JSON number, got nan"
+        assert not out.exists()
 
     def test_empty_blobs_split_exits_2(self, capsys):
         code, stdout, err = run(
@@ -627,6 +666,21 @@ class TestSweepReport:
         assert agg.exists()
         assert len(agg.read_text().splitlines()) == 1 + 3
 
+    def test_report_prints_standard_errors(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {**SWEEP_SPEC, "axis1": {"name": "p", "values": [0.3, 0.5, 0.8, 0.9]}}
+        ))
+        out = tmp_path / "out.csv"
+        run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        code, stdout, _ = run(capsys, "report", "--csv", str(out), "--x", "p")
+        assert code == 0
+        summary = last_json(stdout)
+        assert summary["residual_dof"] == 1
+        expected = correlation_report(read_records_csv(out), x_field="p").standard_errors
+        assert summary["standard_errors"] == list(expected)
+        assert all(e >= 0 for e in expected)
+
     def test_report_too_few_points_exits_2(self, capsys, tmp_path):
         spec_dict = dict(SWEEP_SPEC)
         spec_dict["axis1"] = {"name": "p", "values": [0.3, 0.5]}
@@ -803,6 +857,31 @@ class TestSweepReport:
         (line,) = err.splitlines()
         assert line == "error: sweep spec 'dataset.test_n_per_class' must be >= 1, got 0"
         assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "change, key",
+        [({"axis1": {"name": "p", "values": [0.5, 1.5]}}, "p"),
+         ({"family": "static_sf", "axis1": {"name": "gamma", "values": [2.5]}, "fixed": {"m": 0}},
+          "m")],
+        ids=["p-above-1", "zero-m"],
+    )
+    def test_out_of_range_value_exits_2_before_any_row(
+        self, capfd, tmp_path, change, key, workers
+    ):
+        """A value out of its range fails every cell of its grid point, so the
+        sweep ends at launch, not with error rows."""
+        out = tmp_path / "o.csv"
+        out.write_text("earlier,output\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SWEEP_SPEC, **change}))
+        code, stdout, err = run(
+            capfd, "sweep", "--spec", str(spec), "--out", str(out), "--workers", workers
+        )
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and repr(key) in line
+        assert out.read_text() == "earlier,output\n"
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exits_2_and_leaves_out_unchanged(self, capsys, tmp_path, workers):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relnet.connectome import import_connectome, matched_er, sample_subgraph
-from relnet.errors import FormatError, TooLarge
+from relnet.errors import FormatError, TooLarge, TooSmall
 from relnet.generators import gen_complete, gen_er
 from relnet.graphs import from_edge_pairs, largest_component
 
@@ -115,6 +115,11 @@ class TestSampleSubgraph:
         with pytest.raises(TooLarge, match="cannot sample 6"):
             sample_subgraph(g, 6, seed=0)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sample_below_one_node_rejected(self, size):
+        with pytest.raises(TooSmall, match=f"sample size must be >= 1, got {size}$"):
+            sample_subgraph(gen_complete(5), size, seed=0)
+
     def test_deterministic(self):
         g = gen_er(40, 0.2, seed=5)
         a = sample_subgraph(g, 15, seed=9)
@@ -159,6 +164,10 @@ class TestMatchedEr:
         # the control is gen_er(60, p, 7) reduced to its largest component
         expected = largest_component(gen_er(60, p, 7))
         assert control.edges == expected.edges
+
+    def test_fewer_than_two_nodes_rejected(self):
+        with pytest.raises(TooSmall, match="needs >= 2 nodes, got 1$"):
+            matched_er(from_edge_pairs(1, []), seed=0)
 
     def test_deterministic(self):
         g = gen_er(30, 0.2, seed=4)

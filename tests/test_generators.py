@@ -30,7 +30,7 @@ from relnet.seeding import child_seed
 
 class TestSpecValidation:
     def test_er_requires_p(self):
-        with pytest.raises(ValueError, match="requires p"):
+        with pytest.raises(ValueError, match="requires 'p'"):
             GeneratorSpec(family="er", n=10).validate()
 
     def test_complete_rejects_extras(self):
@@ -42,7 +42,7 @@ class TestSpecValidation:
             GeneratorSpec(family="ring", n=10).validate()
 
     def test_p_out_of_range(self):
-        with pytest.raises(ValueError, match="p must be"):
+        with pytest.raises(ValueError, match="'p' must be"):
             GeneratorSpec(family="er", n=10, p=1.5).validate()
 
     def test_gamma_below_two(self):
@@ -51,10 +51,10 @@ class TestSpecValidation:
 
     def test_sf_infeasible_target(self):
         with pytest.raises(ValueError, match="infeasible"):
-            GeneratorSpec(family="static_sf", n=10, gamma=2.5, m=10).validate()
+            generate_with_info(GeneratorSpec(family="static_sf", n=10, gamma=2.5, m=10))
 
     def test_community_requires_base_params(self):
-        with pytest.raises(ValueError, match="requires p"):
+        with pytest.raises(ValueError, match="requires 'p'"):
             GeneratorSpec(
                 family="community", n=12, communities=2, mu=0.1, base="er"
             ).validate()
@@ -68,16 +68,16 @@ class TestSpecValidation:
     )
     def test_community_rejects_other_base_params(self, base, params, stray):
         spec = GeneratorSpec(family="community", n=12, communities=2, mu=0.1, base=base, **params)
-        with pytest.raises(ValueError, match=f"with base '{base}' does not take {stray}$"):
+        with pytest.raises(ValueError, match=f"with base '{base}' does not take '{stray}'$"):
             spec.validate()
         with pytest.raises(ValueError, match="does not take"):
             generate_with_info(spec)
 
     def test_too_many_communities(self):
         with pytest.raises(TooManyCommunities):
-            GeneratorSpec(
+            generate_with_info(GeneratorSpec(
                 family="community", n=10, communities=6, mu=0.1, base="er", p=0.5
-            ).validate()
+            ))
 
     def test_half_n_communities_allowed(self):
         GeneratorSpec(

@@ -95,7 +95,7 @@ class TestSweepSpec:
         tiny_spec().validate()
 
     def test_bad_family(self):
-        with pytest.raises(ValueError, match="sweep family"):
+        with pytest.raises(ValueError, match="base family must be one of"):
             tiny_spec(family="complete").validate()
 
     def test_bad_axis_name(self):
@@ -114,7 +114,7 @@ class TestSweepSpec:
         ],
     )
     def test_parameter_not_taken_by_family(self, overrides, name):
-        with pytest.raises(ValueError, match=f"takes .*, not {name}"):
+        with pytest.raises(ValueError, match=f"does not take {name.split()[-1]}"):
             tiny_spec(**overrides).validate()
 
     def test_empty_axis(self):
@@ -574,6 +574,28 @@ class TestCorrelationReport:
         records = [make_record(p=x, top1_error=7.0) for x in (0.1, 0.2, 0.3, 0.4)]
         report = correlation_report(records, x_field="p")
         assert report.r_squared is None and report.residual_dof == 1
+
+    def test_exact_parabola_has_zero_standard_errors(self):
+        records = [make_record(mu=x, top1_error=x * x) for x in (0.0, 0.5, 1.0, 2.0, 3.0)]
+        report = correlation_report(records, x_field="mu")
+        assert report.residual_dof == 2
+        assert report.standard_errors == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
+
+    def test_standard_errors_of_a_noisy_parabola(self):
+        """x = -1, 0, 1 in two cells each, y = x^2 +- 1: the fit is x^2, the
+        residual variance 6 / 3 = 2, and (V^T V)^-1 = [[.75, 0, -.5],
+        [0, .25, 0], [-.5, 0, .5]], so the errors are sqrt(2 * diag)."""
+        records = [make_record(mu=x, p=p, top1_error=x * x + d)
+                   for x in (-1.0, 0.0, 1.0) for p, d in ((0.1, 1.0), (0.2, -1.0))]
+        report = correlation_report(records, x_field="mu")
+        assert report.coefficients == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+        assert report.residual_dof == 3
+        assert report.standard_errors == pytest.approx((1.5**0.5, 0.5**0.5, 1.0), rel=1e-12)
+
+    def test_no_standard_errors_without_residual_dof(self):
+        points = ((0.0, 5.0), (1.0, 2.0), (2.0, 9.0))
+        report = correlation_report([make_record(mu=x, top1_error=y) for x, y in points], "mu")
+        assert report.residual_dof == 0 and report.standard_errors is None
 
     @pytest.mark.parametrize("scale", [1e-200, 1e154])
     def test_x_squared_out_of_float_range_is_rank_deficient(self, capfd, scale):
