@@ -16,6 +16,7 @@ from .errors import (
     FitError,
     FormatError,
     InvalidNodeId,
+    InvalidValue,
     NumericError,
     RelnetError,
     ShapeError,

@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -21,11 +22,10 @@ from types import UnionType
 from typing import get_args, get_type_hints
 
 from .connectome import import_connectome, matched_er, sample_subgraph
-from .errors import RelnetError
+from .errors import InvalidValue, RelnetError
 from .generators import GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
 from .model import save_checkpoint
-from .seeding import _GRAPH_STREAM, child_seed
 from .sweep import (
     DATASET_KINDS,
     ModelSpec,
@@ -35,7 +35,7 @@ from .sweep import (
     correlation_report,
     cut_partial_row,
     existing_keys,
-    one_blas_thread,
+    graph_seed,
     read_records_csv,
     read_spec,
     record_key,
@@ -88,6 +88,15 @@ def _read_flags(args, cls, prefix: str = "", **values):
     return read_spec(cls, _flag_values(args, cls, prefix) | values, source=source)
 
 
+@contextlib.contextmanager
+def _naming_flags(prefix: str = ""):
+    """Run the block; an InvalidValue it raises names the field's flag (`_flag`)."""
+    try:
+        yield
+    except InvalidValue as exc:
+        raise InvalidValue(_flag(prefix, exc.field), exc.rule) from None
+
+
 def _generator_spec(args, seed: int) -> GeneratorSpec:
     """The spec of the generator flags, with `seed` for the graph."""
     return _read_flags(args, GeneratorSpec, seed=seed)
@@ -98,9 +107,8 @@ def _metrics_dict(graph) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    with one_blas_thread():
-        graph, info = generate_with_info(_generator_spec(args, args.seed))
-        summary = _metrics_dict(graph)
+    graph, info = generate_with_info(_generator_spec(args, args.seed))
+    summary = _metrics_dict(graph)
     write_edge_list(graph, args.out)
     summary["bridges"] = info.bridge_edges
     summary["community_sizes"] = list(info.community_sizes)
@@ -109,20 +117,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    with one_blas_thread():
-        summary = _metrics_dict(read_edge_list(args.edges))
+    summary = _metrics_dict(read_edge_list(args.edges))
     print(json.dumps(summary))
     return 0
 
 
 def _cmd_import(args) -> int:
-    with one_blas_thread():
-        graph = import_connectome(args.edges, declared_nodes=args.expect_nodes)
-        if args.sample is not None:
-            graph = sample_subgraph(graph, args.sample, args.seed)
-        if args.matched_er:
-            graph = matched_er(graph, args.seed)
-        summary = _metrics_dict(graph)
+    graph = import_connectome(args.edges, declared_nodes=args.expect_nodes)
+    if args.sample is not None:
+        graph = sample_subgraph(graph, args.sample, args.seed)
+    if args.matched_er:
+        graph = matched_er(graph, args.seed)
+    summary = _metrics_dict(graph)
     write_edge_list(graph, args.out)
     print(json.dumps(summary))
     return 0
@@ -135,27 +141,22 @@ def _cmd_train(args) -> int:
         raise ValueError("--dataset cifar10 requires --data-dir")
     # Flags that fail need not wait for the dataset to load.
     config = _read_flags(args, TrainConfig)
-    config.validate()
-    dataset = _read_flags(args, DATASET_KINDS[args.dataset], _DATASET_PREFIX[args.dataset])
-    with one_blas_thread():
-        if args.edges is not None:
-            graph = read_edge_list(args.edges)
-        else:
-            graph = generate_with_info(
-                _generator_spec(args, child_seed(args.seed, _GRAPH_STREAM))
-            )[0]
-    train_ds, test_ds = build_dataset({"kind": args.dataset} | asdict(dataset), dtype=config.dtype)
+    with _naming_flags():
+        config.validate()
+    prefix = _DATASET_PREFIX[args.dataset]
+    dataset = _read_flags(args, DATASET_KINDS[args.dataset], prefix)
+    if args.edges is not None:
+        graph = read_edge_list(args.edges)
+    else:
+        graph = generate_with_info(_generator_spec(args, graph_seed(args.seed)))[0]
+    with _naming_flags(prefix):
+        train_ds, test_ds = build_dataset({"kind": args.dataset} | asdict(dataset),
+                                          dtype=config.dtype)
 
     tic = time.perf_counter()
-    model, result, log = run_one(
-        graph,
-        args.seed,
-        model=_read_flags(args, ModelSpec),
-        config=config,
-        train_ds=train_ds,
-        test_ds=test_ds,
-        eval_every_epoch=args.log is not None,
-    )
+    model, result, log = run_one(graph, args.seed, model=_read_flags(args, ModelSpec),
+                                 config=config, train_ds=train_ds, test_ds=test_ds,
+                                 eval_every_epoch=args.log is not None)
     wall_ms = (time.perf_counter() - tic) * 1000.0
 
     if args.log is not None:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidValue
 from .seeding import child_seed, rng
 
 CIFAR_RECORD_BYTES = 3073
@@ -260,9 +260,9 @@ def synthetic_blobs(
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
     if classes < 2:
-        raise ValueError(f"classes must be >= 2, got {classes}")
+        raise InvalidValue("classes", f"must be >= 2, got {classes}")
     if dim < classes:
-        raise ValueError(f"dim ({dim}) must be >= classes ({classes})")
+        raise InvalidValue("dim", f"must be >= classes ({classes}), got {dim}")
     n = n_per_class * classes
     labels = np.repeat(np.arange(classes), n_per_class)
     centers = np.zeros((classes, dim))

@@ -40,6 +40,17 @@ class EdgeSaturation(RelnetError):
         self.attempts = attempts
 
 
+class InvalidValue(RelnetError, ValueError):
+    """A spec field holds a value its rules forbid. `field` names the field
+    and `rule` the rest of the message, so a caller can name it its own way
+    (`relnet train` names the flag)."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field = field
+        self.rule = rule
+
+
 class TooManyCommunities(RelnetError):
     """More communities requested than the node count supports."""
 

@@ -98,15 +98,6 @@ class GeneratorSpec:
             raise ValueError(f"'communities' must be >= 1, got {self.communities}")
 
 
-def _check_sf_feasible(n: int, m: float) -> None:
-    target = int(m * n // 2)
-    if target > n * (n - 1) // 2:
-        raise ValueError(
-            f"static model infeasible: {target} edges requested, "
-            f"{n * (n - 1) // 2} possible for n={n}"
-        )
-
-
 @dataclass(frozen=True)
 class GenerationInfo:
     """Composition bookkeeping: realized block sizes, the inter-community
@@ -144,8 +135,10 @@ def gen_static_sf(n: int, gamma: float, m: float, seed: int) -> Graph:
     with EdgeSaturation (dense or very low gamma regimes).
     """
     GeneratorSpec("static_sf", n, gamma=gamma, m=m).validate()
-    _check_sf_feasible(n, m)
     target = int(m * n // 2)
+    if target > n * (n - 1) // 2:
+        raise ValueError(f"static model infeasible: {target} edges requested, "
+                         f"{n * (n - 1) // 2} possible for n={n}")
     alpha = 1.0 / (gamma - 1.0)
     weights = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
     cdf = np.cumsum(weights)
@@ -240,12 +233,8 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
             main |= reached[u]
 
     graph = from_adjacency(adjacency, community_of=np.repeat(np.arange(k), sizes))
-    info = GenerationInfo(
-        community_sizes=tuple(sizes),
-        cross_pairs=cross_pairs,
-        cross_edges=cross_edges,
-        bridge_edges=bridges,
-    )
+    info = GenerationInfo(community_sizes=tuple(sizes), cross_pairs=cross_pairs,
+                          cross_edges=cross_edges, bridge_edges=bridges)
     return graph, info
 
 

@@ -6,7 +6,8 @@ stored (the MLP translation adds them implicitly), and an optional
 community labelling assigns every node exactly one 0-based community id.
 Labels are always given as a sequence, one per node in node order.
 Each graph also caches a dense boolean adjacency matrix; components, path
-lengths and clustering are computed on it.
+lengths and clustering are computed on it, by matrix products that run on
+one OpenBLAS thread whoever calls them (`one_blas_thread`).
 
 Also holds the structural metrics reported alongside training results and
 the plain-text edge-list format shared with the connectome importer.
@@ -14,6 +15,11 @@ the plain-text edge-list format shared with the connectome importer.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -72,16 +78,11 @@ class Graph:
         return np.bincount(ends, minlength=self.node_count).tolist()
 
     def n_communities(self) -> int:
-        if self.community_of is None:
-            return 0
-        return len(set(self.community_of))
+        return len(self.community_sizes())
 
     def community_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        if self.community_of is not None:
-            for c in self.community_of:
-                sizes[c] = sizes.get(c, 0) + 1
-        return sizes
+        """Node count of each label, in order of first appearance; {} unlabeled."""
+        return dict(Counter(self.community_of or ()))
 
 
 def near_equal_sizes(total: int, parts: int) -> list[int]:
@@ -127,6 +128,46 @@ def from_edge_pairs(n: int, pairs, community_of=None) -> Graph:
     return Graph(node_count=n, edges=frozenset(edges), community_of=labels)
 
 
+@functools.cache
+def _openblas_function(name: str):
+    """The function `name` (such as "set_num_threads") of the OpenBLAS this
+    process has loaded, as a ctypes function, looked up once per process;
+    None when no OpenBLAS is among its mapped libraries. numpy's wheels
+    prefix and suffix the symbol name ("scipy_openblas_set_num_threads64_")."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for symbol in (f"openblas_{name}", f"scipy_openblas_{name}64_"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block, or the decorated function, with OpenBLAS on one thread,
+    then restore its count. The graph products (`bfs`, `clustering_coefficient`)
+    multiply small 0/1 matrices, which more threads slow down; their sums are
+    exact, so the count changes no result. Without OpenBLAS, do nothing."""
+    get_threads = _openblas_function("get_num_threads")
+    set_threads = _openblas_function("set_num_threads")
+    if get_threads is None or set_threads is None:
+        yield
+        return
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
+@one_blas_thread()
 def bfs(adjacency: np.ndarray) -> tuple[np.ndarray, int]:
     """Breadth-first search from every node at once: (reached, distance_sum),
     where reached[s, v] says v is in the component of s and distance_sum adds
@@ -183,6 +224,7 @@ def largest_component(g: Graph) -> Graph:
     return induced_subgraph(g, np.flatnonzero(best).tolist())
 
 
+@one_blas_thread()
 def clustering_coefficient(g: Graph) -> float:
     """Mean local clustering; nodes of degree < 2 contribute 0."""
     a = g.adjacency.astype(np.float64)

@@ -9,10 +9,7 @@ failures become error rows, never aborts, so long sweeps stay resumable.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 import io
 import itertools
 import json
@@ -29,8 +26,8 @@ import numpy as np
 
 from .datasets import ChannelStats, Dataset, channel_stats, load_cifar10, synthetic_blobs
 from .errors import FitError, FormatError, RelnetError, WorkerLost
-from .generators import PARAMETERS, GeneratorSpec, generate_with_info
-from .graphs import Graph, GraphMetrics, compute_metrics
+from .generators import BASE_FAMILIES, PARAMETERS, GeneratorSpec, generate_with_info
+from .graphs import Graph, GraphMetrics, _openblas_function, compute_metrics
 from .model import MlpModel, init_model
 from .seeding import _GRAPH_STREAM, _MODEL_STREAM, _SHUFFLE_STREAM, child_seed
 from .training import EvalResult, TrainConfig, train
@@ -91,8 +88,9 @@ class SweepSpec:
 
     def validate(self) -> None:
         """Check the sweep-level rules, and each grid point's graph spec (one
-        per axis values and community count) by `GeneratorSpec.validate`.
-        A graph that cannot be built is its cell's error row."""
+        per axis values and community count) by `GeneratorSpec.validate`; an
+        error names the spec's family, not the composed one, where it can. A
+        graph that cannot be built is its cell's error row."""
         for axis in self.axes:
             if axis.name not in AXIS_NAMES:
                 raise ValueError(f"axis {axis.name!r} is not one of {AXIS_NAMES}")
@@ -108,8 +106,17 @@ class SweepSpec:
         for name in ("communities", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"sweep spec {name!r} is empty")
+        if self.family not in BASE_FAMILIES:
+            raise ValueError(
+                f"sweep spec 'family' must be one of {BASE_FAMILIES}, got {self.family!r}"
+            )
         for cell in sweep_cells(replace(self, seeds=self.seeds[:1])):
-            _graph_spec(cell, self.n).validate()
+            graph = _graph_spec(cell, self.n)
+            try:
+                graph.validate()
+            except ValueError:  # name the spec's family if its blocks' own spec is at fault
+                replace(graph, family=self.family, communities=None, mu=None, base=None).validate()
+                raise
         self.train.validate()
         counts = {f"model.{name}": getattr(self.model, name) for name in ("width", "rounds")}
         dataset = read_dataset_spec(self.dataset)
@@ -287,12 +294,18 @@ def sweep_cells(spec: SweepSpec) -> list[SweepCell]:
     ]
 
 
+def graph_seed(seed: int) -> int:
+    """The graph seed of the run seed `seed` (a sweep cell's, or `relnet train
+    --family`'s): a child stream, like the model's and shuffle's (`run_one`)."""
+    return child_seed(seed, _GRAPH_STREAM)
+
+
 def _graph_spec(cell: SweepCell, n: int) -> GeneratorSpec:
     """The spec of a cell's graph: `cell.communities` blocks of its family
     on `n` nodes, joined at density mu (0 when unset), seeded from the cell."""
     params = {name: getattr(cell, name) for name in AXIS_NAMES} | {"mu": cell.mu or 0.0}
     return GeneratorSpec("community", n, communities=cell.communities, base=cell.family,
-                         seed=child_seed(cell.seed, _GRAPH_STREAM), **params)
+                         seed=graph_seed(cell.seed), **params)
 
 
 def run_one(
@@ -336,77 +349,25 @@ def _execute_cell(
     settings of `spec`; an infeasible cell becomes an error row."""
     tic = time.perf_counter()
     try:
-        with one_blas_thread():
-            graph, info = generate_with_info(_graph_spec(cell, spec.n))
-            metrics = compute_metrics(graph)
-        _, result, _ = run_one(
-            graph,
-            cell.seed,
-            model=spec.model,
-            config=spec.train,
-            train_ds=train_ds,
-            test_ds=test_ds,
-            eval_every_epoch=False,
-        )
-        return ExperimentRecord(
-            **asdict(cell),
+        graph, info = generate_with_info(_graph_spec(cell, spec.n))
+        metrics = compute_metrics(graph)
+        _, result, _ = run_one(graph, cell.seed, model=spec.model, config=spec.train,
+                               train_ds=train_ds, test_ds=test_ds, eval_every_epoch=False)
+        outcome = dict(
             status="ok",
             nodes_realized=graph.node_count,
             bridges=info.bridge_edges,
             **{name: getattr(metrics, name) for name in METRIC_FIELDS},
             top1_error=result.top1_error_percent,
-            wall_ms=(time.perf_counter() - tic) * 1000.0,
         )
     except (RelnetError, ValueError) as exc:
-        return ExperimentRecord(
-            **asdict(cell),
-            status=f"error:{type(exc).__name__}",
-            wall_ms=(time.perf_counter() - tic) * 1000.0,
-        )
+        outcome = dict(status=f"error:{type(exc).__name__}")
+    return ExperimentRecord(**asdict(cell), **outcome, wall_ms=(time.perf_counter() - tic) * 1000.0)
 
 
 # The pool worker's (spec, train, test) arguments of `_execute_cell`, or the
 # exception that loading the datasets raised.
 _WORKER_ARGS: tuple[SweepSpec, Dataset, Dataset] | Exception | None = None
-
-
-@functools.cache
-def _openblas_function(name: str):
-    """The function `name` (such as "set_num_threads") of the OpenBLAS this
-    process has loaded, as a ctypes function, looked up once per process;
-    None when no OpenBLAS is among its mapped libraries. numpy's wheels
-    prefix and suffix the symbol name ("scipy_openblas_set_num_threads64_")."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
-    except OSError:
-        return None
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
-        lib = ctypes.CDLL(path)
-        for symbol in (f"openblas_{name}", f"scipy_openblas_{name}64_"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                return fn
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its count.
-    Graph work (BFS, clustering) multiplies small 0/1 matrices, which more
-    threads slow down; their sums are exact, so the count changes no result.
-    Without OpenBLAS, do nothing."""
-    get_threads = _openblas_function("get_num_threads")
-    set_threads = _openblas_function("set_num_threads")
-    if get_threads is None or set_threads is None:
-        yield
-        return
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
 
 
 def _worker_init(spec: SweepSpec, workers: int, stats: ChannelStats | None) -> None:
@@ -471,10 +432,12 @@ def run_sweep(
     worker that dies (killed by a signal, say) raises WorkerLost naming the
     first cell not delivered; every record delivered before it has been
     passed to `progress`. `workers` below 1 raises ValueError.
+
+    `spec` is taken as checked: `SweepSpec.from_dict` (and so `from_json`)
+    has called its `validate`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    spec.validate()
     cells = [cell for cell in sweep_cells(spec) if record_key(cell) not in (skip_keys or ())]
     records: list[ExperimentRecord] = []
     try:
@@ -612,10 +575,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_to_row(record: ExperimentRecord) -> dict:
-    return {name: _fmt(getattr(record, name)) for name in CSV_HEADER}
-
-
 def _column_parser(kind, default):
     """Parser of one CSV column, from its field's type `kind` (str, int,
     float or `X | None`) and `default`: an empty value reads as None for an
@@ -640,7 +599,7 @@ def write_records_csv(records: list[ExperimentRecord], path, append: bool = Fals
         if write_header:
             writer.writeheader()
         for rec in records:
-            writer.writerow(_record_to_row(rec))
+            writer.writerow({name: _fmt(getattr(rec, name)) for name in CSV_HEADER})
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, batch_iter
-from .errors import NumericError, ShapeError
+from .errors import InvalidValue, NumericError, ShapeError
 from .model import MlpModel, forward
 
 SCHEDULES = ("cosine", "constant")
@@ -36,18 +36,18 @@ class TrainConfig:
     precision: str = "single"
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        """Raise InvalidValue naming the first field out of its range."""
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise InvalidValue(name, f"must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("momentum and weight_decay must be >= 0")
-        if self.lr_schedule not in SCHEDULES:
-            raise ValueError(f"lr_schedule must be one of {SCHEDULES}")
-        if self.precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {PRECISIONS}")
+            raise InvalidValue("learning_rate", f"must be > 0, got {self.learning_rate}")
+        for name in ("momentum", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise InvalidValue(name, f"must be >= 0, got {getattr(self, name)}")
+        for name, allowed in (("lr_schedule", SCHEDULES), ("precision", PRECISIONS)):
+            if getattr(self, name) not in allowed:
+                raise InvalidValue(name, f"must be one of {allowed}, got {getattr(self, name)!r}")
 
     @property
     def dtype(self):
@@ -224,13 +224,9 @@ def train(
     """
     config.validate()
     if train_set.dim != model.in_dim or test_set.dim != model.in_dim:
-        raise ShapeError(
-            f"dataset dim {train_set.dim} vs model in_dim {model.in_dim}"
-        )
+        raise ShapeError(f"dataset dim {train_set.dim} vs model in_dim {model.in_dim}")
     if train_set.n_classes > model.out_dim:
-        raise ShapeError(
-            f"{train_set.n_classes} classes exceed model out_dim {model.out_dim}"
-        )
+        raise ShapeError(f"{train_set.n_classes} classes exceed model out_dim {model.out_dim}")
     steps_per_epoch = math.ceil(train_set.n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     state = SgdState.zeros(model)
@@ -244,9 +240,7 @@ def train(
             try:
                 loss, grads = loss_and_grads(model, x, y)
             except NumericError as exc:
-                raise NumericError(
-                    f"epoch {epoch}, step {step}: {exc}"
-                ) from exc
+                raise NumericError(f"epoch {epoch}, step {step}: {exc}") from exc
             lr = lr_at(config, step, total_steps)
             sgd_step(model, grads, config, lr, state)
             del grads  # not kept through the next step's forward and backward

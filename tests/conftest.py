@@ -1,8 +1,11 @@
+import copy
 import functools
 
+import numpy as np
 import pytest
 
-import relnet.sweep
+import relnet.generators
+import relnet.graphs
 
 _acceptance_lines: list[str] = []
 
@@ -56,10 +59,43 @@ class FakeBlas:
 
         self.monkeypatch.setattr(module, name, wrapper)
 
+    def watch_products(self) -> None:
+        """Record ("product", thread count) at each matrix product of graph
+        work. `graphs.bfs` (as the graph and generator modules call it) and
+        `graphs.clustering_coefficient` get their adjacency as a view whose
+        matmul records the count; their thread rule runs as it would."""
+        blas = self
+
+        class Spied(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    blas.seen.append(("product", blas.threads))
+                inputs = [x.view(np.ndarray) if isinstance(x, Spied) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        bfs, clustering = relnet.graphs.bfs, relnet.graphs.clustering_coefficient
+
+        def spied_bfs(adjacency):
+            return bfs(adjacency.view(Spied))
+
+        def spied_clustering(g):
+            spied = copy.copy(g)
+            spied.__dict__["adjacency"] = g.adjacency.view(Spied)
+            return clustering(spied)
+
+        for module in (relnet.graphs, relnet.generators):
+            self.monkeypatch.setattr(module, "bfs", spied_bfs)
+        self.monkeypatch.setattr(relnet.graphs, "clustering_coefficient", spied_clustering)
+
+    def products_on_one_thread(self) -> bool:
+        """Whether graph products were seen (`watch_products`), each at one thread."""
+        products = [threads for name, threads in self.seen if name == "product"]
+        return bool(products) and set(products) == {1}
+
 
 @pytest.fixture
 def fake_blas(monkeypatch):
     """A FakeBlas at 3 threads, in place of the loaded OpenBLAS."""
     blas = FakeBlas(monkeypatch, threads=3)
-    monkeypatch.setattr(relnet.sweep, "_openblas_function", blas.function)
+    monkeypatch.setattr(relnet.graphs, "_openblas_function", blas.function)
     return blas

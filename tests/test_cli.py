@@ -121,45 +121,46 @@ class TestGenMetrics:
 
 
 class TestGraphWorkOnOneBlasThread:
-    """gen, metrics, import and train do their graph work on one OpenBLAS
+    """gen, metrics, import and train do their graph products on one OpenBLAS
     thread, and train restores the previous count before training."""
 
     def test_gen_and_metrics(self, capsys, tmp_path, fake_blas):
-        fake_blas.watch(relnet.cli, "generate_with_info")
-        fake_blas.watch(relnet.cli, "compute_metrics")
+        fake_blas.watch_products()
         out = tmp_path / "g.edges"
         code, _, _ = run(
-            capsys, "gen", "--family", "er", "--n", "12", "--p", "0.5", "--out", str(out)
+            capsys, "gen", "--family", "community", "--base", "er", "--n", "12",
+            "--communities", "2", "--p", "0.5", "--mu", "0.1", "--out", str(out),
         )
         assert code == 0
+        assert fake_blas.products_on_one_thread()
+        del fake_blas.seen[:]
         code, _, _ = run(capsys, "metrics", "--edges", str(out))
         assert code == 0
-        assert fake_blas.seen == [
-            ("generate_with_info", 1), ("compute_metrics", 1), ("compute_metrics", 1)
-        ]
+        assert fake_blas.products_on_one_thread()
         assert fake_blas.threads == 3
 
     def test_import(self, capsys, tmp_path, fake_blas):
-        for name in ("import_connectome", "sample_subgraph", "matched_er", "compute_metrics"):
-            fake_blas.watch(relnet.cli, name)
+        fake_blas.watch_products()
         src = TestImport().make_file(tmp_path)
         code, _, _ = run(
             capsys, "import", "--edges", str(src), "--sample", "12", "--matched-er",
             "--out", str(tmp_path / "out.edges"),
         )
         assert code == 0
-        assert fake_blas.seen == [
-            ("import_connectome", 1), ("sample_subgraph", 1), ("matched_er", 1),
-            ("compute_metrics", 1),
-        ]
+        assert fake_blas.products_on_one_thread()
         assert fake_blas.threads == 3
 
     def test_train(self, capsys, fake_blas):
-        fake_blas.watch(relnet.cli, "generate_with_info")
+        fake_blas.watch_products()
         fake_blas.watch(relnet.cli, "run_one")
-        code, _, _ = run(capsys, *TestTrain.BASE)
+        code, _, _ = run(
+            capsys, "train", "--family", "community", "--base", "er", "--n", "8",
+            "--communities", "2", "--p", "0.6", "--mu", "0.2", "--width", "8", "--rounds", "1",
+            "--blob-classes", "3", "--blob-dim", "6", "--blob-n-per-class", "20", "--epochs", "1",
+        )
         assert code == 0
-        assert fake_blas.seen == [("generate_with_info", 1), ("run_one", 3)]
+        assert fake_blas.products_on_one_thread()
+        assert fake_blas.seen[-1] == ("run_one", 3)
 
 
 class TestImport:
@@ -350,8 +351,10 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--lr-schedule", "linear", "lr_schedule must be one of"),
-         ("--precision", "half", "precision must be one of"),
+        [pytest.param("--lr-schedule", "linear", "--lr-schedule must be one of",
+                      id="--lr-schedule-linear-lr_schedule must be one of"),
+         pytest.param("--precision", "half", "--precision must be one of",
+                      id="--precision-half-precision must be one of"),
          ("--family", "ring", "unknown family 'ring'"),
          ("--base", "ring", "does not take 'base'")],
     )
@@ -382,6 +385,20 @@ class TestTrain:
         (line,) = err.splitlines()
         assert line == f"error: {flag} must be a JSON number, got nan"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, line",
+        [("--learning-rate", "-1", "error: --learning-rate must be > 0, got -1.0"),
+         ("--blob-classes", "0", "error: --blob-classes must be >= 2, got 0")],
+        ids=["learning-rate", "blob-classes"],
+    )
+    def test_range_error_names_the_flag(self, capsys, flag, value, line):
+        code, stdout, err = run(
+            capsys, "train", "--family", "complete", "--n", "4", "--width", "8",
+            "--rounds", "1", "--epochs", "1", flag, value,
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [line]
 
     def test_empty_blobs_split_exits_2(self, capsys):
         code, stdout, err = run(
@@ -781,6 +798,7 @@ class TestSweepReport:
             ({"dataset": {**SWEEP_SPEC["dataset"], "n_per_class": 0}}, "dataset.n_per_class"),
             ({"dataset": {**SWEEP_SPEC["dataset"], "test_n_per_class": 0}},
              "dataset.test_n_per_class"),
+            ({"family": "complete"}, "family"),
         ],
         ids=["no-family", "unknown-train-key", "model-not-object",
              "axis-values-not-list", "cifar10-without-dir", "unknown-top-level-key",
@@ -792,7 +810,8 @@ class TestSweepReport:
              "integer-dataset-dir", "zero-community", "nan-axis-value",
              "infinite-fixed-value", "axis-not-taken", "fixed-not-taken",
              "required-not-set", "second-required-not-set", "one-node", "zero-rounds",
-             "zero-width", "cifar10-normalize", "zero-train-split", "zero-test-split"],
+             "zero-width", "cifar10-normalize", "zero-train-split", "zero-test-split",
+             "family-not-a-base"],
     )
     def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
         spec_dict = {**SWEEP_SPEC, **change}
@@ -806,6 +825,41 @@ class TestSweepReport:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith("error: ") and repr(key) in line
+
+    @pytest.mark.parametrize(
+        "change, line",
+        [({"axis1": {"name": "gamma", "values": [2.5]}},
+          "error: family 'er' does not take 'gamma'"),
+         ({"family": "complete"},
+          "error: sweep spec 'family' must be one of ('er', 'static_sf'), got 'complete'")],
+        ids=["gamma-axis", "complete-family"],
+    )
+    def test_graph_rule_error_uses_the_spec_terms(self, capsys, tmp_path, change, line):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SWEEP_SPEC, **change}))
+        out = tmp_path / "o.csv"
+        out.write_text("kept\n")
+        code, stdout, err = run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [line]
+        assert out.read_text() == "kept\n"
+
+    def test_spec_checked_once_per_launch(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        validate = relnet.sweep.SweepSpec.validate
+
+        def counting_validate(spec):
+            calls.append(spec)
+            return validate(spec)
+
+        monkeypatch.setattr(relnet.sweep.SweepSpec, "validate", counting_validate)
+        out = tmp_path / "o.csv"
+        code, _, _ = run(capsys, "sweep", "--spec", str(self.write_spec(tmp_path)),
+                         "--out", str(out))
+        assert code == 0 and len(calls) == 1
+        code, _, _ = run(capsys, "sweep", "--spec", str(self.write_spec(tmp_path)),
+                         "--out", str(out), "--resume")
+        assert code == 0 and len(calls) == 2
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_missing_dataset_exits_2_naming_the_file(self, capfd, tmp_path, workers):

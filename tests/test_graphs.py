@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import floyd_warshall_apl, mean_local_clustering, newman_modularity
+from relnet.generators import GeneratorSpec, generate_with_info
 from relnet.errors import (
     DisconnectedGraph,
     FormatError,
@@ -16,6 +17,7 @@ from relnet.errors import (
 from relnet.graphs import (
     Graph,
     avg_path_length,
+    bfs,
     clustering_coefficient,
     compute_metrics,
     connected_components,
@@ -25,6 +27,7 @@ from relnet.graphs import (
     induced_subgraph,
     largest_component,
     modularity,
+    one_blas_thread,
     read_edge_list,
     write_edge_list,
 )
@@ -288,6 +291,50 @@ class TestComponentsAndSubgraphs:
     def test_induced_out_of_range(self):
         with pytest.raises(InvalidNodeId):
             induced_subgraph(TRIANGLE, [0, 9])
+
+
+COMMUNITY = GeneratorSpec("community", 24, communities=3, mu=0.05, base="er", p=0.4, seed=5)
+COMMUNITY_GRAPH, _ = generate_with_info(COMMUNITY)
+
+
+class TestGraphProductsOnOneBlasThread:
+    """A graph product runs on one OpenBLAS thread whoever calls it, and the
+    previous count (the fake's 3) comes back, also after an error."""
+
+    @pytest.mark.parametrize(
+        "work",
+        [lambda: compute_metrics(COMMUNITY_GRAPH), lambda: largest_component(COMMUNITY_GRAPH),
+         lambda: generate_with_info(COMMUNITY)],
+        ids=["compute_metrics", "largest_component", "generate_with_info"],
+    )
+    def test_direct_call(self, fake_blas, work):
+        fake_blas.watch_products()
+        work()
+        assert fake_blas.products_on_one_thread()
+        assert fake_blas.threads == 3
+
+    def test_count_restored_when_generation_raises(self, fake_blas):
+        fake_blas.watch_products()
+        # Blocks of 5 and 4 nodes: the first is drawn and reduced to its
+        # largest component, the second cannot hold m * 4 / 2 = 8 edges.
+        spec = GeneratorSpec("community", 9, communities=2, mu=0.1, base="static_sf",
+                             gamma=2.5, m=4.0)
+        with pytest.raises(ValueError, match="infeasible"):
+            generate_with_info(spec)
+        assert fake_blas.products_on_one_thread()
+        assert fake_blas.threads == 3
+
+    def test_count_restored_when_a_product_raises(self, fake_blas):
+        with pytest.raises(ValueError):
+            bfs(np.ones((3, 2), dtype=bool))
+        assert fake_blas.threads == 3
+
+    def test_decorated_function_sees_one_thread(self, fake_blas):
+        @one_blas_thread()
+        def threads():
+            return fake_blas.threads
+
+        assert (threads(), fake_blas.threads) == (1, 3)
 
 
 class TestEdgeListFormat:

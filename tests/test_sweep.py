@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relnet.graphs
 import relnet.sweep
 import relnet.training
 from relnet.errors import FitError, FormatError
+from relnet.graphs import one_blas_thread
 from relnet.sweep import (
     AGG_HEADER,
     CSV_HEADER,
@@ -28,7 +30,6 @@ from relnet.sweep import (
     correlation_report,
     existing_keys,
     read_records_csv,
-    one_blas_thread,
     record_key,
     run_sweep,
     sweep_cells,
@@ -95,7 +96,9 @@ class TestSweepSpec:
         tiny_spec().validate()
 
     def test_bad_family(self):
-        with pytest.raises(ValueError, match="base family must be one of"):
+        with pytest.raises(
+            ValueError, match=r"^sweep spec 'family' must be one of \('er', 'static_sf'\), "
+        ):
             tiny_spec(family="complete").validate()
 
     def test_bad_axis_name(self):
@@ -366,11 +369,11 @@ def _blas_threads_once_both_arrive(arrivals: str) -> int:
         if time.monotonic() > deadline:
             raise TimeoutError("the second pool worker never arrived")
         time.sleep(0.01)
-    return relnet.sweep._openblas_function("get_num_threads")()
+    return relnet.graphs._openblas_function("get_num_threads")()
 
 
 @pytest.mark.skipif(
-    relnet.sweep._openblas_function("get_num_threads") is None,
+    relnet.graphs._openblas_function("get_num_threads") is None,
     reason="no OpenBLAS loaded",
 )
 class TestPoolBlasThreads:
@@ -394,7 +397,7 @@ class TestPoolBlasThreads:
     def test_a_set_variable_is_left_to_openblas(self, tmp_path, monkeypatch, variable):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        parent = relnet.sweep._openblas_function("get_num_threads")()
+        parent = relnet.graphs._openblas_function("get_num_threads")()
         monkeypatch.setenv(variable, str(parent))
         assert self.pool_counts(tmp_path) == [parent, parent]
 
@@ -407,12 +410,11 @@ class TestGraphWorkOnOneBlasThread:
     def test_generation_and_metrics_on_one_thread_training_on_the_previous_count(
         self, fake_blas
     ):
-        for name in ("generate_with_info", "compute_metrics", "run_one"):
-            fake_blas.watch(relnet.sweep, name)
+        fake_blas.watch_products()
+        fake_blas.watch(relnet.sweep, "run_one")
         assert self.run_cell(tiny_spec()).status == "ok"
-        assert fake_blas.seen == [
-            ("generate_with_info", 1), ("compute_metrics", 1), ("run_one", 3)
-        ]
+        assert fake_blas.products_on_one_thread()
+        assert fake_blas.seen[-1] == ("run_one", 3)
         assert fake_blas.threads == 3
 
     def test_count_restored_when_generation_fails(self, fake_blas):
@@ -421,13 +423,13 @@ class TestGraphWorkOnOneBlasThread:
         assert fake_blas.threads == 3
 
     def test_nothing_to_do_without_openblas(self, monkeypatch):
-        monkeypatch.setattr(relnet.sweep, "_openblas_function", lambda name: None)
+        monkeypatch.setattr(relnet.graphs, "_openblas_function", lambda name: None)
         with one_blas_thread():
             pass
 
     def test_functions_looked_up_once_per_process(self):
-        assert relnet.sweep._openblas_function("set_num_threads") is (
-            relnet.sweep._openblas_function("set_num_threads")
+        assert relnet.graphs._openblas_function("set_num_threads") is (
+            relnet.graphs._openblas_function("set_num_threads")
         )
 
 

@@ -9,7 +9,7 @@ import pytest
 from _oracles import DenseMlp, masked_mlp_loss_and_grads, masked_mlp_sgd_step
 import relnet.training
 from relnet.datasets import Dataset, decode_pixels, synthetic_blobs
-from relnet.errors import NumericError, ShapeError
+from relnet.errors import InvalidValue, NumericError, ShapeError
 from relnet.generators import gen_complete, gen_er
 from relnet.graphs import from_edge_pairs
 from relnet.model import MlpModel, forward, init_model
@@ -313,6 +313,18 @@ class TestTrain:
         )
         fields.update(kw)
         return TrainConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("epochs", 0, "epochs must be >= 1, got 0"),
+         ("learning_rate", -1.0, "learning_rate must be > 0, got -1.0"),
+         ("weight_decay", -0.5, "weight_decay must be >= 0, got -0.5"),
+         ("precision", "half", "precision must be one of ('double', 'single'), got 'half'")],
+    )
+    def test_validate_names_the_field(self, field, value, message):
+        with pytest.raises(InvalidValue) as info:
+            self.config(**{field: value}).validate()
+        assert (str(info.value), info.value.field) == (message, field)
 
     def test_epoch_and_step_counts(self, monkeypatch):
         import relnet.training as training
