@@ -12,7 +12,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -22,7 +21,7 @@ from types import UnionType
 from typing import get_args, get_type_hints
 
 from .connectome import import_connectome, matched_er, sample_subgraph
-from .errors import InvalidValue, RelnetError
+from .errors import RelnetError
 from .generators import GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
 from .model import save_checkpoint
@@ -88,26 +87,12 @@ def _read_flags(args, cls, prefix: str = "", **values):
     return read_spec(cls, _flag_values(args, cls, prefix) | values, source=source)
 
 
-@contextlib.contextmanager
-def _naming_flags(prefix: str = ""):
-    """Run the block; an InvalidValue it raises names the field's flag (`_flag`)."""
-    try:
-        yield
-    except InvalidValue as exc:
-        raise InvalidValue(_flag(prefix, exc.field), exc.rule) from None
-
-
-def _generator_spec(args, seed: int) -> GeneratorSpec:
-    """The spec of the generator flags, with `seed` for the graph."""
-    return _read_flags(args, GeneratorSpec, seed=seed)
-
-
 def _metrics_dict(graph) -> dict:
     return asdict(compute_metrics(graph)) | {"nodes": graph.node_count, "edges": len(graph.edges)}
 
 
 def _cmd_gen(args) -> int:
-    graph, info = generate_with_info(_generator_spec(args, args.seed))
+    graph, info = generate_with_info(_read_flags(args, GeneratorSpec, seed=args.seed))
     summary = _metrics_dict(graph)
     write_edge_list(graph, args.out)
     summary["bridges"] = info.bridge_edges
@@ -141,21 +126,17 @@ def _cmd_train(args) -> int:
         raise ValueError("--dataset cifar10 requires --data-dir")
     # Flags that fail need not wait for the dataset to load.
     config = _read_flags(args, TrainConfig)
-    with _naming_flags():
-        config.validate()
-    prefix = _DATASET_PREFIX[args.dataset]
-    dataset = _read_flags(args, DATASET_KINDS[args.dataset], prefix)
+    model_spec = _read_flags(args, ModelSpec)
+    dataset = _read_flags(args, DATASET_KINDS[args.dataset], _DATASET_PREFIX[args.dataset])
     if args.edges is not None:
         graph = read_edge_list(args.edges)
     else:
-        graph = generate_with_info(_generator_spec(args, graph_seed(args.seed)))[0]
-    with _naming_flags(prefix):
-        train_ds, test_ds = build_dataset({"kind": args.dataset} | asdict(dataset),
-                                          dtype=config.dtype)
+        graph = generate_with_info(_read_flags(args, GeneratorSpec, seed=graph_seed(args.seed)))[0]
+    train_ds, test_ds = build_dataset({"kind": args.dataset} | asdict(dataset), dtype=config.dtype)
 
     tic = time.perf_counter()
-    model, result, log = run_one(graph, args.seed, model=_read_flags(args, ModelSpec),
-                                 config=config, train_ds=train_ds, test_ds=test_ds,
+    model, result, log = run_one(graph, args.seed, model=model_spec, config=config,
+                                 train_ds=train_ds, test_ds=test_ds,
                                  eval_every_epoch=args.log is not None)
     wall_ms = (time.perf_counter() - tic) * 1000.0
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError, InvalidValue
+from .errors import FormatError, InvalidValue, require_at_least
 from .seeding import child_seed, rng
 
 CIFAR_RECORD_BYTES = 3073
@@ -257,10 +257,8 @@ def synthetic_blobs(
 ) -> Dataset:
     """Gaussian blob classification set: class c sits at 3*e_c with isotropic
     noise of standard deviation `spread`."""
-    if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
-    if classes < 2:
-        raise InvalidValue("classes", f"must be >= 2, got {classes}")
+    require_at_least(1, n_per_class=n_per_class)
+    require_at_least(2, classes=classes)
     if dim < classes:
         raise InvalidValue("dim", f"must be >= classes ({classes}), got {dim}")
     n = n_per_class * classes
@@ -279,8 +277,7 @@ def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int):
     x holds feature values (`Dataset.rows`), decoded per batch for a coded
     dataset. The trailing partial batch is kept.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    require_at_least(1, batch_size=batch_size)
     order = rng(child_seed(seed, epoch)).permutation(ds.n)
     for start in range(0, ds.n, batch_size):
         idx = order[start : start + batch_size]

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range rule that raises one."""
 
 
 class RelnetError(Exception):
@@ -43,7 +43,7 @@ class EdgeSaturation(RelnetError):
 class InvalidValue(RelnetError, ValueError):
     """A spec field holds a value its rules forbid. `field` names the field
     and `rule` the rest of the message, so a caller can name it its own way
-    (`relnet train` names the flag)."""
+    (`read_spec` names the `relnet train` flag or the sweep-spec key)."""
 
     def __init__(self, field: str, rule: str):
         super().__init__(f"{field} {rule}")
@@ -73,3 +73,10 @@ class FitError(RelnetError):
 
 class WorkerLost(RelnetError):
     """A sweep pool worker died before delivering its cell's record."""
+
+
+def require_at_least(low: int, **values) -> None:
+    """Raise InvalidValue naming the first of `values` (field=value) below `low`."""
+    for name, value in values.items():
+        if value < low:
+            raise InvalidValue(name, f"must be >= {low}, got {value}")

@@ -246,6 +246,11 @@ def avg_path_length(g: Graph) -> float:
         raise DisconnectedGraph(
             f"no path between {v} and {w}; reduce to the largest component first"
         )
+    return _mean_distance(distance_sum, n)
+
+
+def _mean_distance(distance_sum: int, n: int) -> float:
+    """Mean hop distance of a connected n-node graph, from `bfs`'s distance_sum."""
     return distance_sum // 2 / (n * (n - 1) / 2)
 
 
@@ -311,11 +316,11 @@ class GraphMetrics:
 
 def compute_metrics(g: Graph) -> GraphMetrics:
     """Compute the metric set for a graph as handed to the MLP translator."""
-    comps = connected_components(g)
-    giant = max(len(c) for c in comps)
+    reached, distance_sum = bfs(g.adjacency)
+    giant = int(reached.sum(axis=1).max())
     apl = None
-    if len(comps) == 1 and g.node_count >= 2:
-        apl = avg_path_length(g)
+    if giant == g.node_count >= 2:  # connected
+        apl = _mean_distance(distance_sum, g.node_count)
     mod = None
     if g.community_of is not None and g.edge_count > 0:
         mod = modularity(g, g.community_of)

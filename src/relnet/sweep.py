@@ -25,7 +25,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .datasets import ChannelStats, Dataset, channel_stats, load_cifar10, synthetic_blobs
-from .errors import FitError, FormatError, RelnetError, WorkerLost
+from .errors import FitError, FormatError, InvalidValue, RelnetError, WorkerLost, require_at_least
 from .generators import BASE_FAMILIES, PARAMETERS, GeneratorSpec, generate_with_info
 from .graphs import Graph, GraphMetrics, _openblas_function, compute_metrics
 from .model import MlpModel, init_model
@@ -48,6 +48,10 @@ class ModelSpec:
     rounds: int = 5
     use_bias: bool = True
 
+    def validate(self) -> None:
+        """Raise InvalidValue naming the first field out of its range."""
+        require_at_least(1, width=self.width, rounds=self.rounds)
+
 
 @dataclass(frozen=True)
 class BlobsSpec:
@@ -59,6 +63,13 @@ class BlobsSpec:
     test_n_per_class: int = 100
     spread: float = 1.0
     seed: int = 1234
+
+    def validate(self) -> None:
+        """Raise InvalidValue naming the first field out of its range."""
+        require_at_least(1, n_per_class=self.n_per_class, test_n_per_class=self.test_n_per_class)
+        require_at_least(2, classes=self.classes)
+        if self.dim < self.classes:
+            raise InvalidValue("dim", f"must be >= classes ({self.classes}), got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,8 @@ class SweepSpec:
         """Check the sweep-level rules, and each grid point's graph spec (one
         per axis values and community count) by `GeneratorSpec.validate`; an
         error names the spec's family, not the composed one, where it can. A
-        graph that cannot be built is its cell's error row."""
+        graph that cannot be built is its cell's error row. The nested specs'
+        ranges are their own `validate`; `read_spec` names the dotted key."""
         for axis in self.axes:
             if axis.name not in AXIS_NAMES:
                 raise ValueError(f"axis {axis.name!r} is not one of {AXIS_NAMES}")
@@ -117,23 +129,15 @@ class SweepSpec:
             except ValueError:  # name the spec's family if its blocks' own spec is at fault
                 replace(graph, family=self.family, communities=None, mu=None, base=None).validate()
                 raise
+        self.model.validate()
         self.train.validate()
-        counts = {f"model.{name}": getattr(self.model, name) for name in ("width", "rounds")}
-        dataset = read_dataset_spec(self.dataset)
-        if isinstance(dataset, BlobsSpec):
-            counts |= {f"dataset.{name}": getattr(dataset, name)
-                       for name in ("n_per_class", "test_n_per_class")}
-        for key, value in counts.items():
-            if value < 1:
-                raise ValueError(f"sweep spec {key!r} must be >= 1, got {value}")
+        read_dataset_spec(self.dataset)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
         """Spec from its JSON form (see `read_spec`). Top-level keys starting
         with "_" are comments."""
-        spec = read_spec(cls, d, comments=True)
-        spec.validate()
-        return spec
+        return read_spec(cls, d, comments=True)
 
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
@@ -163,7 +167,9 @@ def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep s
     takes the field's default. A missing, unknown or mistyped key raises
     FormatError naming it as `source` of its dotted path (the flag, for
     `relnet train`); `name` is the object's path ("" at the top level).
-    With `comments`, keys starting with "_" are skipped."""
+    With `comments`, keys starting with "_" are skipped. The object's
+    `validate`, if it has one, checks its ranges; an InvalidValue on one of
+    its fields is raised again, naming the field as `source` of its path."""
     where = source(name) if name else "sweep spec"
     if not isinstance(d, dict):
         raise FormatError(f"{where} must be a JSON object, got {d!r}")
@@ -171,14 +177,22 @@ def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep s
     unknown = sorted(k for k in d.keys() - types.keys() if not (comments and k.startswith("_")))
     if unknown:
         raise FormatError(f"{where} has unknown key {unknown[0]!r}")
+    prefix = f"{name}." if name else ""
     values = {}
     for f in fields(cls):
         if f.name in d:
-            path = f"{name}.{f.name}" if name else f.name
-            values[f.name] = _read_value(types[f.name], d[f.name], path, source)
+            values[f.name] = _read_value(types[f.name], d[f.name], prefix + f.name, source)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise FormatError(f"{where} has no {f.name!r}")
-    return cls(**values)
+    spec = cls(**values)
+    if hasattr(spec, "validate"):
+        try:
+            spec.validate()
+        except InvalidValue as exc:
+            if exc.field not in types:  # a nested spec's, named by its own read
+                raise
+            raise InvalidValue(source(prefix + exc.field), exc.rule) from None
+    return spec
 
 
 def _read_value(kind, value, name: str, source):
@@ -434,10 +448,9 @@ def run_sweep(
     passed to `progress`. `workers` below 1 raises ValueError.
 
     `spec` is taken as checked: `SweepSpec.from_dict` (and so `from_json`)
-    has called its `validate`.
+    has called its `validate`, through `read_spec`.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    require_at_least(1, workers=workers)
     cells = [cell for cell in sweep_cells(spec) if record_key(cell) not in (skip_keys or ())]
     records: list[ExperimentRecord] = []
     try:

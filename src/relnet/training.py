@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, batch_iter
-from .errors import InvalidValue, NumericError, ShapeError
+from .errors import InvalidValue, NumericError, ShapeError, require_at_least
 from .model import MlpModel, forward
 
 SCHEDULES = ("cosine", "constant")
@@ -37,14 +37,10 @@ class TrainConfig:
 
     def validate(self) -> None:
         """Raise InvalidValue naming the first field out of its range."""
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise InvalidValue(name, f"must be >= 1, got {getattr(self, name)}")
+        require_at_least(1, epochs=self.epochs, batch_size=self.batch_size)
         if self.learning_rate <= 0:
             raise InvalidValue("learning_rate", f"must be > 0, got {self.learning_rate}")
-        for name in ("momentum", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise InvalidValue(name, f"must be >= 0, got {getattr(self, name)}")
+        require_at_least(0, momentum=self.momentum, weight_decay=self.weight_decay)
         for name, allowed in (("lr_schedule", SCHEDULES), ("precision", PRECISIONS)):
             if getattr(self, name) not in allowed:
                 raise InvalidValue(name, f"must be one of {allowed}, got {getattr(self, name)!r}")

@@ -13,7 +13,7 @@ import pytest
 import relnet.cli
 import relnet.sweep
 import relnet.training
-from relnet.cli import _flag_values, _generator_spec, build_parser, main
+from relnet.cli import _flag_values, _read_flags, build_parser, main
 from relnet.errors import FormatError
 from relnet.generators import GeneratorSpec
 from relnet.graphs import read_edge_list
@@ -52,6 +52,29 @@ SWEEP_SPEC = {
         "test_n_per_class": 10,
     },
 }
+
+# A value out of range for each ranged run-setting field, by its sweep-spec
+# key, and the error's rule; `relnet train` names the field's flag instead.
+# The dim rule reads SWEEP_SPEC's 3 classes.
+RANGE_ERRORS = [
+    ("train.epochs", 0, "must be >= 1, got 0"),
+    ("train.batch_size", 0, "must be >= 1, got 0"),
+    ("train.learning_rate", -1, "must be > 0, got -1.0"),
+    ("train.momentum", -1, "must be >= 0, got -1.0"),
+    ("train.weight_decay", -0.5, "must be >= 0, got -0.5"),
+    ("model.width", 0, "must be >= 1, got 0"),
+    ("model.rounds", 0, "must be >= 1, got 0"),
+    ("dataset.n_per_class", 0, "must be >= 1, got 0"),
+    ("dataset.test_n_per_class", 0, "must be >= 1, got 0"),
+    ("dataset.classes", 1, "must be >= 2, got 1"),
+    ("dataset.dim", 2, "must be >= classes (3), got 2"),
+]
+
+
+def range_flag(key: str) -> str:
+    """The `relnet train` flag of a RANGE_ERRORS key: a dataset field's is `--blob-*`."""
+    section, field = key.split(".")
+    return ("--blob-" if section == "dataset" else "--") + field.replace("_", "-")
 
 
 class TestGenMetrics:
@@ -265,7 +288,7 @@ class TestTrain:
         assert read_spec(TrainConfig, _flag_values(args, TrainConfig)) == TrainConfig()
         assert read_spec(ModelSpec, _flag_values(args, ModelSpec)) == ModelSpec()
         assert read_spec(BlobsSpec, _flag_values(args, BlobsSpec, "blob_")) == BlobsSpec()
-        assert _generator_spec(args, 0) == GeneratorSpec(family="er", p=0.5)
+        assert _read_flags(args, GeneratorSpec, seed=0) == GeneratorSpec(family="er", p=0.5)
 
     @pytest.mark.parametrize("command", ["gen", "train"])
     def test_one_flag_per_spec_field(self, command):
@@ -387,18 +410,17 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, value, line",
-        [("--learning-rate", "-1", "error: --learning-rate must be > 0, got -1.0"),
-         ("--blob-classes", "0", "error: --blob-classes must be >= 2, got 0")],
-        ids=["learning-rate", "blob-classes"],
+        "key, value, rule", RANGE_ERRORS, ids=[range_flag(key)[2:] for key, _, _ in RANGE_ERRORS]
     )
-    def test_range_error_names_the_flag(self, capsys, flag, value, line):
+    def test_range_error_names_the_flag(self, capsys, key, value, rule):
+        flag = range_flag(key)
         code, stdout, err = run(
             capsys, "train", "--family", "complete", "--n", "4", "--width", "8",
-            "--rounds", "1", "--epochs", "1", flag, value,
+            "--rounds", "1", "--epochs", "1", "--blob-classes", "3", "--blob-dim", "6",
+            flag, str(value),
         )
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == [line]
+        assert err.splitlines() == [f"error: {flag} {rule}"]
 
     def test_empty_blobs_split_exits_2(self, capsys):
         code, stdout, err = run(
@@ -406,8 +428,7 @@ class TestTrain:
             "--rounds", "1", "--epochs", "1", "--blob-n-per-class", "0",
         )
         assert (code, stdout) == (2, "")
-        (line,) = err.splitlines()
-        assert line.startswith("error: ") and "n_per_class must be >= 1" in line
+        assert err.splitlines() == ["error: --blob-n-per-class must be >= 1, got 0"]
 
     def test_train_deterministic(self, capsys, tmp_path):
         results = []
@@ -825,6 +846,19 @@ class TestSweepReport:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith("error: ") and repr(key) in line
+
+    @pytest.mark.parametrize("key, value, rule", RANGE_ERRORS,
+                             ids=[key for key, _, _ in RANGE_ERRORS])
+    def test_range_error_names_the_dotted_key(self, capsys, tmp_path, key, value, rule):
+        section, field = key.split(".")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SWEEP_SPEC, section: {**SWEEP_SPEC[section], field: value}}))
+        out = tmp_path / "o.csv"
+        out.write_text("kept\n")
+        code, stdout, err = run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: sweep spec {key!r} {rule}"]
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "change, line",

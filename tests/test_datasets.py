@@ -24,7 +24,7 @@ from relnet.datasets import (
     synthetic_blobs,
 )
 from relnet.cli import main
-from relnet.errors import FormatError
+from relnet.errors import FormatError, InvalidValue
 from relnet.generators import gen_er
 from relnet.model import init_model
 from relnet.sweep import Axis, ModelSpec, SweepSpec, run_sweep
@@ -597,6 +597,15 @@ class TestSyntheticBlobs:
             synthetic_blobs(5, 8, 4, spread=1.0, seed=0)
         with pytest.raises(ValueError, match="n_per_class must be >= 1"):
             synthetic_blobs(0, 3, 8, spread=1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "args, field", [((0, 3, 8), "n_per_class"), ((5, 1, 8), "classes"), ((5, 8, 4), "dim")],
+        ids=["n_per_class", "classes", "dim"],
+    )
+    def test_range_error_names_the_field(self, args, field):
+        with pytest.raises(InvalidValue) as info:
+            synthetic_blobs(*args, spread=1.0, seed=0)
+        assert info.value.field == field
 
     def test_noise_scale(self):
         ds = synthetic_blobs(2000, 2, 4, spread=0.5, seed=3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relnet.graphs
 from _oracles import floyd_warshall_apl, mean_local_clustering, newman_modularity
 from relnet.generators import GeneratorSpec, generate_with_info
 from relnet.errors import (
@@ -274,6 +275,19 @@ class TestComputeMetrics:
         assert m.modularity is None
         assert m.cross_density is None
         assert m.giant_fraction == 0.6
+
+    def test_one_bfs_on_a_connected_graph(self, monkeypatch):
+        """The components and path lengths come from one reach, and equal
+        those of `connected_components` and `avg_path_length`."""
+        g, _ = generate_with_info(
+            GeneratorSpec("community", 512, communities=8, mu=0.01, base="er", p=0.1, seed=1)
+        )
+        calls = []
+        monkeypatch.setattr(relnet.graphs, "bfs", lambda a: calls.append(a) or bfs(a))
+        m = compute_metrics(g)
+        assert len(calls) == 1
+        assert m.avg_path_len == avg_path_length(g)
+        assert m.giant_fraction == 1.0 and len(connected_components(g)) == 1
 
 
 class TestComponentsAndSubgraphs:

@@ -15,7 +15,7 @@ import pytest
 import relnet.graphs
 import relnet.sweep
 import relnet.training
-from relnet.errors import FitError, FormatError
+from relnet.errors import FitError, FormatError, InvalidValue
 from relnet.graphs import one_blas_thread
 from relnet.sweep import (
     AGG_HEADER,
@@ -144,6 +144,18 @@ class TestSweepSpec:
         bad = TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="epochs"):
             tiny_spec(train=bad).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"model": ModelSpec(width=0, rounds=1)}, "width must be >= 1, got 0"),
+         ({"dataset": {"kind": "blobs", "test_n_per_class": 0}},
+          "sweep spec 'dataset.test_n_per_class' must be >= 1, got 0")],
+        ids=["model", "dataset"],
+    )
+    def test_nested_spec_validated(self, overrides, message):
+        with pytest.raises(InvalidValue) as info:
+            tiny_spec(**overrides).validate()
+        assert str(info.value) == message
 
     def test_from_dict_defaults(self):
         spec = SweepSpec.from_dict(
