@@ -57,6 +57,15 @@ cat "$T/resume.out"
 python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(0 if r["ok"] == 0 and r["skipped"] == 72 else 1)' "$T/resume.out"
 cmp "$T/demo.csv" "$T/demo.first.csv"
 
+check "a resumed finished sweep whose dataset is gone exits 0 at --workers 1 and 2, prints the same line and leaves --out as it was"
+demo_spec "$T/gone_data.json" 'spec["dataset"] = {"kind": "cifar10", "dir": arg}' "$T/no-such-dir"
+for workers in 1 2; do
+    relnet sweep --spec "$T/gone_data.json" --out "$T/demo.csv" --workers "$workers" --resume > "$T/resume_gone.w$workers.out"
+    cat "$T/resume_gone.w$workers.out"
+    test "$(cat "$T/resume_gone.w$workers.out")" = '{"ok": 0, "failed": 0, "skipped": 72}'
+done
+cmp "$T/demo.csv" "$T/demo.first.csv"
+
 check "report exits 0 and prints r_squared and residual_dof; on the demo CSV the quadratic term is smaller than its standard error"
 relnet report --csv "$T/demo.csv" --x p > "$T/report.out"
 cat "$T/report.out"
@@ -105,9 +114,9 @@ one_line negative_lr_spec
 grep -q "^error: .*'train.learning_rate'" "$T/negative_lr_spec.err"
 cmp "$T/demo.csv" "$T/demo.before.csv"
 
-check "--workers 0 exits 2 with one error line and leaves --out as it was"
+check "--workers 0 exits 2 with the one error line naming --workers and leaves --out as it was"
 exits_2 workers0 relnet sweep --spec sweeps/blobs_demo.json --out "$T/demo.csv" --workers 0
-one_line workers0
+test "$(cat "$T/workers0.err")" = "error: --workers must be >= 1, got 0"
 cmp "$T/demo.csv" "$T/demo.before.csv"
 
 check "a demo sweep with a p tick of 1.5 exits 2 with one error line naming 'p' and leaves --out as it was"

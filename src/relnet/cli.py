@@ -21,7 +21,7 @@ from types import UnionType
 from typing import get_args, get_type_hints
 
 from .connectome import import_connectome, matched_er, sample_subgraph
-from .errors import RelnetError
+from .errors import InvalidValue, RelnetError
 from .generators import GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
 from .model import save_checkpoint
@@ -168,7 +168,12 @@ def _cmd_sweep(args) -> int:
         write_records_csv([record], args.out, append=append)
         append = True
 
-    records = run_sweep(spec, workers=args.workers, skip_keys=skip, progress=progress)
+    try:
+        records = run_sweep(spec, workers=args.workers, skip_keys=skip, progress=progress)
+    except InvalidValue as exc:
+        if exc.field != "workers":
+            raise
+        raise InvalidValue("--workers", exc.rule) from None
     ok = sum(record.status == "ok" for record in records)
     skipped = sum(record_key(cell) in skip for cell in sweep_cells(spec))
     print(json.dumps({"ok": ok, "failed": len(records) - ok, "skipped": skipped}))

@@ -21,10 +21,10 @@ import numpy as np
 from .errors import FormatError, InvalidValue, require_at_least
 from .seeding import child_seed, rng
 
-CIFAR_RECORD_BYTES = 3073
+CIFAR_DIM = 3072  # three channel planes of 32x32 pixels
+CIFAR_RECORD_BYTES = 1 + CIFAR_DIM
 CIFAR_RECORDS_PER_FILE = 10000
 CIFAR_FILE_BYTES = CIFAR_RECORD_BYTES * CIFAR_RECORDS_PER_FILE
-CIFAR_DIM = 3072
 CIFAR_CLASSES = 10
 STATS_FILENAME = "cifar10_stats.json"
 ChannelStats = tuple[list[float], list[float]]  # per-channel (mean, std), RGB order
@@ -134,8 +134,8 @@ def _load_split(paths: list[Path]) -> tuple[MappedPixels, np.ndarray]:
     for path in paths:
         records = _map_cifar_file(path)
         file_labels = records[:, 0].astype(np.int64)
-        if file_labels.max() > 9:
-            raise FormatError(f"{path}: label byte {file_labels.max()} exceeds 9")
+        if file_labels.max() >= CIFAR_CLASSES:
+            raise FormatError(f"{path}: label byte {file_labels.max()} exceeds {CIFAR_CLASSES - 1}")
         files.append(records)
         labels.append(file_labels)
     return MappedPixels(files), np.concatenate(labels)
@@ -153,7 +153,7 @@ def decode_pixels(pixels: np.ndarray, dtype, mean=None, std=None) -> np.ndarray:
     x = pixels.astype(dtype)
     x /= 255.0
     if mean is not None:
-        planes = x.reshape(-1, 3, 1024)
+        planes = x.reshape(-1, 3, CIFAR_DIM // 3)
         planes -= mean
         planes /= std
     return x
@@ -173,8 +173,8 @@ def channel_stats(dir_path) -> ChannelStats:
     if path.exists():
         return _read_stats(path)
     x_train, _ = _load_split(_train_paths(dir_path))
-    # Channels are the three contiguous 1024-byte planes of each record.
-    planes = decode_pixels(x_train[:], np.float32).reshape(-1, 3, 1024)
+    # Channels are the three contiguous planes of each record.
+    planes = decode_pixels(x_train[:], np.float32).reshape(-1, 3, CIFAR_DIM // 3)
     mean = planes.mean(axis=(0, 2), dtype=np.float64).tolist()
     std = planes.std(axis=(0, 2), dtype=np.float64).tolist()
     _cache_stats(path, mean, std)

@@ -100,13 +100,10 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class GenerationInfo:
-    """Composition bookkeeping: realized block sizes, the inter-community
-    pair/edge counts before connectivity repair, and repair edges added;
-    a flat family has one block and no counts."""
+    """Composition bookkeeping: realized block sizes and the connectivity
+    repair edges added; a flat family has one block and no bridges."""
 
     community_sizes: tuple[int, ...]
-    cross_pairs: int = 0
-    cross_edges: int = 0
     bridge_edges: int = 0
 
 
@@ -177,13 +174,15 @@ def _draw(family: str, spec: GeneratorSpec, n: int, seed: int) -> Graph:
     return gen_static_sf(n, spec.gamma, spec.m, seed)
 
 
-def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
-    """Community-structured graph per the composed family (see the module
-    docstring), with its composition bookkeeping. More communities than n/2
-    raise TooManyCommunities, and each block raises its family's errors."""
+def generate_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
+    """The graph of spec.family, with its composition bookkeeping (one block
+    and no bridges for a flat family). A community graph is composed as the
+    module docstring says: more communities than n/2 raise
+    TooManyCommunities, and each block raises its base family's errors."""
     spec.validate()
     if spec.family != "community":
-        raise ValueError(f"expected family 'community', got {spec.family!r}")
+        graph = _draw(spec.family, spec, spec.n, spec.seed)
+        return graph, GenerationInfo(community_sizes=(graph.node_count,))
     k = spec.communities
     if k > spec.n / 2:
         raise TooManyCommunities(f"{k} communities leave blocks below 2 nodes for n={spec.n}")
@@ -202,14 +201,9 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
     # pair by block pair in lexicographic order for determinism; drawn
     # above the diagonal, then mirrored.
     cross_rng = rng(child_seed(spec.seed, _CROSS_STREAM))
-    cross_pairs = 0
-    cross_edges = 0
     for c1 in range(k):
         for c2 in range(c1 + 1, k):
-            keep = cross_rng.random((sizes[c1], sizes[c2])) < spec.mu
-            adjacency[spans[c1], spans[c2]] = keep
-            cross_pairs += keep.size
-            cross_edges += int(keep.sum())
+            adjacency[spans[c1], spans[c2]] = cross_rng.random((sizes[c1], sizes[c2])) < spec.mu
     adjacency |= adjacency.T
 
     # Connectivity repair: one random bridge from every community still cut
@@ -233,16 +227,4 @@ def compose_communities_with_info(spec: GeneratorSpec) -> tuple[Graph, Generatio
             main |= reached[u]
 
     graph = from_adjacency(adjacency, community_of=np.repeat(np.arange(k), sizes))
-    info = GenerationInfo(community_sizes=tuple(sizes), cross_pairs=cross_pairs,
-                          cross_edges=cross_edges, bridge_edges=bridges)
-    return graph, info
-
-
-def generate_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
-    """The graph of spec.family, with its composition bookkeeping (one block
-    and zero counts for a flat family)."""
-    if spec.family == "community":
-        return compose_communities_with_info(spec)
-    spec.validate()
-    graph = _draw(spec.family, spec, spec.n, spec.seed)
-    return graph, GenerationInfo(community_sizes=(graph.node_count,))
+    return graph, GenerationInfo(community_sizes=tuple(sizes), bridge_edges=bridges)

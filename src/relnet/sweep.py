@@ -418,14 +418,17 @@ def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
     `workers` == 1, else by a pool of `workers` processes. Before the pool
     starts, this process resolves the CIFAR-10 channel statistics
     (`channel_stats`) and hands them to every worker, so a sweep computes
-    them at most once, even on a read-only data directory."""
+    them at most once, even on a read-only data directory. With no cell
+    left, no dataset is read at any `workers`."""
+    if not cells:
+        return
     if workers == 1:
         train_ds, test_ds = build_dataset(spec.dataset, dtype=spec.train.dtype)
         for cell in cells:
             yield _execute_cell(cell, spec, train_ds, test_ds)
         return
     dataset = read_dataset_spec(spec.dataset)
-    stats = channel_stats(dataset.dir) if cells and isinstance(dataset, Cifar10Spec) else None
+    stats = channel_stats(dataset.dir) if isinstance(dataset, Cifar10Spec) else None
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init, initargs=(spec, workers, stats)
     ) as pool:

@@ -22,10 +22,10 @@ from _oracles import (
 from relnet.datasets import synthetic_blobs
 from relnet.generators import (
     GeneratorSpec,
-    compose_communities_with_info,
     gen_complete,
     gen_er,
     gen_static_sf,
+    generate_with_info,
 )
 from relnet.graphs import avg_path_length, from_edge_pairs, largest_component, modularity
 from relnet.model import forward, init_model
@@ -158,7 +158,7 @@ def test_criterion_5_generator_statistics(acceptance):
     total_cross = 0
     total_pairs = 0
     for seed in range(20):
-        g, info = compose_communities_with_info(
+        g, info = generate_with_info(
             GeneratorSpec(
                 family="community", n=64, communities=4, mu=mu,
                 base="er", p=0.7, seed=seed,

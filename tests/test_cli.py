@@ -980,8 +980,35 @@ class TestSweepReport:
             "--workers", workers,
         )
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == [f"error: workers must be >= 1, got {workers}"]
+        assert err.splitlines() == [f"error: --workers must be >= 1, got {workers}"]
         assert out.read_text() == "earlier,output\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_finished_sweep_resumes_without_reading_its_dataset(self, capsys, tmp_path, workers):
+        spec = self.write_spec(tmp_path)
+        out = tmp_path / "o.csv"
+        run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        done = out.read_text()
+        missing = {"kind": "cifar10", "dir": str(tmp_path / "no-such-dir")}
+        spec.write_text(json.dumps(SWEEP_SPEC | {"dataset": missing}))
+        code, stdout, err = run(
+            capsys, "sweep", "--spec", str(spec), "--out", str(out), "--workers", workers,
+            "--resume",
+        )
+        assert (code, stdout.splitlines(), err) == (
+            0, ['{"ok": 0, "failed": 0, "skipped": 6}'], ""
+        )
+        assert out.read_text() == done
+
+    def test_resume_into_a_missing_out_writes_a_fresh_csv(self, capsys, tmp_path):
+        out = tmp_path / "o.csv"
+        code, stdout, _ = run(
+            capsys, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out),
+            "--resume",
+        )
+        assert (code, last_json(stdout)) == (0, {"ok": 6, "failed": 0, "skipped": 0})
+        assert out.read_text().splitlines()[0] == ",".join(CSV_HEADER)
+        assert len(read_records_csv(out)) == 6
 
     def test_fresh_sweep_replaces_out(self, capsys, tmp_path):
         out = tmp_path / "o.csv"

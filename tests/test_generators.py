@@ -12,7 +12,6 @@ from relnet.errors import EdgeSaturation, TooManyCommunities, TooSmall
 from relnet.generators import (
     GenerationInfo,
     GeneratorSpec,
-    compose_communities_with_info,
     gen_complete,
     gen_er,
     gen_static_sf,
@@ -26,6 +25,18 @@ from relnet.graphs import (
     largest_component,
 )
 from relnet.seeding import child_seed
+
+
+def counted_info(g, info):
+    """(community_sizes, cross pairs, cross edges drawn, bridge_edges), with
+    the two cross counts taken from the graph: the pairs across communities
+    from its labels, and the edges drawn across them as the edges across
+    communities less the bridges (every bridge joins two communities and
+    was not an edge before). A flat family has one community and no counts."""
+    labels = np.array(g.community_of or (0,) * g.node_count)
+    across = labels[:, None] != labels[None, :]
+    edges = int((g.adjacency & across).sum()) // 2 - info.bridge_edges
+    return info.community_sizes, int(across.sum()) // 2, edges, info.bridge_edges
 
 
 class TestSpecValidation:
@@ -44,6 +55,19 @@ class TestSpecValidation:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError, match="'p' must be"):
             GeneratorSpec(family="er", n=10, p=1.5).validate()
+
+    def test_mu_out_of_range(self):
+        spec = GeneratorSpec(family="community", n=12, communities=2, mu=1.5, base="er", p=0.5)
+        with pytest.raises(ValueError, match=r"^'mu' must be in \[0,1\], got 1.5$"):
+            spec.validate()
+
+    def test_flat_base_other_than_er_or_static_sf(self):
+        spec = GeneratorSpec(family="community", n=12, communities=2, mu=0.1, base="complete")
+        with pytest.raises(
+            ValueError,
+            match=r"^base family must be one of \('er', 'static_sf'\), got 'complete'$",
+        ):
+            spec.validate()
 
     def test_gamma_below_two(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -212,8 +236,8 @@ class TestComposer:
         assert cross_density(g) == 1.0
 
     def test_mu_zero_bridges_only(self):
-        g, info = compose_communities_with_info(self.base_spec(mu=0.0))
-        assert info.cross_edges == 0
+        g, info = generate_with_info(self.base_spec(mu=0.0))
+        assert counted_info(g, info)[2] == 0
         assert info.bridge_edges == 2  # one per community beyond the first
         assert len(connected_components(g)) == 1
 
@@ -236,9 +260,9 @@ class TestComposer:
         # against a 99% normal-approximation binomial interval around mu.
         mu, total_edges, total_pairs = 0.3, 0, 0
         for s in range(20):
-            _, info = compose_communities_with_info(self.base_spec(mu=mu, seed=s))
-            total_edges += info.cross_edges
-            total_pairs += info.cross_pairs
+            _, pairs, edges, _ = counted_info(*generate_with_info(self.base_spec(mu=mu, seed=s)))
+            total_edges += edges
+            total_pairs += pairs
         half_width = 2.576 * math.sqrt(total_pairs * mu * (1 - mu))
         assert abs(total_edges - total_pairs * mu) <= half_width
 
@@ -246,13 +270,13 @@ class TestComposer:
         spec = self.base_spec(
             base="static_sf", p=None, gamma=2.5, m=3, n=90, communities=3
         )
-        g, info = compose_communities_with_info(spec)
+        g, info = generate_with_info(spec)
         assert len(g.community_sizes()) == 3
         assert len(connected_components(g)) == 1
         assert sum(info.community_sizes) == g.node_count
 
     def test_outputs_pinned_by_digest(self):
-        """Edges, labels, GenerationInfo and GraphMetrics over a grid of
+        """Edges, labels, `counted_info` and GraphMetrics over a grid of
         composer specs (16 of the 80 add bridges). The digest was taken from
         the edge-set implementation that preceded the adjacency-matrix one;
         any moved bit, or a value of another type, changes it."""
@@ -271,7 +295,7 @@ class TestComposer:
                     (
                         sorted(g.edges),
                         g.community_of,
-                        dataclasses.astuple(info),
+                        counted_info(g, info),
                         dataclasses.astuple(metrics),
                     )
                 ).encode()
@@ -295,13 +319,12 @@ class TestDispatch:
         )
 
     def test_info_zeros_for_simple_families(self):
-        _, info = generate_with_info(GeneratorSpec(family="complete", n=5))
-        assert info == GenerationInfo(
-            community_sizes=(5,), cross_pairs=0, cross_edges=0, bridge_edges=0
-        )
+        g, info = generate_with_info(GeneratorSpec(family="complete", n=5))
+        assert info == GenerationInfo(community_sizes=(5,), bridge_edges=0)
+        assert counted_info(g, info) == ((5,), 0, 0, 0)
 
     def test_flat_families_pinned_by_digest(self):
-        """Edges and GenerationInfo of the complete, ER and static scale-free
+        """Edges and `counted_info` of the complete, ER and static scale-free
         families over a grid of sizes, parameters and two seeds; any moved
         edge, reordered draw or changed count changes the digest."""
         specs = [GeneratorSpec(family="complete", n=n) for n in (2, 7, 40)]
@@ -319,7 +342,7 @@ class TestDispatch:
         digest = hashlib.sha256()
         for spec, seed in itertools.product(specs, (0, 1)):
             g, info = generate_with_info(dataclasses.replace(spec, seed=seed))
-            digest.update(repr((sorted(g.edges), dataclasses.astuple(info))).encode())
+            digest.update(repr((sorted(g.edges), counted_info(g, info))).encode())
         assert digest.hexdigest()[:16] == "e986280cf3158b88"
 
     def test_validation_runs_on_generate(self):

@@ -50,6 +50,16 @@ def graphs(draw, max_n=8):
     return from_edge_pairs(n, edges)
 
 
+class TestGraph:
+    def test_no_nodes(self):
+        with pytest.raises(InvalidNodeId, match=r"^node_count must be >= 1, got 0$"):
+            Graph(node_count=0, edges=frozenset())
+
+    def test_edge_outside_the_node_range(self):
+        with pytest.raises(InvalidNodeId, match=r"^edge \(1,3\) invalid for node_count=3$"):
+            Graph(node_count=3, edges=frozenset({(0, 1), (1, 3)}))
+
+
 class TestFromEdgePairs:
     def test_dedup_and_self_loops(self):
         g = from_edge_pairs(3, [(0, 1), (1, 0), (1, 1), (1, 2)])
@@ -62,6 +72,10 @@ class TestFromEdgePairs:
     def test_out_of_range(self):
         with pytest.raises(InvalidNodeId):
             from_edge_pairs(2, [(0, 5)])
+
+    def test_no_nodes(self):
+        with pytest.raises(InvalidNodeId, match=r"^n must be >= 1, got 0$"):
+            from_edge_pairs(0, [])
 
     def test_labels_from_sequence(self):
         g = from_edge_pairs(3, [(0, 1)], community_of=np.array([0, 0, 1]))
@@ -204,6 +218,10 @@ class TestModularity:
     def test_edgeless_raises(self):
         with pytest.raises(UndefinedMetric):
             modularity(from_edge_pairs(3, []), [0, 0, 1])
+
+    def test_partition_shorter_than_the_node_count(self):
+        with pytest.raises(InvalidNodeId, match=r"^partition must label every node$"):
+            modularity(TRIANGLE, [0, 0])
 
     @given(graphs(max_n=7), st.integers(min_value=2, max_value=3))
     @settings(max_examples=60)
@@ -403,6 +421,12 @@ class TestEdgeListFormat:
         path = tmp_path / "bad.edges"
         path.write_text("# community 0 0\n# community 1 0\n# community -1 5\n0 1\n")
         with pytest.raises(FormatError, match=rf"{path}:3: negative node id"):
+            read_edge_list(path)
+
+    def test_community_lines_skipping_a_node(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("# community 0 0\n# community 2 1\n0 1\n1 2\n")
+        with pytest.raises(FormatError, match=rf"^{path}: community labels missing for nodes \[1\]$"):
             read_edge_list(path)
 
     def test_declared_nodes_too_low(self, tmp_path):

@@ -252,6 +252,15 @@ class TestRunSweep:
         assert all(r.family == "er" and r.width == 16 for r in records)
         assert len({record_key(r) for r in records}) == len(records)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_cell_left_builds_no_dataset(self, monkeypatch, workers):
+        spec = tiny_spec()
+        calls = []
+        monkeypatch.setattr(relnet.sweep, "build_dataset", lambda *args, **kw: calls.append(args))
+        done = {record_key(cell) for cell in sweep_cells(spec)}
+        assert run_sweep(spec, workers=workers, skip_keys=done) == []
+        assert calls == []
+
     def test_metrics_populated(self):
         records = run_sweep(tiny_spec(seeds=(0,)))
         for r in records:

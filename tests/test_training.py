@@ -396,6 +396,15 @@ class TestTrain:
         with pytest.raises(NumericError, match="epoch 0"):
             train(model, bad, ds, self.config(), seed=11)
 
+    def test_overflowing_logits_name_the_epoch_and_step(self):
+        ds = self.blobs()
+        model = init_model(gen_complete(4), 8, 1, 12, 4, seed=0)
+        for w in model.weights:
+            w *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"^epoch 0, step 0: non-finite loss nan$"):
+                train(model, ds, ds, self.config(), seed=11)
+
     def test_full_batch_loss_non_increasing(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((64, 6))
