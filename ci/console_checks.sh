@@ -126,6 +126,18 @@ one_line p_range
 grep -q "^error: .*'p'" "$T/p_range.err"
 cmp "$T/demo.csv" "$T/demo.before.csv"
 
+check "a demo spec with seeds [0, 0] exits 2 with one error line naming 'seeds' and leaves --out as it was"
+demo_spec "$T/repeated_seed.json" 'spec["seeds"] = [0, 0]'
+exits_2 repeated_seed relnet sweep --spec "$T/repeated_seed.json" --out "$T/demo.csv" --workers 2
+one_line repeated_seed
+grep -q "^error: sweep spec 'seeds' repeats 0" "$T/repeated_seed.err"
+cmp "$T/demo.csv" "$T/demo.before.csv"
+
+check "report --x family exits 2 with one error line naming --x"
+exits_2 x_family relnet report --csv "$T/demo.csv" --x family
+one_line x_family
+grep -q '^error: --x must be one of ' "$T/x_family.err"
+
 check "train with --learning-rate nan exits 2 with one error line naming --learning-rate"
 exits_2 nan_lr relnet train --family complete --n 4 --width 8 --rounds 1 --epochs 1 --learning-rate nan
 one_line nan_lr

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import MISSING, asdict, fields
@@ -27,17 +28,16 @@ from .graphs import compute_metrics, read_edge_list, write_edge_list
 from .model import save_checkpoint
 from .sweep import (
     DATASET_KINDS,
+    X_FIELDS,
     ModelSpec,
     SweepSpec,
     aggregate,
     build_dataset,
     correlation_report,
     cut_partial_row,
-    existing_keys,
     graph_seed,
     read_records_csv,
     read_spec,
-    record_key,
     run_one,
     run_sweep,
     sweep_cells,
@@ -155,10 +155,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = SweepSpec.from_json(args.spec)
-    skip = set()
+    finished = []
     if args.resume:
         cut_partial_row(args.out)
-        skip = existing_keys(args.out)
+        finished = read_records_csv(args.out) if os.path.exists(args.out) else []
     # Without --resume the first row rewrites --out with a fresh header, so a
     # sweep that fails before its first row leaves --out as it was.
     append = args.resume
@@ -169,13 +169,13 @@ def _cmd_sweep(args) -> int:
         append = True
 
     try:
-        records = run_sweep(spec, workers=args.workers, skip_keys=skip, progress=progress)
+        records = run_sweep(spec, workers=args.workers, finished=finished, progress=progress)
     except InvalidValue as exc:
         if exc.field != "workers":
             raise
         raise InvalidValue("--workers", exc.rule) from None
     ok = sum(record.status == "ok" for record in records)
-    skipped = sum(record_key(cell) in skip for cell in sweep_cells(spec))
+    skipped = len(sweep_cells(spec)) - len(records)
     print(json.dumps({"ok": ok, "failed": len(records) - ok, "skipped": skipped}))
     return 0
 
@@ -185,7 +185,12 @@ def _cmd_report(args) -> int:
     rows = aggregate(records)
     if args.aggregate_out is not None:
         write_aggregate_csv(rows, args.aggregate_out)
-    report = correlation_report(records, x_field=args.x)
+    try:
+        report = correlation_report(records, x_field=args.x)
+    except InvalidValue as exc:
+        if exc.field != "x_field":
+            raise
+        raise InvalidValue("--x", exc.rule) from None
     print(json.dumps(asdict(report) | {"cells": len(rows)}))
     return 0
 
@@ -238,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="aggregate a sweep CSV")
     p_report.add_argument("--csv", required=True)
-    p_report.add_argument("--x", default="mu")
+    p_report.add_argument("--x", default="mu", help=f"the column to fit against: {X_FIELDS}")
     p_report.add_argument("--aggregate-out", default=None)
     p_report.set_defaults(func=_cmd_report)
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError, InvalidValue, require_at_least
+from .errors import FormatError, InvalidValue, ShapeError, require_at_least
 from .seeding import child_seed, rng
 
 CIFAR_DIM = 3072  # three channel planes of 32x32 pixels
@@ -32,7 +32,7 @@ ChannelStats = tuple[list[float], list[float]]  # per-channel (mean, std), RGB o
 
 @dataclass(frozen=True)
 class Dataset:
-    """Stored rows (N, D) with integer labels in [0, n_classes).
+    """Stored rows (N, D), N >= 1, with integer labels in [0, n_classes).
 
     `features` holds the rows as stored: an array, or an array-like with
     `shape`, `dtype`, `nbytes` and `[index]`. When `decode` is set, it maps
@@ -48,13 +48,13 @@ class Dataset:
     decode: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.features.shape[0] == 0:
+            raise ShapeError("a dataset needs at least one row, got 0")
         if self.features.shape[0] != self.labels.shape[0]:
             raise FormatError(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
             )
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.n_classes
-        ):
+        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise FormatError("labels out of range")
 
     @property

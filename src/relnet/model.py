@@ -110,11 +110,6 @@ class MlpModel:
         """The masked round weights, `weights[1:-1]` (the arrays themselves)."""
         return self.weights[1:-1]
 
-    @cached_property
-    def mask_values(self) -> np.ndarray:
-        """The mask as a 1.0/0.0 matrix in the model dtype."""
-        return self.mask.matrix.astype(self.dtype)
-
     def masked_entries_zero(self) -> bool:
         off = ~self.mask.matrix
         return all(not np.any(w[off]) for w in self.round_w)

@@ -80,6 +80,11 @@ class Cifar10Spec:
 DATASET_KINDS = {"blobs": BlobsSpec, "cifar10": Cifar10Spec}
 
 
+def _repeated(values: tuple) -> list:
+    """The entries of `values` equal to an earlier one, in order."""
+    return [v for i, v in enumerate(values) if v in values[:i]]
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     family: str
@@ -98,7 +103,8 @@ class SweepSpec:
         return [self.axis1] + ([self.axis2] if self.axis2 else [])
 
     def validate(self) -> None:
-        """Check the sweep-level rules, and each grid point's graph spec (one
+        """Check the sweep-level rules (each axis, `communities` and `seeds`
+        a non-empty list without repeats), and each grid point's graph spec (one
         per axis values and community count) by `GeneratorSpec.validate`; an
         error names the spec's family, not the composed one, where it can. A
         graph that cannot be built is its cell's error row. The nested specs'
@@ -108,6 +114,8 @@ class SweepSpec:
                 raise ValueError(f"axis {axis.name!r} is not one of {AXIS_NAMES}")
             if not axis.values:
                 raise ValueError(f"axis {axis.name!r} has no values")
+            if repeated := _repeated(axis.values):
+                raise ValueError(f"axis {axis.name!r} repeats {repeated[0]}")
             if axis.name in self.fixed:
                 raise ValueError(f"{axis.name!r} both swept and fixed")
         if self.axis2 and self.axis2.name == self.axis1.name:
@@ -118,6 +126,8 @@ class SweepSpec:
         for name in ("communities", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"sweep spec {name!r} is empty")
+            if repeated := _repeated(getattr(self, name)):
+                raise ValueError(f"sweep spec {name!r} repeats {repeated[0]}")
         if self.family not in BASE_FAMILIES:
             raise ValueError(
                 f"sweep spec 'family' must be one of {BASE_FAMILIES}, got {self.family!r}"
@@ -273,6 +283,7 @@ KEY_FIELDS = [f.name for f in fields(SweepCell)]  # identifies a (grid cell, see
 GROUP_FIELDS = [name for name in KEY_FIELDS if name != "seed"]  # a grid cell across seeds
 METRIC_FIELDS = [f.name for f in fields(GraphMetrics) if f.name in CSV_HEADER]
 AGG_HEADER = GROUP_FIELDS + ["n_seeds", "n_failed", "top1_mean", "top1_std"] + METRIC_FIELDS
+X_FIELDS = tuple(name for name in GROUP_FIELDS if name != "family")  # a report's numeric x
 
 
 def build_dataset(
@@ -414,14 +425,15 @@ def record_key(cell: SweepCell) -> tuple[str, ...]:
 
 
 def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
-    """The records of `cells` in their order: computed in this process at
-    `workers` == 1, else by a pool of `workers` processes. Before the pool
-    starts, this process resolves the CIFAR-10 channel statistics
-    (`channel_stats`) and hands them to every worker, so a sweep computes
-    them at most once, even on a read-only data directory. With no cell
-    left, no dataset is read at any `workers`."""
+    """The records of `cells` in their order: computed in this process when
+    `workers` or the number of cells is 1, else by a pool of one process per
+    cell up to `workers`. Before the pool starts, this process resolves the
+    CIFAR-10 channel statistics (`channel_stats`) and hands them to every
+    worker, so a sweep computes them at most once, even on a read-only data
+    directory. With no cell left, no dataset is read at any `workers`."""
     if not cells:
         return
+    workers = min(workers, len(cells))
     if workers == 1:
         train_ds, test_ds = build_dataset(spec.dataset, dtype=spec.train.dtype)
         for cell in cells:
@@ -436,13 +448,10 @@ def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
 
 
 def run_sweep(
-    spec: SweepSpec,
-    workers: int = 1,
-    skip_keys: set[tuple[str, ...]] | None = None,
-    progress=None,
+    spec: SweepSpec, workers: int = 1, finished=(), progress=None
 ) -> list[ExperimentRecord]:
-    """Execute every cell of `sweep_cells(spec)` whose `record_key` is not in
-    `skip_keys` (the keys of prior rows, for resumption); returns their
+    """Execute every cell of `sweep_cells(spec)` whose `record_key` is not a
+    `finished` record's (the prior rows, for resumption); returns their
     records in grid order, the same at any `workers`.
 
     `progress`, when given, is called with each finished record. A pool
@@ -454,7 +463,8 @@ def run_sweep(
     has called its `validate`, through `read_spec`.
     """
     require_at_least(1, workers=workers)
-    cells = [cell for cell in sweep_cells(spec) if record_key(cell) not in (skip_keys or ())]
+    done = {record_key(record) for record in finished}
+    cells = [cell for cell in sweep_cells(spec) if record_key(cell) not in done]
     records: list[ExperimentRecord] = []
     try:
         for record in _records(spec, cells, workers):
@@ -538,15 +548,17 @@ def correlation_report(
 
     Takes the per-cell seed-averaged errors, pairs them with the cell's
     x_field value, and fits a quadratic by least squares (`np.polyfit`).
-    Fewer than 3 distinct x values, or a fit of rank below 3, raise FitError.
+    An x_field not in X_FIELDS raises InvalidValue. Fewer than 3 distinct
+    x values, or a fit of rank below 3, raise FitError.
     So does a norm of the columns (x^2, x, 1), which `np.polyfit` divides by,
     of 0 or inf (|x| below about 1e-81 or above 1e77): LAPACK gets NaNs.
     """
-    rows = aggregate(records)
+    if x_field not in X_FIELDS:
+        raise InvalidValue("x_field", f"must be one of {X_FIELDS}, got {x_field!r}")
     points = [
         (float(row[x_field]), float(row["top1_mean"]))
-        for row in rows
-        if row.get(x_field) is not None and row["top1_mean"] is not None
+        for row in aggregate(records)
+        if row[x_field] is not None and row["top1_mean"] is not None
     ]
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
@@ -663,13 +675,6 @@ def cut_partial_row(path) -> None:
         data = fh.read()
         if data and not data.endswith(b"\n"):
             fh.truncate(data.rfind(b"\n") + 1)
-
-
-def existing_keys(path) -> set[tuple[str, ...]]:
-    """Keys of rows already present in a records CSV (for --resume)."""
-    if not os.path.exists(path):
-        return set()
-    return {record_key(rec) for rec in read_records_csv(path)}
 
 
 def write_aggregate_csv(rows: list[dict], path) -> None:

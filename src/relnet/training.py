@@ -78,7 +78,7 @@ def loss_and_grads(model: MlpModel, batch_x, batch_y) -> tuple[float, Grads]:
     """Mean softmax cross-entropy and exact gradients for every parameter.
 
     Masked round-weight entries come back with gradient exactly 0 (+0.0 or
-    -0.0: the gradient is multiplied by the 1.0/0.0 mask).
+    -0.0: the gradient is multiplied by the boolean `mask.matrix`).
     """
     y = np.asarray(batch_y)
     if y.size and (y.min() < 0 or y.max() >= model.out_dim):
@@ -101,7 +101,7 @@ def loss_and_grads(model: MlpModel, batch_x, batch_y) -> tuple[float, Grads]:
             da *= inputs[layer + 1] > 0  # through this layer's ReLU
         dw = inputs[layer].T @ da
         if 0 < layer < last:
-            dw *= model.mask_values
+            dw *= model.mask.matrix
         grads.weights[layer] = dw
         grads.biases[layer] = da.sum(axis=0)
         if layer:

@@ -730,6 +730,17 @@ class TestSweepReport:
         assert code == 2
         assert "needs >= 3 distinct" in err
 
+    @pytest.mark.parametrize("x", ["family", "seed", "foo"])
+    def test_report_x_not_a_grid_parameter_exits_2_naming_x(self, capsys, tmp_path, x):
+        out = tmp_path / "out.csv"
+        run(capsys, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out))
+        code, stdout, err = run(capsys, "report", "--csv", str(out), "--x", x)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [
+            "error: --x must be one of ('communities', 'p', 'gamma', 'm', 'mu', 'width', "
+            f"'rounds'), got {x!r}"
+        ]
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="the killing cell function reaches the workers only by fork",
@@ -820,6 +831,9 @@ class TestSweepReport:
             ({"dataset": {**SWEEP_SPEC["dataset"], "test_n_per_class": 0}},
              "dataset.test_n_per_class"),
             ({"family": "complete"}, "family"),
+            ({"axis1": {"name": "p", "values": [0.5, 0.3, 0.5]}}, "p"),
+            ({"communities": [2, 2]}, "communities"),
+            ({"seeds": [3, 3]}, "seeds"),
         ],
         ids=["no-family", "unknown-train-key", "model-not-object",
              "axis-values-not-list", "cifar10-without-dir", "unknown-top-level-key",
@@ -832,7 +846,7 @@ class TestSweepReport:
              "infinite-fixed-value", "axis-not-taken", "fixed-not-taken",
              "required-not-set", "second-required-not-set", "one-node", "zero-rounds",
              "zero-width", "cifar10-normalize", "zero-train-split", "zero-test-split",
-             "family-not-a-base"],
+             "family-not-a-base", "repeated-p", "repeated-community", "repeated-seed"],
     )
     def test_bad_spec_exits_2_naming_the_key(self, capsys, tmp_path, change, key):
         spec_dict = {**SWEEP_SPEC, **change}

@@ -24,7 +24,7 @@ from relnet.datasets import (
     synthetic_blobs,
 )
 from relnet.cli import main
-from relnet.errors import FormatError, InvalidValue
+from relnet.errors import FormatError, InvalidValue, ShapeError
 from relnet.generators import gen_er
 from relnet.model import init_model
 from relnet.sweep import Axis, ModelSpec, SweepSpec, run_sweep
@@ -566,6 +566,16 @@ class TestDatasetValidation:
             Dataset(np.zeros((2, 4)), np.array([-1, 0]), 5)
         ds = Dataset(np.zeros((2, 4)), np.array([0, 4]), 5)
         assert ds.n == 2 and ds.dim == 4
+
+    def test_no_rows(self):
+        """Evaluating or training on no rows would divide by zero."""
+        with pytest.raises(ShapeError, match="^a dataset needs at least one row, got 0$"):
+            Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 5)
+
+    def test_smallest_blobs_and_cifar10_load(self, small_cifar_dir):
+        assert synthetic_blobs(1, 2, 2, spread=1.0, seed=0).n == 2
+        train, test = load_cifar10(small_cifar_dir, stats=IDENTITY_STATS)
+        assert (train.n, test.n) == (5 * SMALL_RECORDS, SMALL_RECORDS)
 
 
 class TestSyntheticBlobs:

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from relnet.sweep import (
     aggregate,
     build_dataset,
     correlation_report,
-    existing_keys,
     read_records_csv,
     record_key,
     run_sweep,
@@ -139,6 +139,20 @@ class TestSweepSpec:
     def test_empty_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
             tiny_spec(seeds=()).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [(dict(axis1=Axis("p", (0.5, 0.5))), "axis 'p' repeats 0.5"),
+         (dict(axis2=Axis("mu", (0.0, 0.5, 0.0))), "axis 'mu' repeats 0.0"),
+         (dict(communities=(2, 1, 2)), "sweep spec 'communities' repeats 2"),
+         (dict(seeds=(3, 3)), "sweep spec 'seeds' repeats 3")],
+        ids=["axis1", "axis2", "communities", "seeds"],
+    )
+    def test_repeated_tick(self, overrides, message):
+        """A repeated value would train the same run twice and count it as two seeds."""
+        with pytest.raises(ValueError) as info:
+            tiny_spec(**overrides).validate()
+        assert str(info.value) == message
 
     def test_train_config_validated(self):
         bad = TrainConfig(epochs=0)
@@ -257,8 +271,8 @@ class TestRunSweep:
         spec = tiny_spec()
         calls = []
         monkeypatch.setattr(relnet.sweep, "build_dataset", lambda *args, **kw: calls.append(args))
-        done = {record_key(cell) for cell in sweep_cells(spec)}
-        assert run_sweep(spec, workers=workers, skip_keys=done) == []
+        done = [ExperimentRecord(**asdict(cell), status="ok") for cell in sweep_cells(spec)]
+        assert run_sweep(spec, workers=workers, finished=done) == []
         assert calls == []
 
     def test_metrics_populated(self):
@@ -318,8 +332,7 @@ class TestRunSweep:
     def test_skip_keys_resume(self):
         spec = tiny_spec()
         records = run_sweep(spec)
-        done = {record_key(r) for r in records[:5]}
-        rest = run_sweep(spec, skip_keys=done)
+        rest = run_sweep(spec, finished=records[:5])
         assert len(rest) == len(records) - 5
         assert [record_key(r) for r in rest] == [
             record_key(r) for r in records[5:]
@@ -328,7 +341,7 @@ class TestRunSweep:
     def test_skip_all_yields_nothing(self):
         spec = tiny_spec(seeds=(0,))
         records = run_sweep(spec)
-        again = run_sweep(spec, skip_keys={record_key(r) for r in records})
+        again = run_sweep(spec, finished=records)
         assert again == []
 
     def test_progress_callback_sees_every_record(self):
@@ -341,6 +354,29 @@ class TestRunSweep:
         inline = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=1)]
         pooled = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=2)]
         assert inline == pooled
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the counting initializer reaches the workers only by fork",
+    )
+    def test_pool_starts_one_worker_per_cell_left(self, monkeypatch, tmp_path):
+        """Each worker loads the datasets and takes its share of the BLAS
+        threads, so 2 cells at workers=3 start 2 workers sharing the CPUs by 2,
+        and 1 cell runs in this process."""
+        worker_init = relnet.sweep._worker_init
+
+        def counting_init(spec, workers, stats):
+            (tmp_path / str(os.getpid())).write_text(str(workers))
+            worker_init(spec, workers, stats)
+
+        monkeypatch.setattr(relnet.sweep, "_worker_init", counting_init)
+        spec = tiny_spec(axis2=None, seeds=(0,))
+        pooled = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=3)]
+        assert sorted(path.read_text() for path in tmp_path.iterdir()) == ["2", "2"]
+        inline = run_sweep(spec, workers=1)
+        assert pooled == [replace(r, wall_ms=0.0) for r in inline]
+        assert run_sweep(spec, workers=3, finished=inline[:1])[0].status == "ok"
+        assert len(list(tmp_path.iterdir())) == 2
 
     def test_single_community_repeats_over_mu(self):
         """With one community no cross pair exists, so mu changes nothing:
@@ -566,6 +602,17 @@ class TestCorrelationReport:
         report = correlation_report(records, x_field="mu")
         assert abs(report.coefficients[0] - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("x_field", ["family", "seed", "foo", "top1_error"])
+    def test_x_field_not_a_grid_parameter(self, x_field):
+        records = [make_record(mu=x, top1_error=1.0) for x in (0.1, 0.2, 0.4)]
+        with pytest.raises(InvalidValue) as info:
+            correlation_report(records, x_field=x_field)
+        assert info.value.field == "x_field"
+        assert info.value.rule == (
+            "must be one of ('communities', 'p', 'gamma', 'm', 'mu', 'width', 'rounds'), "
+            f"got {x_field!r}"
+        )
+
     def test_too_few_distinct_x(self):
         records = [make_record(mu=x, top1_error=1.0) for x in (0.1, 0.1, 0.4)]
         with pytest.raises(FitError, match="needs >= 3 distinct"):
@@ -726,14 +773,6 @@ class TestCsv:
         path = tmp_path / "new.csv"
         write_records_csv(self.sample_records(), path, append=True)
         assert read_records_csv(path) == self.sample_records()
-
-    def test_existing_keys(self, tmp_path):
-        path = tmp_path / "records.csv"
-        records = self.sample_records()
-        write_records_csv(records, path)
-        keys = existing_keys(path)
-        assert keys == {record_key(r) for r in records}
-        assert existing_keys(tmp_path / "absent.csv") == set()
 
     def test_aggregate_csv(self, tmp_path):
         path = tmp_path / "agg.csv"
