@@ -138,6 +138,17 @@ exits_2 x_family relnet report --csv "$T/demo.csv" --x family
 one_line x_family
 grep -q '^error: --x must be one of ' "$T/x_family.err"
 
+check "report --x family --aggregate-out exits 2 with one error line and writes no aggregate"
+exits_2 x_family_agg relnet report --csv "$T/demo.csv" --x family --aggregate-out "$T/x_family_agg.csv"
+one_line x_family_agg
+test ! -e "$T/x_family_agg.csv"
+
+check "sweep --out in a missing directory exits 2 with one error line naming --out and creates nothing"
+exits_2 missing_out_dir relnet sweep --spec sweeps/blobs_demo.json --out "$T/missing/x.csv" --workers 2
+one_line missing_out_dir
+grep -q "^error: --out '$T/missing/x.csv': no directory '$T/missing'" "$T/missing_out_dir.err"
+test ! -e "$T/missing"
+
 check "train with --learning-rate nan exits 2 with one error line naming --learning-rate"
 exits_2 nan_lr relnet train --family complete --n 4 --width 8 --rounds 1 --epochs 1 --learning-rate nan
 one_line nan_lr

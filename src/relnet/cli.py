@@ -168,12 +168,7 @@ def _cmd_sweep(args) -> int:
         write_records_csv([record], args.out, append=append)
         append = True
 
-    try:
-        records = run_sweep(spec, workers=args.workers, finished=finished, progress=progress)
-    except InvalidValue as exc:
-        if exc.field != "workers":
-            raise
-        raise InvalidValue("--workers", exc.rule) from None
+    records = run_sweep(spec, workers=args.workers, finished=finished, progress=progress)
     ok = sum(record.status == "ok" for record in records)
     skipped = len(sweep_cells(spec)) - len(records)
     print(json.dumps({"ok": ok, "failed": len(records) - ok, "skipped": skipped}))
@@ -183,14 +178,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     records = read_records_csv(args.csv)
     rows = aggregate(records)
-    if args.aggregate_out is not None:
+    # A bad --x writes no aggregate; a fit that fails (FitError) comes after it.
+    if args.aggregate_out is not None and args.x in X_FIELDS:
         write_aggregate_csv(rows, args.aggregate_out)
-    try:
-        report = correlation_report(records, x_field=args.x)
-    except InvalidValue as exc:
-        if exc.field != "x_field":
-            raise
-        raise InvalidValue("--x", exc.rule) from None
+    report = correlation_report(records, x_field=args.x)
     print(json.dumps(asdict(report) | {"cells": len(rows)}))
     return 0
 
@@ -250,11 +241,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flag of each library argument that a command passes on unchecked: an
+# InvalidValue on the argument is reported under its flag.
+_FLAG_OF_ARGUMENT = {"workers": "--workers", "x_field": "--x"}
+# The flags naming a file a command writes, checked before the command runs.
+_OUTPUT_FLAGS = ("out", "log", "ckpt_out", "aggregate_out")
+
+
+def _check_outputs(args) -> None:
+    """Raise ValueError naming the first output flag whose file cannot be
+    written: its path is a directory, or its directory does not exist."""
+    for name in _OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        flag, parent = _flag("", name), os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path!r} is a directory")
+        if not os.path.isdir(parent):
+            raise ValueError(f"{flag} {path!r}: no directory {parent!r}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (RelnetError, ValueError, OSError) as exc:
+        if isinstance(exc, InvalidValue):
+            exc = InvalidValue(_FLAG_OF_ARGUMENT.get(exc.field, exc.field), exc.rule)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -247,6 +247,25 @@ def load_cifar10(
     return train, test
 
 
+@dataclass(frozen=True)
+class BlobsSpec:
+    """Synthetic blobs; the test split draws from a child stream of `seed`."""
+
+    classes: int = 10
+    dim: int = 48
+    n_per_class: int = 500
+    test_n_per_class: int = 100
+    spread: float = 1.0
+    seed: int = 1234
+
+    def __post_init__(self) -> None:
+        """Raise InvalidValue naming the first field out of its range."""
+        require_at_least(1, n_per_class=self.n_per_class, test_n_per_class=self.test_n_per_class)
+        require_at_least(2, classes=self.classes)
+        if self.dim < self.classes:
+            raise InvalidValue("dim", f"must be >= classes ({self.classes}), got {self.dim}")
+
+
 def synthetic_blobs(
     n_per_class: int,
     classes: int,
@@ -257,10 +276,7 @@ def synthetic_blobs(
 ) -> Dataset:
     """Gaussian blob classification set: class c sits at 3*e_c with isotropic
     noise of standard deviation `spread`."""
-    require_at_least(1, n_per_class=n_per_class)
-    require_at_least(2, classes=classes)
-    if dim < classes:
-        raise InvalidValue("dim", f"must be >= classes ({classes}), got {dim}")
+    BlobsSpec(classes, dim, n_per_class)  # raises InvalidValue on a size out of range
     n = n_per_class * classes
     labels = np.repeat(np.arange(classes), n_per_class)
     centers = np.zeros((classes, dim))

@@ -64,10 +64,10 @@ class GeneratorSpec:
     base: str | None = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check that the spec is well formed: a known family (and base), the
         parameters it requires set and no others, each in range, n >= 2. It
-        does not report whether the graph can be built (communities <= n/2,
+        does not check whether the graph can be built (communities <= n/2,
         a feasible, unsaturated static-model block): `generate_with_info` does."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
@@ -109,13 +109,13 @@ class GenerationInfo:
 
 def gen_complete(n: int) -> Graph:
     """Complete graph on n nodes (the dense baseline)."""
-    GeneratorSpec("complete", n).validate()
+    GeneratorSpec("complete", n)  # raises on an argument out of range
     return from_adjacency(~np.eye(n, dtype=bool))
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): each pair included independently with probability p."""
-    GeneratorSpec("er", n, p=p).validate()
+    GeneratorSpec("er", n, p=p)  # raises on an argument out of range
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[np.triu_indices(n, k=1)] = rng(seed).random(n * (n - 1) // 2) < p
     return from_adjacency(adjacency | adjacency.T)
@@ -131,7 +131,7 @@ def gen_static_sf(n: int, gamma: float, m: float, seed: int) -> Graph:
     edges raises ValueError; a run of 200*E consecutive rejected draws aborts
     with EdgeSaturation (dense or very low gamma regimes).
     """
-    GeneratorSpec("static_sf", n, gamma=gamma, m=m).validate()
+    GeneratorSpec("static_sf", n, gamma=gamma, m=m)  # raises on an argument out of range
     target = int(m * n // 2)
     if target > n * (n - 1) // 2:
         raise ValueError(f"static model infeasible: {target} edges requested, "
@@ -179,7 +179,6 @@ def generate_with_info(spec: GeneratorSpec) -> tuple[Graph, GenerationInfo]:
     and no bridges for a flat family). A community graph is composed as the
     module docstring says: more communities than n/2 raise
     TooManyCommunities, and each block raises its base family's errors."""
-    spec.validate()
     if spec.family != "community":
         graph = _draw(spec.family, spec, spec.n, spec.seed)
         return graph, GenerationInfo(community_sizes=(graph.node_count,))

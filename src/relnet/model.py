@@ -278,6 +278,8 @@ def load_checkpoint(path) -> MlpModel:
         rounds = sum(key.startswith("round_w_") for key in data.files)
     if meta["rounds"] != rounds:
         raise FormatError(f"{path}: meta 'rounds' is {meta['rounds']}, but {rounds} are stored")
+    if rounds < 1:
+        raise FormatError(f"{path}: no rounds stored; a model has at least one")
     if any(a.ndim != 2 for a in [*weights, block]) or any(b.ndim != 1 for b in biases):
         raise FormatError(f"{path}: a weight or the mask is not a matrix, or a bias not a vector")
     (in_dim, width), out_dim, n_nodes = weights[0].shape, weights[-1].shape[1], len(block)

@@ -18,13 +18,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .datasets import ChannelStats, Dataset, channel_stats, load_cifar10, synthetic_blobs
+from .datasets import (BlobsSpec, ChannelStats, Dataset, channel_stats, load_cifar10,
+                       synthetic_blobs)
 from .errors import FitError, FormatError, InvalidValue, RelnetError, WorkerLost, require_at_least
 from .generators import BASE_FAMILIES, PARAMETERS, GeneratorSpec, generate_with_info
 from .graphs import Graph, GraphMetrics, _openblas_function, compute_metrics
@@ -48,28 +49,9 @@ class ModelSpec:
     rounds: int = 5
     use_bias: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise InvalidValue naming the first field out of its range."""
         require_at_least(1, width=self.width, rounds=self.rounds)
-
-
-@dataclass(frozen=True)
-class BlobsSpec:
-    """Synthetic blobs; the test split draws from a child stream of `seed`."""
-
-    classes: int = 10
-    dim: int = 48
-    n_per_class: int = 500
-    test_n_per_class: int = 100
-    spread: float = 1.0
-    seed: int = 1234
-
-    def validate(self) -> None:
-        """Raise InvalidValue naming the first field out of its range."""
-        require_at_least(1, n_per_class=self.n_per_class, test_n_per_class=self.test_n_per_class)
-        require_at_least(2, classes=self.classes)
-        if self.dim < self.classes:
-            raise InvalidValue("dim", f"must be >= classes ({self.classes}), got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -102,13 +84,13 @@ class SweepSpec:
     def axes(self) -> list[Axis]:
         return [self.axis1] + ([self.axis2] if self.axis2 else [])
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check the sweep-level rules (each axis, `communities` and `seeds`
-        a non-empty list without repeats), and each grid point's graph spec (one
-        per axis values and community count) by `GeneratorSpec.validate`; an
-        error names the spec's family, not the composed one, where it can. A
-        graph that cannot be built is its cell's error row. The nested specs'
-        ranges are their own `validate`; `read_spec` names the dotted key."""
+        a non-empty list without repeats), each grid point's `GeneratorSpec`
+        (one per axis values and community count) and the dataset; an error
+        names the spec's family, not the composed one, where it can. A graph
+        that cannot be built is its cell's error row. Nested specs check
+        themselves when made; `read_spec` names the dotted key."""
         for axis in self.axes:
             if axis.name not in AXIS_NAMES:
                 raise ValueError(f"axis {axis.name!r} is not one of {AXIS_NAMES}")
@@ -132,15 +114,12 @@ class SweepSpec:
             raise ValueError(
                 f"sweep spec 'family' must be one of {BASE_FAMILIES}, got {self.family!r}"
             )
-        for cell in sweep_cells(replace(self, seeds=self.seeds[:1])):
-            graph = _graph_spec(cell, self.n)
+        for cell in sweep_cells(self)[:: len(self.seeds)]:  # seeds vary fastest
             try:
-                graph.validate()
+                _graph_spec(cell, self.n)
             except ValueError:  # name the spec's family if its blocks' own spec is at fault
-                replace(graph, family=self.family, communities=None, mu=None, base=None).validate()
+                GeneratorSpec(self.family, self.n, p=cell.p, gamma=cell.gamma, m=cell.m)
                 raise
-        self.model.validate()
-        self.train.validate()
         read_dataset_spec(self.dataset)
 
     @classmethod
@@ -177,9 +156,9 @@ def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep s
     takes the field's default. A missing, unknown or mistyped key raises
     FormatError naming it as `source` of its dotted path (the flag, for
     `relnet train`); `name` is the object's path ("" at the top level).
-    With `comments`, keys starting with "_" are skipped. The object's
-    `validate`, if it has one, checks its ranges; an InvalidValue on one of
-    its fields is raised again, naming the field as `source` of its path."""
+    With `comments`, keys starting with "_" are skipped. An InvalidValue
+    that `cls` raises on one of its fields when made is raised again,
+    naming the field as `source` of its path."""
     where = source(name) if name else "sweep spec"
     if not isinstance(d, dict):
         raise FormatError(f"{where} must be a JSON object, got {d!r}")
@@ -194,15 +173,12 @@ def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep s
             values[f.name] = _read_value(types[f.name], d[f.name], prefix + f.name, source)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise FormatError(f"{where} has no {f.name!r}")
-    spec = cls(**values)
-    if hasattr(spec, "validate"):
-        try:
-            spec.validate()
-        except InvalidValue as exc:
-            if exc.field not in types:  # a nested spec's, named by its own read
-                raise
-            raise InvalidValue(source(prefix + exc.field), exc.rule) from None
-    return spec
+    try:
+        return cls(**values)
+    except InvalidValue as exc:
+        if exc.field not in types:  # a nested spec's, named by its own read
+            raise
+        raise InvalidValue(source(prefix + exc.field), exc.rule) from None
 
 
 def _read_value(kind, value, name: str, source):
@@ -458,9 +434,6 @@ def run_sweep(
     worker that dies (killed by a signal, say) raises WorkerLost naming the
     first cell not delivered; every record delivered before it has been
     passed to `progress`. `workers` below 1 raises ValueError.
-
-    `spec` is taken as checked: `SweepSpec.from_dict` (and so `from_json`)
-    has called its `validate`, through `read_spec`.
     """
     require_at_least(1, workers=workers)
     done = {record_key(record) for record in finished}

@@ -35,7 +35,7 @@ class TrainConfig:
     lr_schedule: str = "cosine"
     precision: str = "single"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise InvalidValue naming the first field out of its range."""
         require_at_least(1, epochs=self.epochs, batch_size=self.batch_size)
         if self.learning_rate <= 0:
@@ -218,7 +218,6 @@ def train(
     Besides the model, a run holds the momentum buffers, one step's
     gradients (released once applied) and one step's activations.
     """
-    config.validate()
     if train_set.dim != model.in_dim or test_set.dim != model.in_dim:
         raise ShapeError(f"dataset dim {train_set.dim} vs model in_dim {model.in_dim}")
     if train_set.n_classes > model.out_dim:

@@ -726,9 +726,12 @@ class TestSweepReport:
         spec.write_text(json.dumps(spec_dict))
         out = tmp_path / "out.csv"
         run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
-        code, _, err = run(capsys, "report", "--csv", str(out), "--x", "p")
+        agg = tmp_path / "agg.csv"
+        code, _, err = run(capsys, "report", "--csv", str(out), "--x", "p",
+                           "--aggregate-out", str(agg))
         assert code == 2
         assert "needs >= 3 distinct" in err
+        assert len(agg.read_text().splitlines()) == 1 + 2  # the aggregate holds without a fit
 
     @pytest.mark.parametrize("x", ["family", "seed", "foo"])
     def test_report_x_not_a_grid_parameter_exits_2_naming_x(self, capsys, tmp_path, x):
@@ -740,6 +743,48 @@ class TestSweepReport:
             "error: --x must be one of ('communities', 'p', 'gamma', 'm', 'mu', 'width', "
             f"'rounds'), got {x!r}"
         ]
+
+    @pytest.mark.parametrize("earlier", [None, "earlier,output\n"], ids=["absent", "present"])
+    def test_report_bad_x_leaves_aggregate_out_as_it_was(self, capsys, tmp_path, earlier):
+        out = tmp_path / "out.csv"
+        run(capsys, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out))
+        agg = tmp_path / "agg.csv"
+        if earlier is not None:
+            agg.write_text(earlier)
+        code, _, err = run(capsys, "report", "--csv", str(out), "--x", "family",
+                           "--aggregate-out", str(agg))
+        assert code == 2 and err.startswith("error: --x must be one of ")
+        assert (agg.read_text() if agg.exists() else None) == earlier
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [(["sweep", "--spec", "spec.json", "--out", "missing/o.csv"],
+          "--out 'missing/o.csv': no directory 'missing'"),
+         (["sweep", "--spec", "spec.json", "--out", "missing/o.csv", "--workers", "2"],
+          "--out 'missing/o.csv': no directory 'missing'"),
+         (["sweep", "--spec", "spec.json", "--out", "."], "--out '.' is a directory"),
+         (["train", "--family", "complete", "--n", "4", "--log", "missing/log.jsonl"],
+          "--log 'missing/log.jsonl': no directory 'missing'"),
+         (["train", "--family", "complete", "--n", "4", "--ckpt-out", "."],
+          "--ckpt-out '.' is a directory"),
+         (["report", "--csv", "spec.json", "--aggregate-out", "missing/a.csv"],
+          "--aggregate-out 'missing/a.csv': no directory 'missing'")],
+        ids=["sweep", "sweep-workers-2", "sweep-dir", "train-log", "train-ckpt-dir", "report"],
+    )
+    def test_unwritable_output_exits_2_before_any_run(self, capsys, tmp_path, monkeypatch,
+                                                      argv, line):
+        """An output that cannot be written is named before any dataset is
+        read or cell run, and nothing is created."""
+        calls = []
+        for module, name in [(relnet.cli, "build_dataset"), (relnet.cli, "run_one"),
+                             (relnet.cli, "run_sweep"), (relnet.sweep, "run_one")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        self.write_spec(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, calls) == (2, "", [])
+        assert err.splitlines() == [f"error: {line}"]
+        assert os.listdir(tmp_path) == ["spec.json"]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -894,13 +939,13 @@ class TestSweepReport:
 
     def test_spec_checked_once_per_launch(self, capsys, tmp_path, monkeypatch):
         calls = []
-        validate = relnet.sweep.SweepSpec.validate
+        check = relnet.sweep.SweepSpec.__post_init__
 
-        def counting_validate(spec):
+        def counting_check(spec):
             calls.append(spec)
-            return validate(spec)
+            return check(spec)
 
-        monkeypatch.setattr(relnet.sweep.SweepSpec, "validate", counting_validate)
+        monkeypatch.setattr(relnet.sweep.SweepSpec, "__post_init__", counting_check)
         out = tmp_path / "o.csv"
         code, _, _ = run(capsys, "sweep", "--spec", str(self.write_spec(tmp_path)),
                          "--out", str(out))

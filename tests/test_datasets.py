@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import relnet.datasets
+import relnet.sweep
 from _oracles import cifar10_arrays
 from relnet.datasets import (
     CIFAR_DIM,
@@ -17,6 +18,7 @@ from relnet.datasets import (
     CIFAR_RECORD_BYTES,
     CIFAR_RECORDS_PER_FILE,
     STATS_FILENAME,
+    BlobsSpec,
     Dataset,
     batch_iter,
     decode_pixels,
@@ -616,6 +618,20 @@ class TestSyntheticBlobs:
         with pytest.raises(InvalidValue) as info:
             synthetic_blobs(*args, spread=1.0, seed=0)
         assert info.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("n_per_class", 0, "n_per_class must be >= 1, got 0"),
+         ("test_n_per_class", 0, "test_n_per_class must be >= 1, got 0"),
+         ("classes", 1, "classes must be >= 2, got 1"),
+         ("dim", 5, "dim must be >= classes (10), got 5")],
+    )
+    def test_spec_checked_when_made(self, field, value, message):
+        """An out-of-range BlobsSpec cannot be built (`relnet.sweep` reexports it)."""
+        assert relnet.sweep.BlobsSpec is BlobsSpec
+        with pytest.raises(InvalidValue) as info:
+            BlobsSpec(**{field: value})
+        assert (str(info.value), info.value.field) == (message, field)
 
     def test_noise_scale(self):
         ds = synthetic_blobs(2000, 2, 4, spread=0.5, seed=3)

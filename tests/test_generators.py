@@ -42,36 +42,34 @@ def counted_info(g, info):
 class TestSpecValidation:
     def test_er_requires_p(self):
         with pytest.raises(ValueError, match="requires 'p'"):
-            GeneratorSpec(family="er", n=10).validate()
+            GeneratorSpec(family="er", n=10)
 
     def test_complete_rejects_extras(self):
         with pytest.raises(ValueError, match="does not take"):
-            GeneratorSpec(family="complete", n=10, p=0.5).validate()
+            GeneratorSpec(family="complete", n=10, p=0.5)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
-            GeneratorSpec(family="ring", n=10).validate()
+            GeneratorSpec(family="ring", n=10)
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError, match="'p' must be"):
-            GeneratorSpec(family="er", n=10, p=1.5).validate()
+            GeneratorSpec(family="er", n=10, p=1.5)
 
     def test_mu_out_of_range(self):
-        spec = GeneratorSpec(family="community", n=12, communities=2, mu=1.5, base="er", p=0.5)
         with pytest.raises(ValueError, match=r"^'mu' must be in \[0,1\], got 1.5$"):
-            spec.validate()
+            GeneratorSpec(family="community", n=12, communities=2, mu=1.5, base="er", p=0.5)
 
     def test_flat_base_other_than_er_or_static_sf(self):
-        spec = GeneratorSpec(family="community", n=12, communities=2, mu=0.1, base="complete")
         with pytest.raises(
             ValueError,
             match=r"^base family must be one of \('er', 'static_sf'\), got 'complete'$",
         ):
-            spec.validate()
+            GeneratorSpec(family="community", n=12, communities=2, mu=0.1, base="complete")
 
     def test_gamma_below_two(self):
         with pytest.raises(ValueError, match="gamma"):
-            GeneratorSpec(family="static_sf", n=10, gamma=1.5, m=2).validate()
+            GeneratorSpec(family="static_sf", n=10, gamma=1.5, m=2)
 
     def test_sf_infeasible_target(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -79,9 +77,7 @@ class TestSpecValidation:
 
     def test_community_requires_base_params(self):
         with pytest.raises(ValueError, match="requires 'p'"):
-            GeneratorSpec(
-                family="community", n=12, communities=2, mu=0.1, base="er"
-            ).validate()
+            GeneratorSpec(family="community", n=12, communities=2, mu=0.1, base="er")
 
     @pytest.mark.parametrize(
         "base, params, stray",
@@ -91,11 +87,8 @@ class TestSpecValidation:
         ],
     )
     def test_community_rejects_other_base_params(self, base, params, stray):
-        spec = GeneratorSpec(family="community", n=12, communities=2, mu=0.1, base=base, **params)
         with pytest.raises(ValueError, match=f"with base '{base}' does not take '{stray}'$"):
-            spec.validate()
-        with pytest.raises(ValueError, match="does not take"):
-            generate_with_info(spec)
+            GeneratorSpec(family="community", n=12, communities=2, mu=0.1, base=base, **params)
 
     def test_too_many_communities(self):
         with pytest.raises(TooManyCommunities):
@@ -104,9 +97,7 @@ class TestSpecValidation:
             ))
 
     def test_half_n_communities_allowed(self):
-        GeneratorSpec(
-            family="community", n=10, communities=5, mu=0.1, base="er", p=0.5
-        ).validate()
+        GeneratorSpec(family="community", n=10, communities=5, mu=0.1, base="er", p=0.5)
 
 
 class TestComplete:

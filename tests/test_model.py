@@ -375,6 +375,12 @@ class TestMalformedCheckpoint:
         path = self.write_altered(tmp_path, meta={"rounds": 1})
         self.assert_rejected(path, "meta 'rounds' is 1, but 2 are stored")
 
+    def test_no_rounds(self, tmp_path):
+        """`init_model` and `ModelSpec` reject 0 rounds, so a checkpoint of none is not a model."""
+        drop = ["round_w_0", "round_b_0", "round_w_1", "round_b_1"]
+        path = self.write_altered(tmp_path, meta={"rounds": 0}, drop=drop)
+        self.assert_rejected(path, "no rounds stored")
+
     def test_more_rounds_than_the_file_holds(self, tmp_path):
         path = self.write_altered(tmp_path, meta={"rounds": 3})
         self.assert_rejected(path, "no 'round_w_2' array")

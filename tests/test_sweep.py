@@ -93,17 +93,17 @@ def make_record(**overrides):
 
 class TestSweepSpec:
     def test_valid(self):
-        tiny_spec().validate()
+        tiny_spec()
 
     def test_bad_family(self):
         with pytest.raises(
             ValueError, match=r"^sweep spec 'family' must be one of \('er', 'static_sf'\), "
         ):
-            tiny_spec(family="complete").validate()
+            tiny_spec(family="complete")
 
     def test_bad_axis_name(self):
         with pytest.raises(ValueError, match="axis 'q'"):
-            tiny_spec(axis1=Axis("q", (1.0,))).validate()
+            tiny_spec(axis1=Axis("q", (1.0,)))
 
     @pytest.mark.parametrize(
         "overrides, name",
@@ -118,27 +118,27 @@ class TestSweepSpec:
     )
     def test_parameter_not_taken_by_family(self, overrides, name):
         with pytest.raises(ValueError, match=f"does not take {name.split()[-1]}"):
-            tiny_spec(**overrides).validate()
+            tiny_spec(**overrides)
 
     def test_empty_axis(self):
         with pytest.raises(ValueError, match="has no values"):
-            tiny_spec(axis1=Axis("p", ())).validate()
+            tiny_spec(axis1=Axis("p", ()))
 
     def test_swept_and_fixed_conflict(self):
         with pytest.raises(ValueError, match="both swept and fixed"):
-            tiny_spec(fixed={"p": 0.5}).validate()
+            tiny_spec(fixed={"p": 0.5})
 
     def test_duplicate_axes(self):
         with pytest.raises(ValueError, match="same parameter"):
-            tiny_spec(axis2=Axis("p", (0.1,))).validate()
+            tiny_spec(axis2=Axis("p", (0.1,)))
 
     def test_empty_communities(self):
         with pytest.raises(ValueError, match="communities"):
-            tiny_spec(communities=()).validate()
+            tiny_spec(communities=())
 
     def test_empty_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
-            tiny_spec(seeds=()).validate()
+            tiny_spec(seeds=())
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -151,24 +151,23 @@ class TestSweepSpec:
     def test_repeated_tick(self, overrides, message):
         """A repeated value would train the same run twice and count it as two seeds."""
         with pytest.raises(ValueError) as info:
-            tiny_spec(**overrides).validate()
+            tiny_spec(**overrides)
         assert str(info.value) == message
 
     def test_train_config_validated(self):
-        bad = TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="epochs"):
-            tiny_spec(train=bad).validate()
+            tiny_spec(train=TrainConfig(epochs=0))
 
     @pytest.mark.parametrize(
-        "overrides, message",
-        [({"model": ModelSpec(width=0, rounds=1)}, "width must be >= 1, got 0"),
-         ({"dataset": {"kind": "blobs", "test_n_per_class": 0}},
+        "build, message",
+        [(lambda: tiny_spec(model=ModelSpec(width=0, rounds=1)), "width must be >= 1, got 0"),
+         (lambda: tiny_spec(dataset={"kind": "blobs", "test_n_per_class": 0}),
           "sweep spec 'dataset.test_n_per_class' must be >= 1, got 0")],
         ids=["model", "dataset"],
     )
-    def test_nested_spec_validated(self, overrides, message):
+    def test_nested_spec_validated(self, build, message):
         with pytest.raises(InvalidValue) as info:
-            tiny_spec(**overrides).validate()
+            build()
         assert str(info.value) == message
 
     def test_from_dict_defaults(self):

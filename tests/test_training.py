@@ -323,7 +323,7 @@ class TestTrain:
     )
     def test_validate_names_the_field(self, field, value, message):
         with pytest.raises(InvalidValue) as info:
-            self.config(**{field: value}).validate()
+            self.config(**{field: value})
         assert (str(info.value), info.value.field) == (message, field)
 
     def test_epoch_and_step_counts(self, monkeypatch):
