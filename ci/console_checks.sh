@@ -40,6 +40,12 @@ cat "$T/gen_sf.out" "$T/gen_comm.out" "$T/import.out" "$T/metrics.out"
 python3 -c 'import json, sys; lines = [open(path).read().splitlines() for path in sys.argv[1:]]; sys.exit(0 if all(len(ls) == 1 and isinstance(json.loads(ls[0]), dict) for ls in lines) else 1)' "$T/gen_sf.out" "$T/gen_comm.out" "$T/import.out" "$T/metrics.out"
 python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(0 if "avg_path_len" in r else 1)' "$T/metrics.out"
 
+check "metrics on a disconnected unlabeled edge list exits 0 and prints null for avg_path_len, modularity and cross_density, with giant_fraction below 1"
+printf '0 1\n1 2\n3 4\n' > "$T/split.edges"
+relnet metrics --edges "$T/split.edges" > "$T/split.out"
+cat "$T/split.out"
+python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(0 if r["avg_path_len"] is r["modularity"] is r["cross_density"] is None and r["giant_fraction"] < 1 else 1)' "$T/split.out"
+
 check "sweep exits 0; --workers 1 writes the --workers 2 CSV apart from wall_ms"
 relnet sweep --spec sweeps/blobs_demo.json --out "$T/demo.csv" --workers 2
 relnet sweep --spec sweeps/blobs_demo.json --out "$T/demo.w1.csv" --workers 1

@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 from .connectome import import_connectome, matched_er, sample_subgraph
 from .datasets import Dataset, batch_iter, load_cifar10, synthetic_blobs
 from .errors import (
-    DisconnectedGraph,
     EdgeSaturation,
     FitError,
     FormatError,
@@ -24,7 +23,6 @@ from .errors import (
     TooManyCommunities,
     TooManyNodes,
     TooSmall,
-    UndefinedMetric,
     WorkerLost,
 )
 from .generators import (
@@ -38,12 +36,9 @@ from .generators import (
 from .graphs import (
     Graph,
     GraphMetrics,
-    avg_path_length,
     clustering_coefficient,
     compute_metrics,
-    connected_components,
     cross_density,
-    degree_stats,
     from_edge_pairs,
     induced_subgraph,
     largest_component,

@@ -92,7 +92,7 @@ def _metrics_dict(graph) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    graph, info = generate_with_info(_read_flags(args, GeneratorSpec, seed=args.seed))
+    graph, info = generate_with_info(_read_flags(args, GeneratorSpec))
     summary = _metrics_dict(graph)
     write_edge_list(graph, args.out)
     summary["bridges"] = info.bridge_edges

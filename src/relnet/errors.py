@@ -9,14 +9,6 @@ class InvalidNodeId(RelnetError):
     """A node id falls outside the valid range 0..n-1."""
 
 
-class DisconnectedGraph(RelnetError):
-    """An operation requiring a connected graph received a disconnected one."""
-
-
-class UndefinedMetric(RelnetError):
-    """The requested metric is not defined for this graph (e.g. no edges)."""
-
-
 class FormatError(RelnetError):
     """A file does not match its declared on-disk format."""
 

@@ -27,12 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraph,
-    FormatError,
-    InvalidNodeId,
-    UndefinedMetric,
-)
+from .errors import FormatError, InvalidNodeId
 
 Edge = tuple[int, int]
 
@@ -187,13 +182,6 @@ def bfs(adjacency: np.ndarray) -> tuple[np.ndarray, int]:
     return reached, distance_sum
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted node lists, ordered by smallest member."""
-    reached, _ = bfs(g.adjacency)
-    # A row's first reached node is the smallest member of its component.
-    return [np.flatnonzero(reached[r]).tolist() for r in np.unique(reached.argmax(axis=1))]
-
-
 def induced_subgraph(g: Graph, nodes) -> Graph:
     """Induced subgraph on `nodes`, relabeled 0..len-1 in ascending original order.
 
@@ -235,36 +223,17 @@ def clustering_coefficient(g: Graph) -> float:
     return float(np.cumsum(local)[-1]) / g.node_count
 
 
-def avg_path_length(g: Graph) -> float:
-    """Mean BFS shortest-path length over unordered distinct node pairs."""
-    n = g.node_count
-    if n < 2:
-        raise UndefinedMetric("average path length needs at least 2 nodes")
-    reached, distance_sum = bfs(g.adjacency)
-    if not reached.all():
-        v, w = np.argwhere(~reached)[0]
-        raise DisconnectedGraph(
-            f"no path between {v} and {w}; reduce to the largest component first"
-        )
-    return _mean_distance(distance_sum, n)
+def modularity(g: Graph, partition) -> float | None:
+    """Newman-Girvan modularity Q = sum_c (e_cc - a_c^2), or None for an
+    edgeless graph, where it is undefined.
 
-
-def _mean_distance(distance_sum: int, n: int) -> float:
-    """Mean hop distance of a connected n-node graph, from `bfs`'s distance_sum."""
-    return distance_sum // 2 / (n * (n - 1) / 2)
-
-
-def modularity(g: Graph, partition) -> float:
-    """Newman-Girvan modularity Q = sum_c (e_cc - a_c^2).
-
-    `partition` is the sequence of community ids, one per node. Requires at
-    least one edge.
+    `partition` is the sequence of community ids, one per node.
     """
-    if g.edge_count == 0:
-        raise UndefinedMetric("modularity is undefined for an edgeless graph")
     labels = list(partition)
     if len(labels) != g.node_count:
         raise InvalidNodeId("partition must label every node")
+    if g.edge_count == 0:
+        return None
     m = g.edge_count
     label_of = np.array(labels)
     degrees = g.adjacency.sum(axis=1)
@@ -277,23 +246,17 @@ def modularity(g: Graph, partition) -> float:
     return q
 
 
-def cross_density(g: Graph) -> float:
-    """Fraction of inter-community node pairs realized as edges."""
-    if g.community_of is None or g.n_communities() < 2:
-        raise UndefinedMetric("cross density needs >= 2 communities")
+def cross_density(g: Graph) -> float | None:
+    """Fraction of inter-community node pairs realized as edges, or None
+    with fewer than two communities, where there are no such pairs."""
+    if g.n_communities() < 2:
+        return None
     labels = np.array(g.community_of)
     sizes = list(g.community_sizes().values())
     n = g.node_count
     cross_pairs = (n * n - sum(s * s for s in sizes)) // 2
     cross_edges = int((g.adjacency & (labels[:, None] != labels[None, :])).sum()) // 2
     return cross_edges / cross_pairs
-
-
-def degree_stats(g: Graph) -> tuple[float, int, list[int]]:
-    """(mean degree, max degree, histogram of counts per degree 0..max)."""
-    degs = g.degrees()
-    hist = np.bincount(degs).tolist()
-    return sum(degs) / g.node_count, len(hist) - 1, hist
 
 
 @dataclass(frozen=True)
@@ -316,25 +279,17 @@ class GraphMetrics:
 
 def compute_metrics(g: Graph) -> GraphMetrics:
     """Compute the metric set for a graph as handed to the MLP translator."""
+    n = g.node_count
     reached, distance_sum = bfs(g.adjacency)
     giant = int(reached.sum(axis=1).max())
-    apl = None
-    if giant == g.node_count >= 2:  # connected
-        apl = _mean_distance(distance_sum, g.node_count)
-    mod = None
-    if g.community_of is not None and g.edge_count > 0:
-        mod = modularity(g, g.community_of)
-    cross = None
-    if g.community_of is not None and g.n_communities() >= 2:
-        cross = cross_density(g)
-    mean_deg, _, _ = degree_stats(g)
     return GraphMetrics(
-        mean_degree=mean_deg,
+        mean_degree=2 * g.edge_count / n,
         clustering=clustering_coefficient(g),
-        avg_path_len=apl,
-        modularity=mod,
-        cross_density=cross,
-        giant_fraction=giant / g.node_count,
+        # Mean hop distance over unordered pairs, when every pair has one.
+        avg_path_len=distance_sum // 2 / (n * (n - 1) / 2) if giant == n >= 2 else None,
+        modularity=None if g.community_of is None else modularity(g, g.community_of),
+        cross_density=cross_density(g),
+        giant_fraction=giant / n,
     )
 
 

@@ -18,7 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -114,7 +114,8 @@ class SweepSpec:
             raise ValueError(
                 f"sweep spec 'family' must be one of {BASE_FAMILIES}, got {self.family!r}"
             )
-        for cell in sweep_cells(self)[:: len(self.seeds)]:  # seeds vary fastest
+        # Each grid point once, in whatever order the cells come.
+        for cell in dict.fromkeys(replace(c, seed=self.seeds[0]) for c in sweep_cells(self)):
             try:
                 _graph_spec(cell, self.n)
             except ValueError:  # name the spec's family if its blocks' own spec is at fault
@@ -420,7 +421,15 @@ def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init, initargs=(spec, workers, stats)
     ) as pool:
-        yield from pool.map(_worker_run, cells)
+        try:
+            yield from pool.map(_worker_run, cells)
+        except BaseException:  # GeneratorExit included: the caller stopped reading
+            # The block's exit waits for the cells still running, which can
+            # take hours; stop the workers first. Python below 3.14 has no
+            # public call for this.
+            for process in list(pool._processes.values()):
+                process.terminate()
+            raise
 
 
 def run_sweep(
@@ -430,7 +439,8 @@ def run_sweep(
     `finished` record's (the prior rows, for resumption); returns their
     records in grid order, the same at any `workers`.
 
-    `progress`, when given, is called with each finished record. A pool
+    `progress`, when given, is called with each finished record; an error
+    it raises stops the pool's workers, running cells and all. A pool
     worker that dies (killed by a signal, say) raises WorkerLost naming the
     first cell not delivered; every record delivered before it has been
     passed to `progress`. `workers` below 1 raises ValueError.

@@ -27,7 +27,7 @@ from relnet.generators import (
     gen_static_sf,
     generate_with_info,
 )
-from relnet.graphs import avg_path_length, from_edge_pairs, largest_component, modularity
+from relnet.graphs import compute_metrics, from_edge_pairs, largest_component, modularity
 from relnet.model import forward, init_model
 from relnet.seeding import child_seed
 from relnet.training import SgdState, TrainConfig, loss_and_grads, lr_at, sgd_step, train
@@ -202,7 +202,8 @@ def test_criterion_6_metric_oracles(acceptance):
             continue
         edges = sorted(g.edges)
         worst = max(
-            worst, abs(avg_path_length(g) - floyd_warshall_apl(g.node_count, edges))
+            worst,
+            abs(compute_metrics(g).avg_path_len - floyd_warshall_apl(g.node_count, edges)),
         )
         checked += 1
     bfs_ok = worst == 0.0

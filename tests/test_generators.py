@@ -17,13 +17,7 @@ from relnet.generators import (
     gen_static_sf,
     generate_with_info,
 )
-from relnet.graphs import (
-    compute_metrics,
-    connected_components,
-    cross_density,
-    degree_stats,
-    largest_component,
-)
+from relnet.graphs import compute_metrics, cross_density, largest_component
 from relnet.seeding import child_seed
 
 
@@ -230,14 +224,14 @@ class TestComposer:
         g, info = generate_with_info(self.base_spec(mu=0.0))
         assert counted_info(g, info)[2] == 0
         assert info.bridge_edges == 2  # one per community beyond the first
-        assert len(connected_components(g)) == 1
+        assert compute_metrics(g).giant_fraction == 1.0
 
     def test_connected_for_all_community_counts(self):
         for k in range(1, 9):
             for mu in (0.0, 0.05, 0.5):
                 spec = self.base_spec(n=64, communities=k, mu=mu, p=0.7, seed=k)
                 g = generate_with_info(spec)[0]
-                assert len(connected_components(g)) == 1
+                assert compute_metrics(g).giant_fraction == 1.0
                 lc = largest_component(g)
                 assert lc.node_count == g.node_count and lc.edges == g.edges
 
@@ -263,7 +257,7 @@ class TestComposer:
         )
         g, info = generate_with_info(spec)
         assert len(g.community_sizes()) == 3
-        assert len(connected_components(g)) == 1
+        assert compute_metrics(g).giant_fraction == 1.0
         assert sum(info.community_sizes) == g.node_count
 
     def test_outputs_pinned_by_digest(self):

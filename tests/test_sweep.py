@@ -154,6 +154,16 @@ class TestSweepSpec:
             tiny_spec(**overrides)
         assert str(info.value) == message
 
+    def test_every_grid_point_checked_in_any_cell_order(self, monkeypatch):
+        """The generator check reaches p=1.5 also when seeds vary slowest."""
+        cells = relnet.sweep.sweep_cells
+        monkeypatch.setattr(
+            relnet.sweep, "sweep_cells",
+            lambda spec: sorted(cells(spec), key=lambda cell: spec.seeds.index(cell.seed)),
+        )
+        with pytest.raises(ValueError, match="1.5"):
+            SweepSpec("er", Axis("p", (0.5, 1.5)), seeds=(0, 1))
+
     def test_train_config_validated(self):
         with pytest.raises(ValueError, match="epochs"):
             tiny_spec(train=TrainConfig(epochs=0))
@@ -376,6 +386,48 @@ class TestRunSweep:
         assert pooled == [replace(r, wall_ms=0.0) for r in inline]
         assert run_sweep(spec, workers=3, finished=inline[:1])[0].status == "ok"
         assert len(list(tmp_path.iterdir())) == 2
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the recording initializer reaches the workers only by fork",
+    )
+    def test_pool_stops_when_the_sweep_stops(self, monkeypatch, tmp_path):
+        """A `progress` that raises on the first record ends the sweep
+        without waiting for the cells still running: every cell but the
+        first is held until `release` appears (or 20 s pass), yet none of
+        them finishes, and every worker is gone once the error is out."""
+        pids, release = tmp_path / "pids", tmp_path / "release"
+        pids.mkdir()
+        worker_init, execute_cell = relnet.sweep._worker_init, relnet.sweep._execute_cell
+
+        def recording_init(spec, workers, stats):
+            (pids / str(os.getpid())).touch()
+            worker_init(spec, workers, stats)
+
+        def held_after_first_cell(cell, *args):
+            if (cell.p, cell.seed) != (0.4, 0):
+                deadline = time.monotonic() + 20
+                while not release.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                (tmp_path / f"finished.{cell.p}.{cell.seed}").touch()
+            return execute_cell(cell, *args)
+
+        def failing_progress(record):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(relnet.sweep, "_worker_init", recording_init)
+        monkeypatch.setattr(relnet.sweep, "_execute_cell", held_after_first_cell)
+        try:
+            with pytest.raises(OSError, match="no space left"):
+                run_sweep(tiny_spec(axis2=None), workers=2, progress=failing_progress)
+            assert list(tmp_path.glob("finished.*")) == []
+        finally:
+            release.touch()
+        workers = [int(path.name) for path in pids.iterdir()]
+        assert len(workers) == 2
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_single_community_repeats_over_mu(self):
         """With one community no cross pair exists, so mu changes nothing:
