@@ -35,11 +35,11 @@ class Dataset:
     """Stored rows (N, D), N >= 1, with integer labels in [0, n_classes).
 
     `features` holds the rows as stored: an array, or an array-like with
-    `shape`, `dtype`, `nbytes` and `[index]`. When `decode` is set, it maps
-    any block of stored rows to the feature values (CIFAR-10 keeps its uint8
-    pixels in the page cache, one copy per machine shared by every process
-    that loads them, and standardizes each block as it is read); read
-    feature values through `rows`.
+    `shape` and `[index]`. When `decode` is set, it maps any block of stored
+    rows to the feature values (CIFAR-10 keeps its uint8 pixels in the page
+    cache, one copy per machine shared by every process that loads them, and
+    standardizes each block as it is read); read feature values through
+    `rows`.
     """
 
     features: np.ndarray
@@ -66,50 +66,34 @@ class Dataset:
         return self.features.shape[1]
 
     def rows(self, index) -> np.ndarray:
-        """Feature values of the rows selected by `index` (a slice or an index
-        array); a fresh array when decoded."""
+        """Feature values of the rows selected by `index`, as numpy selects
+        rows; a fresh array when decoded."""
         x = self.features[index]
         return x if self.decode is None else self.decode(x)
 
 
 class MappedPixels:
-    """The (N, 3072) uint8 pixel rows of a CIFAR-10 split, read-only, over
-    the read-only mappings of its files, each a (records, 3073) array.
+    """The (N, 3072) uint8 pixel rows of a CIFAR-10 split, over the read-only
+    mappings of its files, each a (records, 3073) array.
 
-    `[index]` takes a slice or an integer array, as numpy does. A slice of
-    consecutive rows inside one file returns a read-only view; anything else
-    gathers the rows into a new array.
+    `[index]` selects rows as numpy selects them from an (N,) array (a slice,
+    a scalar, an integer array of any shape, a bool mask) and gathers them
+    into a new array.
     """
-
-    dtype = np.dtype(np.uint8)
 
     def __init__(self, files: list[np.ndarray]):
         self._pixels = [records[:, 1:] for records in files]
         self._records = files[0].shape[0]
         self.shape = (len(files) * self._records, CIFAR_DIM)
-        self.nbytes = self.shape[0] * CIFAR_DIM
 
     def __getitem__(self, index) -> np.ndarray:
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self.shape[0])
-            file = start // self._records
-            if step == 1 and file == (stop - 1) // self._records:
-                offset = file * self._records
-                return self._pixels[file][start - offset : stop - offset]
-            index = np.arange(start, stop, step)
-        index = np.asarray(index)
-        if index.size and index.dtype.kind not in "iu":
-            raise IndexError(f"rows are selected by a slice or integers, not {index.dtype}")
-        n = self.shape[0]
-        flat = index.reshape(-1).astype(np.intp, copy=False)
-        if flat.size and (flat.min() < -n or flat.max() >= n):
-            raise IndexError(f"row index out of range for {n} rows")
-        file, row = np.divmod(flat % n, self._records)
-        out = np.empty((flat.size, CIFAR_DIM), dtype=np.uint8)
+        rows = np.arange(self.shape[0])[index]
+        file, row = np.divmod(rows, self._records)
+        out = np.empty(rows.shape + (CIFAR_DIM,), dtype=np.uint8)
         for f, pixels in enumerate(self._pixels):
             hit = file == f
             out[hit] = pixels[row[hit]]
-        return out.reshape(index.shape + (CIFAR_DIM,))
+        return out
 
 
 def _map_cifar_file(path: Path) -> np.ndarray:

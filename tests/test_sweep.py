@@ -17,6 +17,7 @@ import relnet.graphs
 import relnet.sweep
 import relnet.training
 from relnet.errors import FitError, FormatError, InvalidValue
+from relnet.generators import generate_with_info
 from relnet.graphs import one_blas_thread
 from relnet.sweep import (
     AGG_HEADER,
@@ -26,6 +27,7 @@ from relnet.sweep import (
     ExperimentRecord,
     ModelSpec,
     SweepSpec,
+    _graph_spec,
     aggregate,
     build_dataset,
     correlation_report,
@@ -233,6 +235,19 @@ class TestSweepSpec:
         spec = SweepSpec.from_json(path)
         kind = spec.dataset["kind"]
         assert set(spec.dataset) <= {"kind", *(f.name for f in fields(DATASET_KINDS[kind]))}
+
+    def test_baseline_is_the_complete_graph_at_the_diagram_settings(self):
+        sweeps = Path(__file__).parents[1] / "sweeps"
+        baseline = SweepSpec.from_json(sweeps / "baseline.json")
+        diagram = SweepSpec.from_json(sweeps / "er_p_mu.json")
+        cells = sweep_cells(baseline)
+        assert [cell.seed for cell in cells] == [0, 1, 2, 3, 4]
+        assert len({replace(cell, seed=0) for cell in cells}) == 1
+        for cell in cells:
+            graph, _ = generate_with_info(_graph_spec(cell, baseline.n))
+            assert (graph.node_count, len(graph.edges)) == (128, 8128)
+        for name in ("n", "model", "train", "dataset"):
+            assert getattr(baseline, name) == getattr(diagram, name), name
 
     def test_from_json_round_trip(self, tmp_path):
         payload = {
