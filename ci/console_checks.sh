@@ -75,8 +75,14 @@ cmp "$T/demo.csv" "$T/demo.first.csv"
 check "report exits 0 and prints r_squared and residual_dof; on the demo CSV the quadratic term is smaller than its standard error"
 relnet report --csv "$T/demo.csv" --x p > "$T/report.out"
 cat "$T/report.out"
-python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(0 if "r_squared" in r and r["residual_dof"] == len(r["points"]) - 3 else 1)' "$T/report.out"
+python3 -c 'import json, sys; r = json.load(open(sys.argv[1]), parse_constant=lambda c: sys.exit(f"not JSON: {c}")); sys.exit(0 if "r_squared" in r and r["residual_dof"] == len(r["points"]) - 3 else 1)' "$T/report.out"
 python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); print("quadratic", r["coefficients"][0], "+-", r["standard_errors"][0]); sys.exit(0 if abs(r["coefficients"][0]) < r["standard_errors"][0] else 1)' "$T/report.out"
+
+check "report on a CSV with a top1_error of nan exits 2 with one error line naming top1_error"
+python3 -c 'import csv, sys; rows = list(csv.reader(open(sys.argv[1], newline=""))); rows[1][rows[0].index("top1_error")] = "nan"; csv.writer(open(sys.argv[2], "w", newline="")).writerows(rows)' "$T/demo.csv" "$T/nan.csv"
+exits_2 nan_error relnet report --csv "$T/nan.csv" --x p
+one_line nan_error
+grep -q "^error: .*column top1_error" "$T/nan_error.err"
 
 check "a spec without family exits 2"
 demo_spec "$T/no_family.json" 'del spec["family"]'

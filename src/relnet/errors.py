@@ -60,7 +60,8 @@ class NumericError(RelnetError):
 
 
 class FitError(RelnetError):
-    """A least-squares fit is rank-deficient or under-determined."""
+    """A least-squares fit is rank-deficient or under-determined, or has a
+    result that is not finite."""
 
 
 class WorkerLost(RelnetError):

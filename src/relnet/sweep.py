@@ -471,11 +471,13 @@ def run_sweep(
 # Aggregation and reporting
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def aggregate(records: list[ExperimentRecord]) -> list[dict]:
     """Per-cell rows grouped over seeds, stably sorted by the group fields.
 
     Error rows are excluded from means and counted in n_failed; top1_std is
-    the sample standard deviation (0.0 for a single seed).
+    the sample standard deviation (0.0 for a single seed). A mean or spread
+    out of float range is inf, without a warning; a fit of it fails.
     """
     groups: dict[tuple, list[ExperimentRecord]] = {}
     for rec in records:
@@ -514,7 +516,7 @@ class CorrelationReport:
     when all means are equal); `residual_dof` is the number of points less
     the three coefficients, so 0 means the curve passes through every point
     whatever the data. `standard_errors` are the coefficients' (from
-    np.polyfit's covariance), None when `residual_dof` is 0."""
+    `least_squares`' covariance), None when `residual_dof` is 0."""
 
     x_field: str
     points: tuple[tuple[float, float], ...]
@@ -524,18 +526,42 @@ class CorrelationReport:
     standard_errors: tuple[float, float, float] | None
 
 
+def least_squares(design: np.ndarray, y: np.ndarray, what: str):
+    """Fit `y` on the k columns of `design` as `np.polyfit` does, with its
+    numbers: unit-norm columns, one `np.linalg.lstsq` at rcond n*eps, and the
+    covariance from its residual sum. Returns `CorrelationReport`'s (coefficients,
+    r_squared, residual_dof, standard_errors). A column norm of 0 or out of float
+    range (LAPACK would get NaNs), a rank below k or a result that is not finite
+    raises FitError on `what`, and no warning is printed."""
+    n, k = design.shape
+    with np.errstate(all="ignore"):
+        scale = np.sqrt((design * design).sum(axis=0))
+        if not np.all(np.isfinite(scale) & (scale > 0)):
+            raise FitError(f"{what} has rank below {k}: a column has norm 0 or out of float range")
+        lhs = design / scale
+        solution, resids, rank, _ = np.linalg.lstsq(lhs, y, rcond=n * np.finfo(float).eps)
+        if rank < k:
+            raise FitError(f"{what} has rank {rank}, not {k}")
+        coefficients = solution / scale
+        residuals = y - design @ coefficients
+        spread = float(np.sum((y - y.mean()) ** 2))
+        dof, errors = n - k, ()
+        if dof:  # lstsq gives no residual sum at dof 0
+            cov = np.linalg.inv(np.dot(lhs.T, lhs)) / np.outer(scale, scale) * (resids / dof)
+            errors = tuple(map(float, np.sqrt(np.diag(cov))))
+        r_squared = 1.0 - float(residuals @ residuals) / spread if spread else None
+    coefficients = tuple(map(float, coefficients))
+    if not all(map(math.isfinite, (*coefficients, *errors, r_squared or 0.0))):
+        raise FitError(f"{what} has a result that is not finite")
+    return coefficients, r_squared, dof, errors or None
+
+
 def correlation_report(
     records: list[ExperimentRecord], x_field: str = "mu"
 ) -> CorrelationReport:
-    """Relate one parameter to performance across grid cells.
-
-    Takes the per-cell seed-averaged errors, pairs them with the cell's
-    x_field value, and fits a quadratic by least squares (`np.polyfit`).
-    An x_field not in X_FIELDS raises InvalidValue. Fewer than 3 distinct
-    x values, or a fit of rank below 3, raise FitError.
-    So does a norm of the columns (x^2, x, 1), which `np.polyfit` divides by,
-    of 0 or inf (|x| below about 1e-81 or above 1e77): LAPACK gets NaNs.
-    """
+    """Fit each grid cell's seed-averaged error against its `x_field` value
+    (one of X_FIELDS, else InvalidValue) by `least_squares` on the columns
+    (x^2, x, 1); fewer than 3 distinct x values raise FitError."""
     if x_field not in X_FIELDS:
         raise InvalidValue("x_field", f"must be one of {X_FIELDS}, got {x_field!r}")
     points = [
@@ -545,33 +571,13 @@ def correlation_report(
     ]
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
-    if len(set(xs.tolist())) < 3:
-        raise FitError(
-            f"quadratic fit needs >= 3 distinct {x_field} values, "
-            f"got {len(set(xs.tolist()))}"
-        )
-    with np.errstate(all="ignore"):
-        norms = np.sqrt((np.vander(xs, 3) ** 2).sum(axis=0))
-    if not np.all(np.isfinite(norms) & (norms > 0)):
-        raise FitError(
-            f"quadratic fit of top1_mean against {x_field} has rank below 3: "
-            "a column of (x^2, x, 1) has norm 0 or out of float range"
-        )
-    coeffs, _, rank, _, _ = np.polyfit(xs, ys, 2, full=True)
-    if rank < 3:
-        raise FitError(f"quadratic fit of top1_mean against {x_field} has rank {rank}, not 3")
-    residuals = ys - np.polyval(coeffs, xs)
-    spread = float(np.sum((ys - ys.mean()) ** 2))
-    dof = len(points) - 3
-    cov = np.polyfit(xs, ys, 2, cov=True)[1] if dof else None
-    return CorrelationReport(
-        x_field=x_field,
-        points=tuple(points),
-        coefficients=tuple(float(c) for c in coeffs),
-        r_squared=1.0 - float(residuals @ residuals) / spread if spread else None,
-        residual_dof=dof,
-        standard_errors=None if cov is None else tuple(map(float, np.sqrt(np.diag(cov)))),
-    )
+    distinct = len(set(xs.tolist()))
+    if distinct < 3:
+        raise FitError(f"quadratic fit needs >= 3 distinct {x_field} values, got {distinct}")
+    with np.errstate(all="ignore"):  # an x^2 out of float range fails the fit
+        design = np.vander(xs, 3)
+    fit = least_squares(design, ys, f"quadratic fit of top1_mean against {x_field}")
+    return CorrelationReport(x_field, tuple(points), *fit)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +596,20 @@ def _column_parser(kind, default):
     """Parser of one CSV column, from its field's type `kind` (str, int,
     float or `X | None`) and `default`: an empty value reads as None for an
     `X | None` field and as the default for a field that has one; any other
-    empty or malformed number raises ValueError."""
+    empty or malformed number, or a float that is not finite, raises
+    ValueError."""
     if isinstance(kind, UnionType):
         kind, default = get_args(kind)[0], None
-    return lambda text: kind(text) if text or default is MISSING else default
+
+    def parse(text: str):
+        if not text and default is not MISSING:
+            return default
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{text!r} is not a finite number")
+        return value
+
+    return parse
 
 
 _COLUMN_PARSERS = [

@@ -683,6 +683,44 @@ class TestSweepReport:
         assert err.startswith("error:") and "line 4" in err
         assert "Traceback" not in err
 
+    def edited_sweep_csv(self, capsys, tmp_path, column, text):
+        """The spec's sweep CSV with `column` of its first row set to `text`."""
+        out = tmp_path / "out.csv"
+        run(capsys, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out))
+        lines = out.read_text().splitlines()
+        row = lines[1].split(",")
+        row[CSV_HEADER.index(column)] = text
+        lines[1] = ",".join(row)
+        out.write_text("\n".join(lines) + "\n")
+        return out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("column, text, says", [
+        ("top1_error", "nan", "line 2, column top1_error: 'nan' is not a finite number"),
+        ("top1_error", "inf", "line 2, column top1_error: 'inf' is not a finite number"),
+        ("top1_error", "-inf", "line 2, column top1_error: '-inf' is not a finite number"),
+        ("top1_error", "1e309", "line 2, column top1_error: '1e309' is not a finite number"),
+        ("clustering", "nan", "line 2, column clustering: 'nan' is not a finite number"),
+        ("top1_error", "1e308", "quadratic fit of top1_mean against p has a result that is not"),
+    ])
+    def test_report_on_a_number_not_finite_exits_2(self, capsys, tmp_path, column, text, says):
+        out = self.edited_sweep_csv(capsys, tmp_path, column, text)
+        code, stdout, err = run(capsys, "report", "--csv", str(out), "--x", "p")
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert says in err
+
+    def test_resume_on_a_number_not_finite_exits_2_and_leaves_out_unchanged(
+        self, capsys, tmp_path
+    ):
+        out = self.edited_sweep_csv(capsys, tmp_path, "top1_error", "nan")
+        before = out.read_bytes()
+        code, stdout, err = run(capsys, "sweep", "--spec", str(self.write_spec(tmp_path)),
+                                "--out", str(out), "--resume")
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and "column top1_error" in err
+        assert out.read_bytes() == before
+
     def test_report(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path)
         out = tmp_path / "out.csv"

@@ -31,6 +31,7 @@ from relnet.sweep import (
     aggregate,
     build_dataset,
     correlation_report,
+    least_squares,
     read_records_csv,
     record_key,
     run_sweep,
@@ -733,6 +734,7 @@ class TestCorrelationReport:
         report = correlation_report([make_record(mu=x, top1_error=y) for x, y in points], "mu")
         assert report.residual_dof == 0 and report.standard_errors is None
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-200, 1e154])
     def test_x_squared_out_of_float_range_is_rank_deficient(self, capfd, scale):
         """Rejected before LAPACK, which would print DLASCL errors."""
@@ -767,6 +769,54 @@ class TestCorrelationReport:
         records = [make_record(p=1e10 + x, top1_error=float(x * x)) for x in (0, 1, 2)]
         with pytest.raises(FitError, match="rank 2, not 3"):
             correlation_report(records, x_field="p")
+
+
+class TestLeastSquares:
+    def test_quadratic_matches_polyfit_bit_for_bit(self):
+        """Seeded random sets of 3-40 points with repeated x, spread over
+        1e-3..1e3: the coefficients are `np.polyfit`'s and the standard errors
+        the roots of its covariance's diagonal, to the last bit."""
+        rng = np.random.default_rng(27)
+        for _ in range(1000):
+            n = int(rng.integers(3, 41))
+            distinct = 10.0 ** rng.uniform(-3, 3, size=int(rng.integers(3, n + 1)))
+            x = rng.permutation(np.concatenate([distinct, rng.choice(distinct, n - len(distinct))]))
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+            coefficients, _, dof, errors = least_squares(np.vander(x, 3), y, "fit")
+            assert coefficients == tuple(np.polyfit(x, y, 2))
+            assert dof == n - 3
+            if dof:
+                cov = np.polyfit(x, y, 2, cov=True)[1]
+                assert errors == tuple(np.sqrt(np.diag(cov)))
+            else:
+                assert errors is None
+
+    def test_recovers_two_structural_slopes(self):
+        """y = a * modularity + b * mean_degree + c + noise on the design
+        (modularity, mean_degree, 1): a and b within two standard errors."""
+        rng = np.random.default_rng(5)
+        modularity, mean_degree = rng.uniform(0.2, 0.7, 60), rng.uniform(3.0, 12.0, 60)
+        a, b, c = -4.0, 0.3, 20.0
+        y = a * modularity + b * mean_degree + c + rng.normal(0.0, 0.5, 60)
+        design = np.column_stack([modularity, mean_degree, np.ones(60)])
+        (fit_a, fit_b, _), r_squared, dof, errors = least_squares(design, y, "fit")
+        assert dof == 57 and 0.0 < r_squared < 1.0
+        assert abs(fit_a - a) < 2 * errors[0]
+        assert abs(fit_b - b) < 2 * errors[1]
+
+    def test_proportional_columns_are_rank_deficient(self):
+        m = np.array([0.1, 0.4, 0.2, 0.7, 0.5])
+        design = np.column_stack([m, 2.5 * m, np.ones(5)])
+        with pytest.raises(FitError, match="^fit has rank 2, not 3$"):
+            least_squares(design, np.array([1.0, 2.0, 1.5, 3.0, 2.0]), "fit")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_result_not_finite_is_an_error(self, bad):
+        x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        y = np.array([1.0, bad, 2.0, 1.0, -bad])
+        with pytest.raises(FitError, match="^fit has a result that is not finite$"):
+            least_squares(np.vander(x, 3), y, "fit")
 
 
 class TestCsv:
