@@ -84,6 +84,22 @@ exits_2 nan_error relnet report --csv "$T/nan.csv" --x p
 one_line nan_error
 grep -q "^error: .*column top1_error" "$T/nan_error.err"
 
+check "report --aggregate-out on a CSV whose cell's top1_error overflows to inf exits 2 with one error line naming top1_mean and writes no aggregate"
+python3 -c '
+import csv, sys
+rows = list(csv.reader(open(sys.argv[1], newline="")))
+at = {name: i for i, name in enumerate(rows[0])}
+for row in rows[1:]:
+    if [row[at[k]] for k in ("communities", "p", "mu")] == ["1", "0.3", "0.1"] and row[at["seed"]] in ("0", "1"):
+        row[at["top1_error"]] = "1e308"
+csv.writer(open(sys.argv[2], "w", newline="")).writerows(rows)
+' "$T/demo.csv" "$T/overflow.csv"
+test "$(grep -c ',1e308,' "$T/overflow.csv")" -eq 2
+exits_2 agg_overflow relnet report --csv "$T/overflow.csv" --x p --aggregate-out "$T/agg_overflow.csv"
+one_line agg_overflow
+grep -q "^error: aggregate cell .*, column top1_mean: inf is not a finite number" "$T/agg_overflow.err"
+test ! -e "$T/agg_overflow.csv"
+
 check "a spec without family exits 2"
 demo_spec "$T/no_family.json" 'del spec["family"]'
 exits_2 no_family relnet sweep --spec "$T/no_family.json" --out "$T/no_family.csv"

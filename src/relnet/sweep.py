@@ -18,7 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -26,7 +26,8 @@ import numpy as np
 
 from .datasets import (BlobsSpec, ChannelStats, Dataset, channel_stats, load_cifar10,
                        synthetic_blobs)
-from .errors import FitError, FormatError, InvalidValue, RelnetError, WorkerLost, require_at_least
+from .errors import (FitError, FormatError, InvalidValue, NumericError, RelnetError, WorkerLost,
+                     require_at_least)
 from .generators import BASE_FAMILIES, PARAMETERS, GeneratorSpec, generate_with_info
 from .graphs import Graph, GraphMetrics, _openblas_function, compute_metrics
 from .model import MlpModel, init_model
@@ -225,7 +226,7 @@ def read_dataset_spec(dspec: dict | None) -> BlobsSpec | Cifar10Spec:
 @dataclass(frozen=True)
 class SweepCell:
     """One (grid cell, seed) pair of a sweep. Its fields, in order, are the
-    first CSV columns and the resume key (`record_key`)."""
+    first CSV columns; their values identify the cell when a sweep resumes."""
 
     family: str
     communities: int
@@ -395,12 +396,6 @@ def _worker_run(cell: SweepCell) -> ExperimentRecord:
     return _execute_cell(cell, *_WORKER_ARGS)
 
 
-def record_key(cell: SweepCell) -> tuple[str, ...]:
-    """Formatted (grid cell, seed) identity of a SweepCell, such as an
-    ExperimentRecord: its SweepCell fields, stable across CSV round-trips."""
-    return tuple(_fmt(getattr(cell, f)) for f in KEY_FIELDS)
-
-
 def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
     """The records of `cells` in their order: computed in this process when
     `workers` or the number of cells is 1, else by a pool of one process per
@@ -435,9 +430,9 @@ def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
 def run_sweep(
     spec: SweepSpec, workers: int = 1, finished=(), progress=None
 ) -> list[ExperimentRecord]:
-    """Execute every cell of `sweep_cells(spec)` whose `record_key` is not a
-    `finished` record's (the prior rows, for resumption); returns their
-    records in grid order, the same at any `workers`.
+    """Execute every cell of `sweep_cells(spec)` whose values match no
+    `finished` record's SweepCell values (the prior rows, for resumption;
+    1 matches 1.0); returns their records in grid order, the same at any `workers`.
 
     `progress`, when given, is called with each finished record; an error
     it raises stops the pool's workers, running cells and all. A pool
@@ -446,8 +441,8 @@ def run_sweep(
     passed to `progress`. `workers` below 1 raises ValueError.
     """
     require_at_least(1, workers=workers)
-    done = {record_key(record) for record in finished}
-    cells = [cell for cell in sweep_cells(spec) if record_key(cell) not in done]
+    done = {astuple(record)[:len(KEY_FIELDS)] for record in finished}
+    cells = [cell for cell in sweep_cells(spec) if astuple(cell) not in done]
     records: list[ExperimentRecord] = []
     try:
         for record in _records(spec, cells, workers):
@@ -455,11 +450,7 @@ def run_sweep(
             if progress:
                 progress(record)
     except BrokenProcessPool as exc:
-        cell = " ".join(
-            f"{name}={value}"
-            for name, value in zip(KEY_FIELDS, record_key(cells[len(records)]))
-            if value
-        )
+        cell = _named(asdict(cells[len(records)]))
         raise WorkerLost(
             f"a sweep worker died; cell {cell} and the cells after it "
             "were not delivered (--resume re-runs them)"
@@ -477,7 +468,8 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict]:
 
     Error rows are excluded from means and counted in n_failed; top1_std is
     the sample standard deviation (0.0 for a single seed). A mean or spread
-    out of float range is inf, without a warning; a fit of it fails.
+    out of float range is inf, without a warning; a fit of it fails, and
+    `write_aggregate_csv` refuses it.
     """
     groups: dict[tuple, list[ExperimentRecord]] = {}
     for rec in records:
@@ -592,6 +584,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _named(values: dict) -> str:
+    """`values` as space-separated name=value words (`_fmt`), skipping None."""
+    return " ".join(f"{name}={_fmt(value)}" for name, value in values.items() if value is not None)
+
+
 def _column_parser(kind, default):
     """Parser of one CSV column, from its field's type `kind` (str, int,
     float or `X | None`) and `default`: an empty value reads as None for an
@@ -677,6 +674,13 @@ def cut_partial_row(path) -> None:
 
 
 def write_aggregate_csv(rows: list[dict], path) -> None:
+    """Write `aggregate`'s rows. A number that is not finite raises
+    NumericError naming its cell and column, before `path` is opened."""
+    for row in rows:
+        for name in AGG_HEADER:
+            if isinstance(row.get(name), float) and not math.isfinite(row[name]):
+                raise NumericError(f"aggregate cell {_named({k: row[k] for k in GROUP_FIELDS})}, "
+                                   f"column {name}: {row[name]!r} is not a finite number")
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=AGG_HEADER)
         writer.writeheader()

@@ -683,14 +683,15 @@ class TestSweepReport:
         assert err.startswith("error:") and "line 4" in err
         assert "Traceback" not in err
 
-    def edited_sweep_csv(self, capsys, tmp_path, column, text):
-        """The spec's sweep CSV with `column` of its first row set to `text`."""
+    def edited_sweep_csv(self, capsys, tmp_path, column, text, rows=1):
+        """The spec's sweep CSV with `column` of its first `rows` rows set to `text`."""
         out = tmp_path / "out.csv"
         run(capsys, "sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out))
         lines = out.read_text().splitlines()
-        row = lines[1].split(",")
-        row[CSV_HEADER.index(column)] = text
-        lines[1] = ",".join(row)
+        for i in range(1, 1 + rows):
+            row = lines[i].split(",")
+            row[CSV_HEADER.index(column)] = text
+            lines[i] = ",".join(row)
         out.write_text("\n".join(lines) + "\n")
         return out
 
@@ -793,6 +794,22 @@ class TestSweepReport:
                            "--aggregate-out", str(agg))
         assert code == 2 and err.startswith("error: --x must be one of ")
         assert (agg.read_text() if agg.exists() else None) == earlier
+
+    @pytest.mark.parametrize("earlier", [None, b"earlier,output\n"], ids=["absent", "present"])
+    def test_report_on_an_overflowing_cell_writes_no_aggregate(self, capsys, tmp_path, earlier):
+        # Both seeds of the first cell at 1e308: their mean and spread overflow to inf.
+        out = self.edited_sweep_csv(capsys, tmp_path, "top1_error", "1e308", rows=2)
+        agg = tmp_path / "agg.csv"
+        if earlier is not None:
+            agg.write_bytes(earlier)
+        code, stdout, err = run(capsys, "report", "--csv", str(out), "--x", "p",
+                                "--aggregate-out", str(agg))
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [
+            "error: aggregate cell family=er communities=2 p=0.3 mu=0.2 width=16 rounds=1, "
+            "column top1_mean: inf is not a finite number"
+        ]
+        assert (agg.read_bytes() if agg.exists() else None) == earlier
 
     @pytest.mark.parametrize(
         "argv, line",

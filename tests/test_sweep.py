@@ -16,7 +16,7 @@ import pytest
 import relnet.graphs
 import relnet.sweep
 import relnet.training
-from relnet.errors import FitError, FormatError, InvalidValue
+from relnet.errors import FitError, FormatError, InvalidValue, NumericError
 from relnet.generators import generate_with_info
 from relnet.graphs import one_blas_thread
 from relnet.sweep import (
@@ -26,6 +26,7 @@ from relnet.sweep import (
     Axis,
     ExperimentRecord,
     ModelSpec,
+    SweepCell,
     SweepSpec,
     _graph_spec,
     aggregate,
@@ -33,7 +34,6 @@ from relnet.sweep import (
     correlation_report,
     least_squares,
     read_records_csv,
-    record_key,
     run_sweep,
     sweep_cells,
     write_aggregate_csv,
@@ -66,6 +66,11 @@ def tiny_spec(**overrides):
     )
     fields.update(overrides)
     return SweepSpec(**fields)
+
+
+def cell_of(record: ExperimentRecord) -> SweepCell:
+    """The typed (grid cell, seed) pair of a record."""
+    return SweepCell(**{f.name: getattr(record, f.name) for f in fields(SweepCell)})
 
 
 def make_record(**overrides):
@@ -250,6 +255,18 @@ class TestSweepSpec:
         for name in ("n", "model", "train", "dataset"):
             assert getattr(baseline, name) == getattr(diagram, name), name
 
+    @pytest.mark.parametrize("pilot, diagram", [("pilot_er", "er_p_mu"),
+                                                 ("pilot_sf", "sf_gamma_mu")])
+    def test_pilot_cells_are_cells_of_its_diagram_at_its_settings(self, pilot, diagram):
+        sweeps = Path(__file__).parents[1] / "sweeps"
+        pilot = SweepSpec.from_json(sweeps / f"{pilot}.json")
+        diagram = SweepSpec.from_json(sweeps / f"{diagram}.json")
+        for name in ("family", "n", "seeds", "model", "train", "dataset"):
+            assert getattr(pilot, name) == getattr(diagram, name), name
+        cells = sweep_cells(pilot)
+        assert len(cells) == 20
+        assert set(cells) <= set(sweep_cells(diagram))
+
     def test_from_json_round_trip(self, tmp_path):
         payload = {
             "family": "static_sf",
@@ -289,7 +306,7 @@ class TestRunSweep:
         assert all(r.status == "ok" for r in records)
         assert all(r.top1_error is not None for r in records)
         assert all(r.family == "er" and r.width == 16 for r in records)
-        assert len({record_key(r) for r in records}) == len(records)
+        assert len({cell_of(r) for r in records}) == len(records)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_cell_left_builds_no_dataset(self, monkeypatch, workers):
@@ -359,9 +376,18 @@ class TestRunSweep:
         records = run_sweep(spec)
         rest = run_sweep(spec, finished=records[:5])
         assert len(rest) == len(records) - 5
-        assert [record_key(r) for r in rest] == [
-            record_key(r) for r in records[5:]
-        ]
+        assert [cell_of(r) for r in rest] == [cell_of(r) for r in records[5:]]
+
+    def test_integer_ticks_resume_from_their_csv(self, tmp_path):
+        # A hand-built spec's integer p and mu are written as "1" and "0"
+        # and read back as 1.0 and 0.0: the same cells, so none runs again.
+        spec = tiny_spec(axis1=Axis("p", (1,)), axis2=None, fixed={"mu": 0})
+        path = tmp_path / "out.csv"
+        write_records_csv(run_sweep(spec), path)
+        assert path.read_text().splitlines()[1].startswith("er,2,1,,,0,16,1,0,ok,")
+        finished = read_records_csv(path)
+        assert [(r.p, r.mu) for r in finished] == [(1.0, 0.0)] * 2
+        assert run_sweep(spec, finished=finished) == []
 
     def test_skip_all_yields_nothing(self):
         spec = tiny_spec(seeds=(0,))
@@ -897,6 +923,20 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(AGG_HEADER)
         assert len(lines) == 1 + len(rows)
+
+    @pytest.mark.parametrize("column, value", [
+        ("top1_mean", math.inf), ("top1_std", -math.inf), ("clustering", math.nan)
+    ])
+    def test_aggregate_csv_refuses_a_number_not_finite(self, tmp_path, column, value):
+        path = tmp_path / "agg.csv"
+        rows = aggregate(self.sample_records())
+        rows[-1][column] = value
+        with pytest.raises(NumericError, match=(
+            rf"^aggregate cell family=static_sf communities=1 gamma=2.5 m=3.0 mu=0.0 width=16 "
+            rf"rounds=1, column {column}: {value!r} is not a finite number$"
+        )):
+            write_aggregate_csv(rows, path)
+        assert not path.exists()
 
 
 class TestBuildDataset:
