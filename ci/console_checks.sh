@@ -84,6 +84,12 @@ exits_2 nan_error relnet report --csv "$T/nan.csv" --x p
 one_line nan_error
 grep -q "^error: .*column top1_error" "$T/nan_error.err"
 
+check "report on a CSV with a 200,000-character field exits 2 with one error line and no traceback"
+python3 -c 'import sys; header = open(sys.argv[1]).readline(); open(sys.argv[2], "w").write(header + "x" * 200000 + "\n")' "$T/demo.csv" "$T/long_field.csv"
+exits_2 long_field relnet report --csv "$T/long_field.csv" --x p
+one_line long_field
+test "$(grep -c Traceback "$T/long_field.err")" -eq 0
+
 check "report --aggregate-out on a CSV whose cell's top1_error overflows to inf exits 2 with one error line naming top1_mean and writes no aggregate"
 python3 -c '
 import csv, sys

@@ -267,10 +267,10 @@ def main(argv=None) -> int:
     try:
         _check_outputs(args)
         return args.func(args)
-    except (RelnetError, ValueError, OSError) as exc:
+    except (RelnetError, ValueError, OSError, MemoryError) as exc:
         if isinstance(exc, InvalidValue):
             exc = InvalidValue(_FLAG_OF_ARGUMENT.get(exc.field, exc.field), exc.rule)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

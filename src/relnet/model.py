@@ -63,7 +63,10 @@ class LayerMask:
 
 
 def build_mask(g: Graph, width: int) -> LayerMask:
-    """The mask of graph adjacency plus self-loops over `width` units."""
+    """The mask of graph adjacency plus self-loops over `width` units. A
+    graph whose nodes do not fit the width raises TooManyNodes
+    (`unit_owners`) before its n x n adjacency is built."""
+    unit_owners(g.node_count, width)
     return LayerMask(g.adjacency | np.eye(g.node_count, dtype=bool), width)
 
 

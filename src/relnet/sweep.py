@@ -10,6 +10,7 @@ failures become error rows, never aborts, so long sweeps stay resumable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -143,15 +144,6 @@ _JSON_OF_TYPE = {str: (str, "string"), int: (int, "integer"), float: ((int, floa
                  bool: (bool, "boolean"), tuple: (list, "list"), dict: (dict, "object")}
 
 
-def _is_json(value, kind: type) -> bool:
-    accepted, _ = _JSON_OF_TYPE[kind]
-    return (
-        isinstance(value, accepted)
-        and (kind is bool or not isinstance(value, bool))
-        and (kind is not float or math.isfinite(value))
-    )
-
-
 def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep spec {!r}".format):
     """The dataclass `cls` from the JSON object `d`: each key is a field,
     read as the field's declared type (`_read_value`), and an absent key
@@ -185,25 +177,24 @@ def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep s
 
 def _read_value(kind, value, name: str, source):
     """`value` read as the type `kind`: a dataclass (`read_spec`), `X | None`
-    (JSON null or an X), `tuple[X, ...]` (a list of X), `dict[str, X]`, a
-    bare `dict` (any object) or a scalar of `_JSON_OF_TYPE`."""
+    (JSON null or an X), `tuple[X, ...]` (a list, each entry read as an X
+    under `name`), `dict[str, X]`, a bare `dict` (any object) or a scalar of
+    `_JSON_OF_TYPE`."""
     args = get_args(kind)
     if isinstance(kind, UnionType):
         return None if value is None else _read_value(args[0], value, name, source)
     if is_dataclass(kind):
         return read_spec(kind, value, name, source=source)
     json_kind = get_origin(kind) or kind
-    if not _is_json(value, json_kind):
-        raise FormatError(
-            f"{source(name)} must be a JSON {_JSON_OF_TYPE[json_kind][1]}, got {value!r}"
-        )
+    accepted, json_name = _JSON_OF_TYPE[json_kind]
+    if not (
+        isinstance(value, accepted)
+        and (json_kind is bool or not isinstance(value, bool))
+        and (json_kind is not float or math.isfinite(value))
+    ):
+        raise FormatError(f"{source(name)} must be a JSON {json_name}, got {value!r}")
     if json_kind is tuple:
-        bad = [v for v in value if not _is_json(v, args[0])]
-        if bad:
-            raise FormatError(
-                f"{source(name)} must hold JSON {_JSON_OF_TYPE[args[0]][1]}s, got {bad[0]!r}"
-            )
-        return tuple(map(args[0], value))
+        return tuple(_read_value(args[0], v, name, source) for v in value)
     if json_kind is dict:
         if not args:
             return value
@@ -589,30 +580,19 @@ def _named(values: dict) -> str:
     return " ".join(f"{name}={_fmt(value)}" for name, value in values.items() if value is not None)
 
 
-def _column_parser(kind, default):
-    """Parser of one CSV column, from its field's type `kind` (str, int,
-    float or `X | None`) and `default`: an empty value reads as None for an
-    `X | None` field and as the default for a field that has one; any other
-    empty or malformed number, or a float that is not finite, raises
-    ValueError."""
-    if isinstance(kind, UnionType):
-        kind, default = get_args(kind)[0], None
-
-    def parse(text: str):
-        if not text and default is not MISSING:
-            return default
-        value = kind(text)
-        if kind is float and not math.isfinite(value):
-            raise ValueError(f"{text!r} is not a finite number")
-        return value
-
-    return parse
-
-
-_COLUMN_PARSERS = [
-    _column_parser(get_type_hints(ExperimentRecord)[f.name], f.default)
-    for f in fields(ExperimentRecord)
-]
+def _cell_value(text: str, kind, default):
+    """A records-CSV cell as the JSON value `_read_value` reads for its
+    field's type `kind`: a `str` (or `str | None`) column is its text; an
+    empty cell is the field's `default` (None where it has none); any other
+    cell is its JSON scalar, or its text where it is not JSON."""
+    if kind in (str, str | None):
+        return text
+    if not text:
+        return None if default is MISSING else default
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):  # not JSON, or nested too deep to read
+        return text
 
 
 def write_records_csv(records: list[ExperimentRecord], path, append: bool = False) -> None:
@@ -628,14 +608,18 @@ def write_records_csv(records: list[ExperimentRecord], path, append: bool = Fals
 
 def read_records_csv(path) -> list[ExperimentRecord]:
     """Records of a CSV written by write_records_csv. A wrong header, a row
-    whose field count differs from the header's, or a last line without its
-    newline (a row cut mid-write) raises FormatError naming the line, and
-    a value that does not parse as its column's type names the column too."""
+    whose field count differs from the header's, a row the csv module
+    refuses (a field over its size limit, say) or a last line without its
+    newline (a row cut mid-write) raises FormatError naming the line. Each
+    cell is read by `_read_value` (`_cell_value`), so a value that is not
+    its column's type names the column too."""
+    types = get_type_hints(ExperimentRecord)
     records = []
     with open(path, newline="") as fh:
         text = fh.read()
-        cut_line = text.count("\n") + 1 if text and not text.endswith("\n") else None
-        reader = csv.reader(io.StringIO(text, newline=""))
+    cut_line = text.count("\n") + 1 if text and not text.endswith("\n") else None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, CSV_HEADER)  # an empty file has no rows
         if header != CSV_HEADER:
             raise FormatError(f"{path}: line 1 is not the records CSV header")
@@ -647,15 +631,14 @@ def read_records_csv(path) -> list[ExperimentRecord]:
                     f"{path}: line {reader.line_num} has {len(row)} fields, "
                     f"not {len(CSV_HEADER)}"
                 )
+            source = functools.partial("{}: line {}, column {}:".format, path, reader.line_num)
             values = {}
-            for name, parse, text in zip(CSV_HEADER, _COLUMN_PARSERS, row):
-                try:
-                    values[name] = parse(text)
-                except ValueError as exc:
-                    raise FormatError(
-                        f"{path}: line {reader.line_num}, column {name}: {exc}"
-                    ) from exc
+            for f, cell in zip(fields(ExperimentRecord), row):
+                value = _cell_value(cell, types[f.name], f.default)
+                values[f.name] = _read_value(types[f.name], value, f.name, source)
             records.append(ExperimentRecord(**values))
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     if cut_line is not None:
         raise FormatError(f"{path}: line {cut_line} ends without a newline (cut mid-write)")
     return records

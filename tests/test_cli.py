@@ -142,6 +142,21 @@ class TestGenMetrics:
         assert code == 2
         assert "error:" in err
 
+    def test_out_of_memory_exits_2_with_one_error_line(self, capsys, tmp_path, monkeypatch):
+        """A graph whose dense matrix cannot be allocated ends the command
+        with one error line, not a traceback."""
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1\n")
+        # numpy's MemoryError says what it could not allocate; a bare one is named.
+        allocate = "Unable to allocate 90.9 TiB"
+        for exc, says in [(MemoryError(allocate), allocate), (MemoryError(), "MemoryError")]:
+            def no_memory(graph, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(relnet.cli, "compute_metrics", no_memory)
+            code, stdout, err = run(capsys, "metrics", "--edges", str(edges))
+            assert (code, stdout, err) == (2, "", f"error: {says}\n")
+
 
 class TestGraphWorkOnOneBlasThread:
     """gen, metrics, import and train do their graph products on one OpenBLAS
@@ -697,11 +712,11 @@ class TestSweepReport:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("column, text, says", [
-        ("top1_error", "nan", "line 2, column top1_error: 'nan' is not a finite number"),
-        ("top1_error", "inf", "line 2, column top1_error: 'inf' is not a finite number"),
-        ("top1_error", "-inf", "line 2, column top1_error: '-inf' is not a finite number"),
-        ("top1_error", "1e309", "line 2, column top1_error: '1e309' is not a finite number"),
-        ("clustering", "nan", "line 2, column clustering: 'nan' is not a finite number"),
+        ("top1_error", "nan", "line 2, column top1_error: must be a JSON number, got 'nan'"),
+        ("top1_error", "inf", "line 2, column top1_error: must be a JSON number, got 'inf'"),
+        ("top1_error", "-inf", "line 2, column top1_error: must be a JSON number, got '-inf'"),
+        ("top1_error", "1e309", "line 2, column top1_error: must be a JSON number, got inf"),
+        ("clustering", "nan", "line 2, column clustering: must be a JSON number, got 'nan'"),
         ("top1_error", "1e308", "quadratic fit of top1_mean against p has a result that is not"),
     ])
     def test_report_on_a_number_not_finite_exits_2(self, capsys, tmp_path, column, text, says):
@@ -710,6 +725,20 @@ class TestSweepReport:
         assert (code, stdout) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert says in err
+        # A value the CSV holds is named by its path; the fit's result is not.
+        assert (f"error: {out}: line 2, " in err) == says.startswith("line 2, ")
+
+    def test_field_over_the_csv_limit_exits_2_and_leaves_out_unchanged(self, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text(",".join(CSV_HEADER) + "\n" + "x" * 200_000 + "\n")
+        before = out.read_bytes()
+        for argv in (["report", "--csv", str(out), "--x", "p"],
+                     ["sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out),
+                      "--resume"]):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (2, ""), argv
+            assert err == f"error: {out}: line 2: field larger than field limit (131072)\n"
+            assert out.read_bytes() == before
 
     def test_resume_on_a_number_not_finite_exits_2_and_leaves_out_unchanged(
         self, capsys, tmp_path

@@ -138,6 +138,14 @@ class TestInitModel:
         with pytest.raises(ShapeError):
             init_model(ALMOST_K4, 16, 0, 5, 3, seed=0)
 
+    def test_too_many_nodes_before_the_adjacency_is_built(self):
+        """A graph too large for its dense n x n matrix names the width it
+        does not fit, instead of failing to allocate the matrix."""
+        graph = from_edge_pairs(10, [(0, 1)])
+        with pytest.raises(TooManyNodes, match="10 nodes do not fit in width 8"):
+            init_model(graph, 8, 1, 5, 3, seed=0)
+        assert "adjacency" not in graph.__dict__
+
     def test_dtype_selection(self):
         model = init_model(ALMOST_K4, 16, 1, 5, 3, seed=0, dtype=np.float32)
         assert model.dtype == np.float32

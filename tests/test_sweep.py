@@ -902,6 +902,30 @@ class TestCsv:
         with pytest.raises(FormatError, match=r"records.csv: line 2, column communities: "):
             read_records_csv(path)
 
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "records.csv"
+        records = self.sample_records()
+        write_records_csv(records, path)
+        path.write_text(path.read_text().replace("\n", "\n\n", 3))
+        assert read_records_csv(path) == records
+
+    @pytest.mark.parametrize("column, text", [
+        ("communities", "1_000"), ("communities", "+3"), ("p", "+0.5"), ("p", "3."),
+        ("p", "true"), ("seed", "2.0"), pytest.param("p", "[" * 100_000, id="p-deep-list"),
+    ])
+    def test_cells_are_json_scalars(self, tmp_path, column, text):
+        """A cell is read as the JSON scalar the writer wrote. Any other
+        text is refused, even where Python's int() or float() takes it, and
+        so is JSON nested too deep for the json module."""
+        path = tmp_path / "records.csv"
+        write_records_csv([make_record()], path)
+        header, line = path.read_text().splitlines()
+        row = line.split(",")
+        row[CSV_HEADER.index(column)] = text
+        path.write_text(f"{header}\n{','.join(row)}\n")
+        with pytest.raises(FormatError, match=rf"records.csv: line 2, column {column}: must be "):
+            read_records_csv(path)
+
     def test_append_keeps_single_header(self, tmp_path):
         path = tmp_path / "records.csv"
         records = self.sample_records()
