@@ -193,6 +193,17 @@ exits_2 negative_lr relnet train --family complete --n 4 --width 8 --rounds 1 --
 one_line negative_lr
 grep -q '^error: .*--learning-rate' "$T/negative_lr.err"
 
+check "train with --epochs 1.0 exits 2 with one error line naming --epochs"
+exits_2 fraction_epochs relnet train --family complete --n 4 --width 8 --rounds 1 --epochs 1.0
+one_line fraction_epochs
+grep -q '^error: --epochs ' "$T/fraction_epochs.err"
+
+check "a sweep spec of 100,000 nested [ exits 2 with one error line and leaves --out as it was"
+python3 -c 'import sys; open(sys.argv[1], "w").write("[" * 100000)' "$T/deep.json"
+exits_2 deep_spec relnet sweep --spec "$T/deep.json" --out "$T/demo.csv"
+one_line deep_spec
+cmp "$T/demo.csv" "$T/demo.before.csv"
+
 check "import --sample 1 --matched-er exits 2 with one error line, no traceback and no --out"
 exits_2 one_node relnet import --edges "$T/comm.edges" --sample 1 --matched-er --seed 2 --out "$T/one.edges"
 one_line one_node

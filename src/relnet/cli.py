@@ -17,15 +17,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, fields
-from types import UnionType
-from typing import get_args, get_type_hints
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 from .connectome import import_connectome, matched_er, sample_subgraph
 from .errors import InvalidValue, RelnetError
 from .generators import GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
-from .model import save_checkpoint
+from .model import save_checkpoint, unit_owners
 from .sweep import (
     DATASET_KINDS,
     X_FIELDS,
@@ -41,6 +40,7 @@ from .sweep import (
     run_one,
     run_sweep,
     sweep_cells,
+    text_value,
     write_aggregate_csv,
     write_records_csv,
 )
@@ -55,36 +55,31 @@ def _flag(prefix: str, name: str) -> str:
     return "--" + (prefix + name).replace("_", "-")
 
 
-def _add_spec_flags(parser, cls, prefix: str = "", skip=(), required: bool = True) -> None:
-    """One flag per field of the dataclass `cls` but `skip` (`_flag`), of
-    the field's type (X for `X | None`) and default; a bool field is
-    `--x/--no-x`. A field without a default is a required flag, or with
-    `required=False` one defaulting to None that the command checks."""
+def _add_spec_flags(parser, cls, prefix: str = "", skip=()) -> None:
+    """One flag per field of the dataclass `cls` but `skip` (`_flag`), which
+    takes text; a bool field is `--x/--no-x`. A flag not given is None:
+    `read_spec` holds the field's type, default and whether it is required."""
     types = get_type_hints(cls)
     for f in fields(cls):
-        if f.name in skip:
-            continue
-        kind = types[f.name]
-        kind = get_args(kind)[0] if isinstance(kind, UnionType) else kind
-        flag = _flag(prefix, f.name)
-        if f.default is MISSING:
-            parser.add_argument(flag, type=kind, required=required)
-        elif kind is bool:
-            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=f.default)
-        else:
-            parser.add_argument(flag, type=kind, default=f.default)
+        if f.name not in skip:
+            action = argparse.BooleanOptionalAction if types[f.name] is bool else "store"
+            parser.add_argument(_flag(prefix, f.name), action=action)
 
 
-def _flag_values(args, cls, prefix: str = "") -> dict:
-    """The JSON object of `cls` that its flags (`_add_spec_flags`) set, for
-    `read_spec` to read: each field name with its flag's value."""
-    return {f.name: getattr(args, prefix + f.name) for f in fields(cls)}
+def _flag_values(args, cls, prefix: str = "", skip=()) -> dict:
+    """The JSON object of `cls` that its given flags (`_add_spec_flags`) but
+    `skip` set, for `read_spec` to read: each field name with its flag's
+    text read as a spec value (`text_value`), or its bool."""
+    types = get_type_hints(cls)
+    given = {f.name: getattr(args, prefix + f.name) for f in fields(cls) if f.name not in skip}
+    return {name: value if types[name] is bool else text_value(value, types[name])
+            for name, value in given.items() if value is not None}
 
 
 def _read_flags(args, cls, prefix: str = "", **values):
     """The `cls` that its flags and `values` set (`read_spec`); errors name the flag."""
     source = functools.partial(_flag, prefix)
-    return read_spec(cls, _flag_values(args, cls, prefix) | values, source=source)
+    return read_spec(cls, _flag_values(args, cls, prefix, values) | values, source=source)
 
 
 def _metrics_dict(graph) -> dict:
@@ -122,8 +117,6 @@ def _cmd_import(args) -> int:
 def _cmd_train(args) -> int:
     if (args.edges is None) == (args.family is None):
         raise ValueError("train needs exactly one of --edges or --family")
-    if args.dataset == "cifar10" and args.data_dir is None:
-        raise ValueError("--dataset cifar10 requires --data-dir")
     # Flags that fail need not wait for the dataset to load.
     config = _read_flags(args, TrainConfig)
     model_spec = _read_flags(args, ModelSpec)
@@ -132,6 +125,7 @@ def _cmd_train(args) -> int:
         graph = read_edge_list(args.edges)
     else:
         graph = generate_with_info(_read_flags(args, GeneratorSpec, seed=graph_seed(args.seed)))[0]
+    unit_owners(graph.node_count, model_spec.width)  # a graph too wide fails before the load
     train_ds, test_ds = build_dataset({"kind": args.dataset} | asdict(dataset), dtype=config.dtype)
 
     tic = time.perf_counter()
@@ -212,14 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model on one graph")
     p_train.add_argument("--edges", default=None)
-    # --seed is the run seed. --family is needed without --edges, --data-dir
-    # with --dataset cifar10.
-    _add_spec_flags(p_train, GeneratorSpec, skip=("seed",), required=False)
+    # --seed is the run seed.
+    _add_spec_flags(p_train, GeneratorSpec, skip=("seed",))
     for cls in (ModelSpec, TrainConfig):
         _add_spec_flags(p_train, cls)
     p_train.add_argument("--dataset", choices=tuple(DATASET_KINDS), default="blobs")
     for kind, prefix in _DATASET_PREFIX.items():
-        _add_spec_flags(p_train, DATASET_KINDS[kind], prefix, required=False)
+        _add_spec_flags(p_train, DATASET_KINDS[kind], prefix)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--log", default=None, help="JSONL per-epoch log path")
     p_train.add_argument("--ckpt-out", default=None)

@@ -175,7 +175,8 @@ def _read_stats(path: Path) -> ChannelStats:
     try:
         stats = json.loads(path.read_text())
         mean, std = stats["mean"], stats["std"]
-    except (ValueError, TypeError, KeyError):  # not JSON text, not an object, a key missing
+    # Not JSON text (or nested too deep to read), not an object, a key missing.
+    except (ValueError, RecursionError, TypeError, KeyError):
         mean = std = None
     if not (_three_finite(mean) and _three_finite(std) and min(std) > 0):
         raise FormatError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgeSaturation, TooManyCommunities, TooSmall
+from .errors import EdgeSaturation, InvalidValue, TooManyCommunities, TooSmall, require_at_least
 from .graphs import (Graph, bfs, from_adjacency, from_edge_pairs, largest_component,
                      near_equal_sizes)
 from .seeding import child_seed, rng
@@ -66,9 +66,10 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         """Check that the spec is well formed: a known family (and base), the
-        parameters it requires set and no others, each in range, n >= 2. It
-        does not check whether the graph can be built (communities <= n/2,
-        a feasible, unsaturated static-model block): `generate_with_info` does."""
+        parameters it requires set and no others, each in range (else
+        InvalidValue naming it), n >= 2. It does not check whether the graph
+        can be built (communities <= n/2, a feasible, unsaturated
+        static-model block): `generate_with_info` does."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2:
@@ -87,15 +88,15 @@ class GeneratorSpec:
             if getattr(self, name) is None:
                 raise ValueError(f"{owner} requires {name!r}")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"'p' must be in [0,1], got {self.p}")
+            raise InvalidValue("p", f"must be in [0,1], got {self.p}")
         if self.mu is not None and not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"'mu' must be in [0,1], got {self.mu}")
+            raise InvalidValue("mu", f"must be in [0,1], got {self.mu}")
         if self.gamma is not None and not self.gamma >= 2.0:
-            raise ValueError(f"'gamma' must be >= 2, got {self.gamma}")
+            raise InvalidValue("gamma", f"must be >= 2, got {self.gamma}")
         if self.m is not None and not self.m > 0:
-            raise ValueError(f"'m' must be > 0, got {self.m}")
-        if self.communities is not None and self.communities < 1:
-            raise ValueError(f"'communities' must be >= 1, got {self.communities}")
+            raise InvalidValue("m", f"must be > 0, got {self.m}")
+        if self.communities is not None:
+            require_at_least(1, communities=self.communities)
 
 
 @dataclass(frozen=True)

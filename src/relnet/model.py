@@ -267,7 +267,7 @@ def load_checkpoint(path) -> MlpModel:
 
         try:
             meta = json.loads(str(array("meta")))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to read
             raise FormatError(f"{path}: meta is not JSON: {exc}") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"{path}: meta is not a JSON object")

@@ -120,6 +120,8 @@ class SweepSpec:
         for cell in dict.fromkeys(replace(c, seed=self.seeds[0]) for c in sweep_cells(self)):
             try:
                 _graph_spec(cell, self.n)
+            except InvalidValue as exc:  # an axis or fixed value, named as the spec names it
+                raise ValueError(f"{exc.field!r} {exc.rule}") from None
             except ValueError:  # name the spec's family if its blocks' own spec is at fault
                 GeneratorSpec(self.family, self.n, p=cell.p, gamma=cell.gamma, m=cell.m)
                 raise
@@ -134,7 +136,11 @@ class SweepSpec:
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except RecursionError:
+                raise FormatError(f"{path}: JSON nested too deep to read") from None
+        return cls.from_dict(d)
 
 
 # Python type of a spec value: (the JSON values it accepts, their JSON name).
@@ -149,7 +155,7 @@ def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep s
     read as the field's declared type (`_read_value`), and an absent key
     takes the field's default. A missing, unknown or mistyped key raises
     FormatError naming it as `source` of its dotted path (the flag, for
-    `relnet train`); `name` is the object's path ("" at the top level).
+    `relnet gen` and `train`); `name` is the object's path ("" at top level).
     With `comments`, keys starting with "_" are skipped. An InvalidValue
     that `cls` raises on one of its fields when made is raised again,
     naming the field as `source` of its path."""
@@ -166,7 +172,7 @@ def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep s
         if f.name in d:
             values[f.name] = _read_value(types[f.name], d[f.name], prefix + f.name, source)
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise FormatError(f"{where} has no {f.name!r}")
+            raise FormatError(f"{source(prefix + f.name)} is required")
     try:
         return cls(**values)
     except InvalidValue as exc:
@@ -580,15 +586,12 @@ def _named(values: dict) -> str:
     return " ".join(f"{name}={_fmt(value)}" for name, value in values.items() if value is not None)
 
 
-def _cell_value(text: str, kind, default):
-    """A records-CSV cell as the JSON value `_read_value` reads for its
-    field's type `kind`: a `str` (or `str | None`) column is its text; an
-    empty cell is the field's `default` (None where it has none); any other
-    cell is its JSON scalar, or its text where it is not JSON."""
+def text_value(text: str, kind):
+    """Text (a `relnet` flag's, a records-CSV cell's) as the JSON value that
+    `_read_value` reads for the type `kind`: for `str` (or `str | None`) the
+    text itself, else its JSON scalar, or the text where it is not JSON."""
     if kind in (str, str | None):
         return text
-    if not text:
-        return None if default is MISSING else default
     try:
         return json.loads(text)
     except (ValueError, RecursionError):  # not JSON, or nested too deep to read
@@ -611,7 +614,7 @@ def read_records_csv(path) -> list[ExperimentRecord]:
     whose field count differs from the header's, a row the csv module
     refuses (a field over its size limit, say) or a last line without its
     newline (a row cut mid-write) raises FormatError naming the line. Each
-    cell is read by `_read_value` (`_cell_value`), so a value that is not
+    cell is read by `_read_value` (`text_value`), so a value that is not
     its column's type names the column too."""
     types = get_type_hints(ExperimentRecord)
     records = []
@@ -634,8 +637,12 @@ def read_records_csv(path) -> list[ExperimentRecord]:
             source = functools.partial("{}: line {}, column {}:".format, path, reader.line_num)
             values = {}
             for f, cell in zip(fields(ExperimentRecord), row):
-                value = _cell_value(cell, types[f.name], f.default)
-                values[f.name] = _read_value(types[f.name], value, f.name, source)
+                kind = types[f.name]
+                if cell or kind is str:
+                    value = text_value(cell, kind)
+                else:  # an empty cell is the field's default, None where it has none
+                    value = None if f.default is MISSING else f.default
+                values[f.name] = _read_value(kind, value, f.name, source)
             records.append(ExperimentRecord(**values))
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc

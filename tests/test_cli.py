@@ -5,7 +5,7 @@ import multiprocessing
 import os
 import signal
 import time
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -304,12 +304,14 @@ class TestTrain:
         assert read_spec(ModelSpec, _flag_values(args, ModelSpec)) == ModelSpec()
         assert read_spec(BlobsSpec, _flag_values(args, BlobsSpec, "blob_")) == BlobsSpec()
         assert _read_flags(args, GeneratorSpec, seed=0) == GeneratorSpec(family="er", p=0.5)
+        args = build_parser().parse_args(["gen", "--family", "er", "--p", "0.5", "--out", "x"])
+        assert _read_flags(args, GeneratorSpec) == GeneratorSpec(family="er", p=0.5)
 
     @pytest.mark.parametrize("command", ["gen", "train"])
     def test_one_flag_per_spec_field(self, command):
-        """Every field has exactly one flag, named after it, with its
-        default, but GeneratorSpec's seed in train, whose --seed is the run
-        seed; no other flag sets a spec field."""
+        """Every field has exactly one flag, named after it, with no default
+        of its own (the dataclass holds it), but GeneratorSpec's seed in
+        train, whose --seed is the run seed; no other flag sets a spec field."""
         actions = self.subcommands()[command]._actions
         derived = set()
         for cls, prefix in self.SPEC_FLAGS[command]:
@@ -318,7 +320,7 @@ class TestTrain:
                     continue
                 flag = "--" + prefix + f.name.replace("_", "-")
                 (action,) = [a for a in actions if flag in a.option_strings]
-                assert action.default == (None if f.default is MISSING else f.default)
+                assert action.default is None
                 derived.update(action.option_strings)
         every = {option for a in actions for option in a.option_strings}
         assert every - derived == self.OTHER_FLAGS[command]
@@ -380,12 +382,22 @@ class TestTrain:
         assert "exactly one of --edges or --family" in err
 
     def test_train_cifar_requires_data_dir(self, capsys):
-        code, _, err = run(
+        code, stdout, err = run(
             capsys, "train", "--family", "complete", "--n", "4",
             "--dataset", "cifar10", "--epochs", "1",
         )
-        assert code == 2
-        assert "requires --data-dir" in err
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == ["error: --data-dir is required"]
+
+    def test_graph_too_wide_exits_2_before_the_data_loads(self, capsys, tmp_path):
+        edges = tmp_path / "wide.edges"
+        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(599)))
+        code, stdout, err = run(
+            capsys, "train", "--edges", str(edges), "--dataset", "cifar10",
+            "--data-dir", str(tmp_path / "no-such-dir"),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == ["error: 600 nodes do not fit in width 512"]
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -407,21 +419,46 @@ class TestTrain:
         (line,) = err.splitlines()
         assert line.startswith("error: ") and message in line
 
+    TRAIN = ["train", "--family", "complete", "--n", "4", "--width", "8", "--rounds", "1",
+             "--epochs", "1"]
+    NAN = "must be a JSON number, got 'nan'"
+
+    # A flag's text is read as a spec key's JSON value (`1_6`, `+16`, `.5` and
+    # `1.0` for an integer are not JSON integers), and its dataclass supplies
+    # the default, whether it is required and its range.
     @pytest.mark.parametrize(
-        "argv, flag",
-        [(["train", "--family", "complete", "--n", "4", "--width", "8", "--rounds", "1",
-           "--epochs", "1", "--learning-rate", "nan"], "--learning-rate"),
-         (["gen", "--family", "er", "--n", "10", "--p", "nan"], "--p"),
-         (["train", "--family", "complete", "--n", "4", "--width", "8", "--rounds", "1",
-           "--epochs", "1", "--blob-spread", "nan"], "--blob-spread")],
-        ids=["train-learning-rate", "gen-p", "train-blob-spread"],
+        "argv, flag, rule",
+        [([*TRAIN, "--learning-rate", "nan"], "--learning-rate", NAN),
+         (["gen", "--family", "er", "--n", "10", "--p", "nan"], "--p", NAN),
+         ([*TRAIN, "--blob-spread", "nan"], "--blob-spread", NAN),
+         (["train", "--family", "complete", "--n", "1_6"], "--n",
+          "must be a JSON integer, got '1_6'"),
+         (["train", "--family", "complete", "--n", "+16"], "--n",
+          "must be a JSON integer, got '+16'"),
+         ([*TRAIN[:-1], "1.0"], "--epochs", "must be a JSON integer, got 1.0"),
+         (["gen", "--family", "er", "--p", ".5"], "--p", "must be a JSON number, got '.5'"),
+         ([*TRAIN[:-1], ""], "--epochs", "must be a JSON integer, got ''"),
+         (["gen", "--n", "10"], "--family", "is required"),
+         (["gen", "--family", "er", "--p", "2"], "--p", "must be in [0,1], got 2.0"),
+         (["train", "--family", "community", "--base", "er", "--p", "0.5",
+           "--communities", "2", "--mu", "1.5"], "--mu", "must be in [0,1], got 1.5"),
+         (["gen", "--family", "static_sf", "--gamma", "1.5", "--m", "3"], "--gamma",
+          "must be >= 2, got 1.5"),
+         (["train", "--family", "static_sf", "--gamma", "2.5", "--m", "0"], "--m",
+          "must be > 0, got 0.0"),
+         (["gen", "--family", "community", "--base", "er", "--p", "0.5", "--mu", "0.1",
+           "--communities", "0"], "--communities", "must be >= 1, got 0")],
+        ids=["train-learning-rate", "gen-p", "train-blob-spread", "train-n-underscore",
+             "train-n-plus", "train-epochs-fraction", "gen-p-no-leading-digit",
+             "train-epochs-empty", "gen-no-family", "gen-p-range", "train-mu-range",
+             "gen-gamma-range", "train-m-range", "gen-communities-range"],
     )
-    def test_bad_flag_value_exits_2_naming_the_flag(self, capsys, tmp_path, argv, flag):
+    def test_bad_flag_value_exits_2_naming_the_flag(self, capsys, tmp_path, argv, flag, rule):
         out = tmp_path / "x.edges"
         code, stdout, err = run(capsys, *argv, *(["--out", str(out)] if argv[0] == "gen" else []))
         assert (code, stdout) == (2, "")
         (line,) = err.splitlines()
-        assert line == f"error: {flag} must be a JSON number, got nan"
+        assert line == f"error: {flag} {rule}"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -921,7 +958,7 @@ class TestSweepReport:
             ({"train": {"epochz": 1}}, "epochz"),
             ({"model": [1]}, "model"),
             ({"axis1": {"name": "p", "values": 0.5}}, "axis1.values"),
-            ({"dataset": {"kind": "cifar10"}}, "dir"),
+            ({"dataset": {"kind": "cifar10"}}, "dataset.dir"),
             ({"comunities": [4]}, "comunities"),
             ({"n": 12.7}, "n"),
             ({"n": "abc"}, "n"),
@@ -1176,6 +1213,16 @@ class TestSweepReport:
         assert (code, stdout) == (2, "")
         assert err.startswith(f"error: {out}: line 3, column communities: ")
         assert "'x'" in err and "Traceback" not in err
+
+    def test_spec_nested_too_deep_exits_2_and_leaves_out_unchanged(self, capsys, tmp_path):
+        spec = tmp_path / "deep.json"
+        spec.write_text("[" * 100_000)
+        out = tmp_path / "o.csv"
+        out.write_text("kept\n")
+        code, stdout, err = run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: {spec}: JSON nested too deep to read"]
+        assert out.read_text() == "kept\n"
 
     def test_sweep_missing_spec_exits_2(self, capsys, tmp_path):
         code, _, err = run(

@@ -330,6 +330,7 @@ BAD_STATS = {
     "not-an-object": "[[0.4, 0.5, 0.5], [0.2, 0.2, 0.3]]",
     "truncated": '{"mean": [0.4, 0.5, 0.5], "std": [0.2,',
     "empty": "",
+    "nested-too-deep": "[" * 100_000,
 }
 
 

@@ -47,11 +47,11 @@ class TestSpecValidation:
             GeneratorSpec(family="ring", n=10)
 
     def test_p_out_of_range(self):
-        with pytest.raises(ValueError, match="'p' must be"):
+        with pytest.raises(ValueError, match="^p must be"):
             GeneratorSpec(family="er", n=10, p=1.5)
 
     def test_mu_out_of_range(self):
-        with pytest.raises(ValueError, match=r"^'mu' must be in \[0,1\], got 1.5$"):
+        with pytest.raises(ValueError, match=r"^mu must be in \[0,1\], got 1.5$"):
             GeneratorSpec(family="community", n=12, communities=2, mu=1.5, base="er", p=0.5)
 
     def test_flat_base_other_than_er_or_static_sf(self):

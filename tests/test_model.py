@@ -360,7 +360,9 @@ class TestMalformedCheckpoint:
         np.savez(path, header=np.array(CKPT_HEADER))
         self.assert_rejected(path, "no 'meta' array")
 
-    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "text", ["{", "[1, 2]", pytest.param("[" * 100_000, id="nested-too-deep")]
+    )
     def test_meta_not_a_json_object(self, tmp_path, text):
         path = self.write_altered(tmp_path, arrays={"meta": np.array(text)})
         self.assert_rejected(path, "meta is not")
