@@ -204,6 +204,18 @@ exits_2 deep_spec relnet sweep --spec "$T/deep.json" --out "$T/demo.csv"
 one_line deep_spec
 cmp "$T/demo.csv" "$T/demo.before.csv"
 
+check "train --seed 1_6, a sweep spec that is not JSON and a spec whose learning_rate is a 401-digit integer each exit 2 with one error line; the not-JSON one names the file"
+exits_2 seed_underscore relnet train --family complete --n 4 --width 8 --rounds 1 --epochs 1 --seed 1_6
+one_line seed_underscore
+grep -q '^error: --seed ' "$T/seed_underscore.err"
+printf '{"family": "er",' > "$T/not_json.json"
+exits_2 not_json relnet sweep --spec "$T/not_json.json" --out "$T/not_json.csv"
+one_line not_json
+grep -qF "error: $T/not_json.json: " "$T/not_json.err"
+demo_spec "$T/big_lr.json" 'spec["train"]["learning_rate"] = 10**400'
+exits_2 big_lr relnet sweep --spec "$T/big_lr.json" --out "$T/big_lr.csv"
+one_line big_lr
+
 check "import --sample 1 --matched-er exits 2 with one error line, no traceback and no --out"
 exits_2 one_node relnet import --edges "$T/comm.edges" --sample 1 --matched-er --seed 2 --out "$T/one.edges"
 one_line one_node

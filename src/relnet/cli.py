@@ -18,13 +18,13 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields
-from typing import get_type_hints
 
 from .connectome import import_connectome, matched_er, sample_subgraph
 from .errors import InvalidValue, RelnetError
 from .generators import GeneratorSpec, generate_with_info
 from .graphs import compute_metrics, read_edge_list, write_edge_list
 from .model import save_checkpoint, unit_owners
+from .reading import _read_value, field_types, read_spec, text_value
 from .sweep import (
     DATASET_KINDS,
     X_FIELDS,
@@ -36,11 +36,9 @@ from .sweep import (
     cut_partial_row,
     graph_seed,
     read_records_csv,
-    read_spec,
     run_one,
     run_sweep,
     sweep_cells,
-    text_value,
     write_aggregate_csv,
     write_records_csv,
 )
@@ -59,7 +57,7 @@ def _add_spec_flags(parser, cls, prefix: str = "", skip=()) -> None:
     """One flag per field of the dataclass `cls` but `skip` (`_flag`), which
     takes text; a bool field is `--x/--no-x`. A flag not given is None:
     `read_spec` holds the field's type, default and whether it is required."""
-    types = get_type_hints(cls)
+    types = field_types(cls)
     for f in fields(cls):
         if f.name not in skip:
             action = argparse.BooleanOptionalAction if types[f.name] is bool else "store"
@@ -70,10 +68,18 @@ def _flag_values(args, cls, prefix: str = "", skip=()) -> dict:
     """The JSON object of `cls` that its given flags (`_add_spec_flags`) but
     `skip` set, for `read_spec` to read: each field name with its flag's
     text read as a spec value (`text_value`), or its bool."""
-    types = get_type_hints(cls)
+    types = field_types(cls)
     given = {f.name: getattr(args, prefix + f.name) for f in fields(cls) if f.name not in skip}
     return {name: value if types[name] is bool else text_value(value, types[name])
             for name, value in given.items() if value is not None}
+
+
+def _int_flag(args, name: str) -> int | None:
+    """The integer flag `name` that is no spec field, read as a spec flag is
+    (`text_value`); None when not given. Errors name the flag."""
+    text = getattr(args, name)
+    flag = functools.partial(_flag, "")
+    return None if text is None else _read_value(int, text_value(text, int), name, flag)
 
 
 def _read_flags(args, cls, prefix: str = "", **values):
@@ -103,11 +109,12 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    graph = import_connectome(args.edges, declared_nodes=args.expect_nodes)
-    if args.sample is not None:
-        graph = sample_subgraph(graph, args.sample, args.seed)
+    sample, seed = _int_flag(args, "sample"), _int_flag(args, "seed")
+    graph = import_connectome(args.edges, declared_nodes=_int_flag(args, "expect_nodes"))
+    if sample is not None:
+        graph = sample_subgraph(graph, sample, seed)
     if args.matched_er:
-        graph = matched_er(graph, args.seed)
+        graph = matched_er(graph, seed)
     summary = _metrics_dict(graph)
     write_edge_list(graph, args.out)
     print(json.dumps(summary))
@@ -118,18 +125,19 @@ def _cmd_train(args) -> int:
     if (args.edges is None) == (args.family is None):
         raise ValueError("train needs exactly one of --edges or --family")
     # Flags that fail need not wait for the dataset to load.
+    seed = _int_flag(args, "seed")
     config = _read_flags(args, TrainConfig)
     model_spec = _read_flags(args, ModelSpec)
     dataset = _read_flags(args, DATASET_KINDS[args.dataset], _DATASET_PREFIX[args.dataset])
     if args.edges is not None:
         graph = read_edge_list(args.edges)
     else:
-        graph = generate_with_info(_read_flags(args, GeneratorSpec, seed=graph_seed(args.seed)))[0]
+        graph = generate_with_info(_read_flags(args, GeneratorSpec, seed=graph_seed(seed)))[0]
     unit_owners(graph.node_count, model_spec.width)  # a graph too wide fails before the load
     train_ds, test_ds = build_dataset({"kind": args.dataset} | asdict(dataset), dtype=config.dtype)
 
     tic = time.perf_counter()
-    model, result, log = run_one(graph, args.seed, model=model_spec, config=config,
+    model, result, log = run_one(graph, seed, model=model_spec, config=config,
                                  train_ds=train_ds, test_ds=test_ds,
                                  eval_every_epoch=args.log is not None)
     wall_ms = (time.perf_counter() - tic) * 1000.0
@@ -148,6 +156,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    workers = _int_flag(args, "workers")
     spec = SweepSpec.from_json(args.spec)
     finished = []
     if args.resume:
@@ -162,7 +171,7 @@ def _cmd_sweep(args) -> int:
         write_records_csv([record], args.out, append=append)
         append = True
 
-    records = run_sweep(spec, workers=args.workers, finished=finished, progress=progress)
+    records = run_sweep(spec, workers=workers, finished=finished, progress=progress)
     ok = sum(record.status == "ok" for record in records)
     skipped = len(sweep_cells(spec)) - len(records)
     print(json.dumps({"ok": ok, "failed": len(records) - ok, "skipped": skipped}))
@@ -197,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_import = sub.add_parser("import", help="import a connectome edge list")
     p_import.add_argument("--edges", required=True)
-    p_import.add_argument("--expect-nodes", type=int, default=None)
-    p_import.add_argument("--sample", type=int, default=None)
-    p_import.add_argument("--seed", type=int, default=0)
+    p_import.add_argument("--expect-nodes")
+    p_import.add_argument("--sample")
+    p_import.add_argument("--seed", default="0")
     p_import.add_argument("--matched-er", action="store_true")
     p_import.add_argument("--out", required=True)
     p_import.set_defaults(func=_cmd_import)
@@ -213,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dataset", choices=tuple(DATASET_KINDS), default="blobs")
     for kind, prefix in _DATASET_PREFIX.items():
         _add_spec_flags(p_train, DATASET_KINDS[kind], prefix)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", default="0")
     p_train.add_argument("--log", default=None, help="JSONL per-epoch log path")
     p_train.add_argument("--ckpt-out", default=None)
     p_train.set_defaults(func=_cmd_train)
@@ -221,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a sweep spec into a CSV")
     p_sweep.add_argument("--spec", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", default="1")
     p_sweep.add_argument("--resume", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import FormatError, NumericError, ShapeError, TooManyNodes
 from .graphs import Graph, near_equal_sizes
+from .reading import keys_of, read_json, read_spec
 from .seeding import rng
 
 CKPT_HEADER = "relnet-ckpt-v1"
@@ -206,13 +207,20 @@ def forward(
 
 # ---------------------------------------------------------------------------
 # Checkpoint container: one .npz file with a version header, a JSON metadata
-# blob (the keys of `_META_TYPES`), the node-level mask, and every weight and
-# bias under the keys of `_param_keys`. The meta's width, rounds and slices
-# restate the layout the arrays hold, and `load_checkpoint` checks that they
-# agree with it.
+# blob (a `_Meta`), the node-level mask, and every weight and bias under the
+# keys of `_param_keys`. The meta's width, rounds and slices restate the
+# layout the arrays hold, and `load_checkpoint` checks that they agree with it.
 
-# The meta keys `load_checkpoint` reads, with their JSON types.
-_META_TYPES = {"width": int, "rounds": int, "seed": int, "use_bias": bool, "slices": list}
+
+@dataclass(frozen=True)
+class _Meta:
+    """A checkpoint's meta, its JSON object's keys in order."""
+
+    width: int
+    rounds: int
+    seed: int
+    use_bias: bool
+    slices: tuple[tuple[int, ...], ...]  # `_slices`
 
 
 def _param_keys(rounds: int) -> list[tuple[str, str]]:
@@ -221,23 +229,18 @@ def _param_keys(rounds: int) -> list[tuple[str, str]]:
     return [("input_w", "input_b"), *rounds_keys, ("output_w", "output_b")]
 
 
-def _slices(n_nodes: int, width: int) -> list[list[int]]:
-    """[offset, length] of the units each node owns (`unit_owners`): the meta's `slices`."""
+def _slices(n_nodes: int, width: int) -> tuple[tuple[int, int], ...]:
+    """(offset, length) of the units each node owns (`unit_owners`): the meta's `slices`."""
     lengths = near_equal_sizes(width, n_nodes)
-    return [[offset, length] for offset, length in zip(accumulate(lengths, initial=0), lengths)]
+    return tuple(zip(accumulate(lengths, initial=0), lengths))
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
-    meta = {
-        "width": model.width,
-        "rounds": model.rounds,
-        "seed": model.seed,
-        "use_bias": model.use_bias,
-        "slices": _slices(len(model.mask.block_adjacency), model.width),
-    }
+    slices = _slices(len(model.mask.block_adjacency), model.width)
+    meta = _Meta(model.width, model.rounds, model.seed, model.use_bias, slices)
     arrays = {
         "header": np.array(CKPT_HEADER),
-        "meta": np.array(json.dumps(meta)),
+        "meta": np.array(json.dumps(asdict(meta))),
         "block_adjacency": model.mask.block_adjacency,
     }
     for (w_key, b_key), w, b in zip(_param_keys(model.rounds), model.weights, model.biases):
@@ -250,10 +253,11 @@ def save_checkpoint(model: MlpModel, path) -> None:
 def load_checkpoint(path) -> MlpModel:
     """The model of a checkpoint file. Its layout comes from the arrays: the
     width from `input_w`, the node count from `block_adjacency`. A missing
-    array or meta key, a meta `width`, `rounds` or `slices` that disagrees
-    with the arrays, an array whose shape does not fit the layout, or a
-    nonzero masked entry raises FormatError naming the path, as does a file
-    that is not an .npz archive (text, an .npy array, cut short)."""
+    array, a meta that `read_spec` cannot read as a `_Meta`, a meta `width`,
+    `rounds` or `slices` that disagrees with the arrays, an array whose shape
+    does not fit the layout, or a nonzero masked entry raises FormatError
+    naming the path, as does a file that is not an .npz archive (text, an
+    .npy array, cut short)."""
     if os.path.exists(path) and not zipfile.is_zipfile(path):  # else np.load raises OSError
         raise FormatError(f"{path}: not an .npz archive")
     with np.load(path, allow_pickle=False) as data:
@@ -265,29 +269,24 @@ def load_checkpoint(path) -> MlpModel:
                 raise FormatError(f"{path}: no {key!r} array")
             return data[key]
 
-        try:
-            meta = json.loads(str(array("meta")))
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to read
-            raise FormatError(f"{path}: meta is not JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise FormatError(f"{path}: meta is not a JSON object")
-        for key, kind in _META_TYPES.items():
-            if type(meta.get(key)) is not kind:
-                raise FormatError(f"{path}: meta has no JSON {kind.__name__} {key!r}")
-        keys = _param_keys(meta["rounds"])
+        # A key `_Meta` has not (the first writer's dtype, say) is skipped.
+        where = f"{path}: meta"
+        meta = read_spec(_Meta, read_json(str(array("meta")), where),
+                         ignore=lambda key: True, source=keys_of(where))
+        keys = _param_keys(meta.rounds)
         weights = [array(w_key) for w_key, _ in keys]
         biases = [array(b_key) for _, b_key in keys]
         block = array("block_adjacency")
         rounds = sum(key.startswith("round_w_") for key in data.files)
-    if meta["rounds"] != rounds:
-        raise FormatError(f"{path}: meta 'rounds' is {meta['rounds']}, but {rounds} are stored")
+    if meta.rounds != rounds:
+        raise FormatError(f"{path}: meta 'rounds' is {meta.rounds}, but {rounds} are stored")
     if rounds < 1:
         raise FormatError(f"{path}: no rounds stored; a model has at least one")
     if any(a.ndim != 2 for a in [*weights, block]) or any(b.ndim != 1 for b in biases):
         raise FormatError(f"{path}: a weight or the mask is not a matrix, or a bias not a vector")
     (in_dim, width), out_dim, n_nodes = weights[0].shape, weights[-1].shape[1], len(block)
-    if meta["width"] != width:
-        raise FormatError(f"{path}: meta 'width' is {meta['width']}, but input_w's is {width}")
+    if meta.width != width:
+        raise FormatError(f"{path}: meta 'width' is {meta.width}, but input_w's is {width}")
     shapes = _layer_shapes(in_dim, width, rounds, out_dim)
     for (w_key, b_key), w, b, (rows, cols) in zip(keys, weights, biases, shapes):
         for key, a, shape in ((w_key, w, (rows, cols)), (b_key, b, (cols,))):
@@ -299,9 +298,9 @@ def load_checkpoint(path) -> MlpModel:
         unit_owners(n_nodes, width)
     except (ShapeError, TooManyNodes) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if meta["slices"] != _slices(n_nodes, width):
+    if meta.slices != _slices(n_nodes, width):
         raise FormatError(f"{path}: meta 'slices' are not {n_nodes} nodes' units of width {width}")
-    model = MlpModel(weights, biases, LayerMask(block, width), meta["seed"], meta["use_bias"])
+    model = MlpModel(weights, biases, LayerMask(block, width), meta.seed, meta.use_bias)
     if not model.masked_entries_zero():
         raise FormatError(f"{path}: masked entries are not zero")
     return model

@@ -13,15 +13,12 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,6 +29,7 @@ from .errors import (FitError, FormatError, InvalidValue, NumericError, RelnetEr
 from .generators import BASE_FAMILIES, PARAMETERS, GeneratorSpec, generate_with_info
 from .graphs import Graph, GraphMetrics, _openblas_function, compute_metrics
 from .model import MlpModel, init_model
+from .reading import _read_value, field_types, read_json, read_spec, text_value
 from .seeding import _GRAPH_STREAM, _MODEL_STREAM, _SHUFFLE_STREAM, child_seed
 from .training import EvalResult, TrainConfig, train
 
@@ -131,81 +129,17 @@ class SweepSpec:
     def from_dict(cls, d: dict) -> "SweepSpec":
         """Spec from its JSON form (see `read_spec`). Top-level keys starting
         with "_" are comments."""
-        return read_spec(cls, d, comments=True)
+        return read_spec(cls, d, ignore=_is_comment)
 
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
-        with open(path) as fh:
-            try:
-                d = json.load(fh)
-            except RecursionError:
-                raise FormatError(f"{path}: JSON nested too deep to read") from None
-        return cls.from_dict(d)
+        with open(path, "rb") as fh:
+            return cls.from_dict(read_json(fh.read(), str(path)))
 
 
-# Python type of a spec value: (the JSON values it accepts, their JSON name).
-# A float takes a JSON integer; a boolean is never a number, and neither are
-# NaN and +-Infinity, which json.load accepts but JSON does not have.
-_JSON_OF_TYPE = {str: (str, "string"), int: (int, "integer"), float: ((int, float), "number"),
-                 bool: (bool, "boolean"), tuple: (list, "list"), dict: (dict, "object")}
-
-
-def read_spec(cls, d, name: str = "", *, comments: bool = False, source="sweep spec {!r}".format):
-    """The dataclass `cls` from the JSON object `d`: each key is a field,
-    read as the field's declared type (`_read_value`), and an absent key
-    takes the field's default. A missing, unknown or mistyped key raises
-    FormatError naming it as `source` of its dotted path (the flag, for
-    `relnet gen` and `train`); `name` is the object's path ("" at top level).
-    With `comments`, keys starting with "_" are skipped. An InvalidValue
-    that `cls` raises on one of its fields when made is raised again,
-    naming the field as `source` of its path."""
-    where = source(name) if name else "sweep spec"
-    if not isinstance(d, dict):
-        raise FormatError(f"{where} must be a JSON object, got {d!r}")
-    types = get_type_hints(cls)
-    unknown = sorted(k for k in d.keys() - types.keys() if not (comments and k.startswith("_")))
-    if unknown:
-        raise FormatError(f"{where} has unknown key {unknown[0]!r}")
-    prefix = f"{name}." if name else ""
-    values = {}
-    for f in fields(cls):
-        if f.name in d:
-            values[f.name] = _read_value(types[f.name], d[f.name], prefix + f.name, source)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise FormatError(f"{source(prefix + f.name)} is required")
-    try:
-        return cls(**values)
-    except InvalidValue as exc:
-        if exc.field not in types:  # a nested spec's, named by its own read
-            raise
-        raise InvalidValue(source(prefix + exc.field), exc.rule) from None
-
-
-def _read_value(kind, value, name: str, source):
-    """`value` read as the type `kind`: a dataclass (`read_spec`), `X | None`
-    (JSON null or an X), `tuple[X, ...]` (a list, each entry read as an X
-    under `name`), `dict[str, X]`, a bare `dict` (any object) or a scalar of
-    `_JSON_OF_TYPE`."""
-    args = get_args(kind)
-    if isinstance(kind, UnionType):
-        return None if value is None else _read_value(args[0], value, name, source)
-    if is_dataclass(kind):
-        return read_spec(kind, value, name, source=source)
-    json_kind = get_origin(kind) or kind
-    accepted, json_name = _JSON_OF_TYPE[json_kind]
-    if not (
-        isinstance(value, accepted)
-        and (json_kind is bool or not isinstance(value, bool))
-        and (json_kind is not float or math.isfinite(value))
-    ):
-        raise FormatError(f"{source(name)} must be a JSON {json_name}, got {value!r}")
-    if json_kind is tuple:
-        return tuple(_read_value(args[0], v, name, source) for v in value)
-    if json_kind is dict:
-        if not args:
-            return value
-        return {k: _read_value(args[1], v, f"{name}.{k}", source) for k, v in value.items()}
-    return json_kind(value)
+def _is_comment(key: str) -> bool:
+    """Whether a spec key is a comment: it starts with "_"."""
+    return key.startswith("_")
 
 
 def read_dataset_spec(dspec: dict | None) -> BlobsSpec | Cifar10Spec:
@@ -217,7 +151,7 @@ def read_dataset_spec(dspec: dict | None) -> BlobsSpec | Cifar10Spec:
         raise ValueError(
             f"unknown dataset kind {kind!r}: 'dataset.kind' is one of {tuple(DATASET_KINDS)}"
         )
-    return read_spec(DATASET_KINDS[kind], rest, "dataset", comments=True)
+    return read_spec(DATASET_KINDS[kind], rest, "dataset", ignore=_is_comment)
 
 
 @dataclass(frozen=True)
@@ -586,18 +520,6 @@ def _named(values: dict) -> str:
     return " ".join(f"{name}={_fmt(value)}" for name, value in values.items() if value is not None)
 
 
-def text_value(text: str, kind):
-    """Text (a `relnet` flag's, a records-CSV cell's) as the JSON value that
-    `_read_value` reads for the type `kind`: for `str` (or `str | None`) the
-    text itself, else its JSON scalar, or the text where it is not JSON."""
-    if kind in (str, str | None):
-        return text
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError):  # not JSON, or nested too deep to read
-        return text
-
-
 def write_records_csv(records: list[ExperimentRecord], path, append: bool = False) -> None:
     mode = "a" if append else "w"
     write_header = not append or not os.path.exists(path) or os.path.getsize(path) == 0
@@ -616,7 +538,7 @@ def read_records_csv(path) -> list[ExperimentRecord]:
     newline (a row cut mid-write) raises FormatError naming the line. Each
     cell is read by `_read_value` (`text_value`), so a value that is not
     its column's type names the column too."""
-    types = get_type_hints(ExperimentRecord)
+    types = field_types(ExperimentRecord)
     records = []
     with open(path, newline="") as fh:
         text = fh.read()

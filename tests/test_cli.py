@@ -14,6 +14,7 @@ import relnet.cli
 import relnet.sweep
 import relnet.training
 from relnet.cli import _flag_values, _read_flags, build_parser, main
+from relnet.datasets import STATS_FILENAME
 from relnet.errors import FormatError
 from relnet.generators import GeneratorSpec
 from relnet.graphs import read_edge_list
@@ -447,15 +448,29 @@ class TestTrain:
          (["train", "--family", "static_sf", "--gamma", "2.5", "--m", "0"], "--m",
           "must be > 0, got 0.0"),
          (["gen", "--family", "community", "--base", "er", "--p", "0.5", "--mu", "0.1",
-           "--communities", "0"], "--communities", "must be >= 1, got 0")],
+           "--communities", "0"], "--communities", "must be >= 1, got 0"),
+         # The integer flags that are no spec field are read by the same rule.
+         ([*TRAIN, "--seed", "1_6"], "--seed", "must be a JSON integer, got '1_6'"),
+         ([*TRAIN, "--seed", "+16"], "--seed", "must be a JSON integer, got '+16'"),
+         (["import", "--edges", "no.edges", "--seed", "1.0"], "--seed",
+          "must be a JSON integer, got 1.0"),
+         (["import", "--edges", "no.edges", "--sample", ".5"], "--sample",
+          "must be a JSON integer, got '.5'"),
+         (["import", "--edges", "no.edges", "--expect-nodes", "1e2"], "--expect-nodes",
+          "must be a JSON integer, got 100.0"),
+         (["sweep", "--spec", "no.json", "--workers", "2.0"], "--workers",
+          "must be a JSON integer, got 2.0")],
         ids=["train-learning-rate", "gen-p", "train-blob-spread", "train-n-underscore",
              "train-n-plus", "train-epochs-fraction", "gen-p-no-leading-digit",
              "train-epochs-empty", "gen-no-family", "gen-p-range", "train-mu-range",
-             "gen-gamma-range", "train-m-range", "gen-communities-range"],
+             "gen-gamma-range", "train-m-range", "gen-communities-range",
+             "train-seed-underscore", "train-seed-plus", "import-seed-fraction",
+             "import-sample-no-leading-digit", "import-expect-nodes-exponent",
+             "sweep-workers-fraction"],
     )
     def test_bad_flag_value_exits_2_naming_the_flag(self, capsys, tmp_path, argv, flag, rule):
         out = tmp_path / "x.edges"
-        code, stdout, err = run(capsys, *argv, *(["--out", str(out)] if argv[0] == "gen" else []))
+        code, stdout, err = run(capsys, *argv, *(["--out", str(out)] if argv[0] != "train" else []))
         assert (code, stdout) == (2, "")
         (line,) = err.splitlines()
         assert line == f"error: {flag} {rule}"
@@ -1223,6 +1238,50 @@ class TestSweepReport:
         assert (code, stdout) == (2, "")
         assert err.splitlines() == [f"error: {spec}: JSON nested too deep to read"]
         assert out.read_text() == "kept\n"
+
+    def test_spec_that_is_not_json_exits_2_naming_the_file(self, capsys, tmp_path):
+        spec = tmp_path / "bad.json"
+        spec.write_text('{"family": "er",')
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [
+            f"error: {spec}: not JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 17 (char 16)"
+        ]
+
+    BIG = "1" + "0" * 400  # a JSON integer out of float range
+
+    @pytest.mark.parametrize("case", ["spec-key", "train-flag", "records-csv-cell", "stats-cache"])
+    def test_integer_out_of_float_range_exits_2_naming_its_key(self, capsys, tmp_path, case):
+        """A JSON integer read as a float, but too large for one, is refused
+        under its key, flag, column or cache key, with no OverflowError."""
+        spec = tmp_path / "spec.json"
+        cache = tmp_path / STATS_FILENAME
+        if case == "spec-key":
+            spec.write_text(json.dumps(
+                SWEEP_SPEC | {"train": SWEEP_SPEC["train"] | {"learning_rate": int(self.BIG)}}
+            ))
+            argv = ["sweep", "--spec", str(spec), "--out", str(tmp_path / "o.csv")]
+            says = f"sweep spec 'train.learning_rate' must be a JSON number, got {self.BIG}"
+        elif case == "train-flag":
+            argv = [*TestTrain.TRAIN, "--learning-rate", self.BIG]
+            says = f"--learning-rate must be a JSON number, got {self.BIG}"
+        elif case == "records-csv-cell":
+            out = self.edited_sweep_csv(capsys, tmp_path, "p", self.BIG)
+            argv = ["report", "--csv", str(out), "--x", "p"]
+            says = f"{out}: line 2, column p: must be a JSON number, got {self.BIG}"
+        else:  # a pool sweep reads the cache in the sweep process, before any worker starts
+            cache.write_text(f'{{"mean": [{self.BIG}, 0.5, 0.5], "std": [0.2, 0.2, 0.3]}}')
+            spec.write_text(json.dumps(SWEEP_SPEC | {"dataset": {"kind": "cifar10",
+                                                                 "dir": str(tmp_path)}}))
+            argv = ["sweep", "--spec", str(spec), "--out", str(tmp_path / "o.csv"),
+                    "--workers", "2"]
+            says = (f"{cache}: cache 'mean' must be a JSON number, got {self.BIG}; "
+                    "delete it to have them recomputed")
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: {says}"]
 
     def test_sweep_missing_spec_exits_2(self, capsys, tmp_path):
         code, _, err = run(

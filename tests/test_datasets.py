@@ -334,15 +334,40 @@ BAD_STATS = {
 }
 
 
+# What each BAD_STATS error says after the file's name.
+BAD_STATS_SAY = {
+    "no-std": "cache 'std' is required",
+    "zero-std": "cache 'std' must hold numbers > 0, got [0.2, 0.0, 0.3]",
+    "negative-std": "cache 'std' must hold numbers > 0, got [0.2, -0.2, 0.3]",
+    "nan-mean": "cache 'mean' must be a JSON number, got nan",
+    "infinite-std": "cache 'std' must be a JSON number, got inf",
+    "two-channels": "cache 'mean' must hold 3 numbers, got 2",
+    "string-values": "cache 'mean' must be a JSON number, got '0.4'",
+    "boolean-std": "cache 'std' must be a JSON number, got True",
+    "string-mean": "cache 'mean' must be a JSON list, got 'abc'",
+    "not-an-object": "cache must be a JSON object, got [[0.4, 0.5, 0.5], [0.2, 0.2, 0.3]]",
+    "truncated": "cache: not JSON: Expecting value: line 1 column 39 (char 38)",
+    "empty": "cache: not JSON: Expecting value: line 1 column 1 (char 0)",
+    "nested-too-deep": "cache: JSON nested too deep to read",
+}
+
+
 class TestMalformedStatsCache:
-    @pytest.mark.parametrize("text", BAD_STATS.values(), ids=BAD_STATS.keys())
-    def test_raises_format_error_naming_the_file(self, tmp_path, text):
+    @pytest.mark.parametrize("case", BAD_STATS, ids=BAD_STATS.keys())
+    def test_raises_format_error_naming_the_file(self, tmp_path, case):
         path = tmp_path / STATS_FILENAME
-        path.write_text(text)
+        path.write_text(BAD_STATS[case])
         with pytest.raises(FormatError) as info:
             relnet.datasets.channel_stats(tmp_path)
-        assert str(info.value).startswith(f"{path}: ")
-        assert "delete it" in str(info.value)
+        assert str(info.value) == (
+            f"{path}: {BAD_STATS_SAY[case]}; delete it to have them recomputed"
+        )
+
+    def test_cache_text_is_pinned(self, tmp_path):
+        """The cache's JSON text, key order included, as every writer so far wrote it."""
+        path = tmp_path / STATS_FILENAME
+        relnet.datasets._cache_stats(path, [0.25, 0.5, 0.1], [1.0, 0.2, 3.0])
+        assert path.read_text() == '{"mean": [0.25, 0.5, 0.1], "std": [1.0, 0.2, 3.0]}'
 
     def test_integer_values_are_numbers(self, tmp_path):
         (tmp_path / STATS_FILENAME).write_text('{"mean": [0, 0, 1], "std": [1, 2, 1]}')

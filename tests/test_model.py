@@ -280,6 +280,16 @@ class TestCheckpoint:
             save_checkpoint(model, path)
             self.assert_same_bytes(model, load_checkpoint(path))
 
+    def test_meta_text_is_pinned(self, tmp_path):
+        """The meta's JSON text, key order included, as every writer so far wrote it."""
+        path = tmp_path / "model.npz"
+        save_checkpoint(self.make_model(), path)
+        with np.load(path) as data:
+            assert str(data["meta"]) == (
+                '{"width": 10, "rounds": 2, "seed": 21, "use_bias": true, '
+                '"slices": [[0, 3], [3, 3], [6, 2], [8, 2]]}'
+            )
+
     def test_loads_first_v1_writer_files(self, tmp_path):
         for dtype in (np.float32, np.float64):
             model = self.make_model(dtype)
@@ -341,13 +351,13 @@ class TestMalformedCheckpoint:
         assert message in str(err.value)
 
     @pytest.mark.parametrize(
-        "key, kind",
-        [("width", "int"), ("rounds", "int"), ("seed", "int"), ("use_bias", "bool"),
-         ("slices", "list")],
+        "key",
+        ["width", "rounds", "seed", "use_bias", "slices"],
+        ids=["width-int", "rounds-int", "seed-int", "use_bias-bool", "slices-list"],
     )
-    def test_missing_meta_key(self, tmp_path, key, kind):
+    def test_missing_meta_key(self, tmp_path, key):
         path = self.write_altered(tmp_path, drop=[key])
-        self.assert_rejected(path, f"meta has no JSON {kind} {key!r}")
+        self.assert_rejected(path, f"meta {key!r} is required")
 
     @pytest.mark.parametrize(
         "key", ["block_adjacency", "input_w", "input_b", "round_w_1", "round_b_0", "output_w"]
@@ -361,11 +371,16 @@ class TestMalformedCheckpoint:
         self.assert_rejected(path, "no 'meta' array")
 
     @pytest.mark.parametrize(
-        "text", ["{", "[1, 2]", pytest.param("[" * 100_000, id="nested-too-deep")]
+        "text, message",
+        [
+            pytest.param("{", "meta: not JSON: Expecting property name", id="{"),
+            pytest.param("[1, 2]", "meta must be a JSON object, got [1, 2]", id="[1, 2]"),
+            pytest.param("[" * 100_000, "meta: JSON nested too deep to read", id="nested-too-deep"),
+        ],
     )
-    def test_meta_not_a_json_object(self, tmp_path, text):
+    def test_meta_not_a_json_object(self, tmp_path, text, message):
         path = self.write_altered(tmp_path, arrays={"meta": np.array(text)})
-        self.assert_rejected(path, "meta is not")
+        self.assert_rejected(path, message)
 
     @pytest.mark.parametrize(
         "key, value, kind",
@@ -374,7 +389,8 @@ class TestMalformedCheckpoint:
     )
     def test_meta_value_of_the_wrong_type(self, tmp_path, key, value, kind):
         path = self.write_altered(tmp_path, meta={key: value})
-        self.assert_rejected(path, f"meta has no JSON {kind} {key!r}")
+        json_name = {"int": "integer", "bool": "boolean", "list": "list"}[kind]
+        self.assert_rejected(path, f"meta {key!r} must be a JSON {json_name}, got {value!r}")
 
     @pytest.mark.parametrize("width", [8, 12])
     def test_width_disagrees_with_input_w(self, tmp_path, width):
