@@ -177,6 +177,16 @@ exits_2 x_family_agg relnet report --csv "$T/demo.csv" --x family --aggregate-ou
 one_line x_family_agg
 test ! -e "$T/x_family_agg.csv"
 
+check "report --csv X --aggregate-out X and sweep --spec S --out S each exit 2 with one error line and leave X and S byte-identical"
+cp "$T/demo.csv" "$T/same.csv"
+cp sweeps/blobs_demo.json "$T/same.json"
+exits_2 same_csv relnet report --csv "$T/same.csv" --x p --aggregate-out "$T/same.csv"
+one_line same_csv
+cmp "$T/same.csv" "$T/demo.csv"
+exits_2 same_spec relnet sweep --spec "$T/same.json" --out "$T/same.json" --workers 2
+one_line same_spec
+cmp "$T/same.json" sweeps/blobs_demo.json
+
 check "sweep --out in a missing directory exits 2 with one error line naming --out and creates nothing"
 exits_2 missing_out_dir relnet sweep --spec sweeps/blobs_demo.json --out "$T/missing/x.csv" --workers 2
 one_line missing_out_dir

@@ -246,13 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
 # The flag of each library argument that a command passes on unchecked: an
 # InvalidValue on the argument is reported under its flag.
 _FLAG_OF_ARGUMENT = {"workers": "--workers", "x_field": "--x"}
-# The flags naming a file a command writes, checked before the command runs.
+# The flags naming a file a command reads or writes, checked before it runs.
+_INPUT_FLAGS = ("spec", "csv", "edges")
 _OUTPUT_FLAGS = ("out", "log", "ckpt_out", "aggregate_out")
+
+
+def _same_file(a: str, b: str) -> bool:
+    both = os.path.exists(a) and os.path.exists(b)
+    return os.path.samefile(a, b) if both else os.path.realpath(a) == os.path.realpath(b)
 
 
 def _check_outputs(args) -> None:
     """Raise ValueError naming the first output flag whose file cannot be
-    written: its path is a directory, or its directory does not exist."""
+    written: its path is a directory, its directory does not exist, or it
+    names the file of an input flag or of an earlier output flag."""
+    given = [(_flag("", name), getattr(args, name, None)) for name in _INPUT_FLAGS]
     for name in _OUTPUT_FLAGS:
         path = getattr(args, name, None)
         if path is None:
@@ -262,6 +270,10 @@ def _check_outputs(args) -> None:
             raise ValueError(f"{flag} {path!r} is a directory")
         if not os.path.isdir(parent):
             raise ValueError(f"{flag} {path!r}: no directory {parent!r}")
+        for other, other_path in given:
+            if other_path is not None and _same_file(path, other_path):
+                raise ValueError(f"{flag} {path!r} names the same file as {other}")
+        given.append((flag, path))
 
 
 def main(argv=None) -> int:

@@ -11,9 +11,7 @@ import json
 import mmap
 import os
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -32,20 +30,16 @@ ChannelStats = tuple[list[float], list[float]]  # per-channel (mean, std), RGB o
 
 @dataclass(frozen=True)
 class Dataset:
-    """Stored rows (N, D), N >= 1, with integer labels in [0, n_classes).
+    """Feature rows (N, D), N >= 1, with integer labels in [0, n_classes).
 
-    `features` holds the rows as stored: an array, or an array-like with
-    `shape` and `[index]`. When `decode` is set, it maps any block of stored
-    rows to the feature values (CIFAR-10 keeps its uint8 pixels in the page
-    cache, one copy per machine shared by every process that loads them, and
-    standardizes each block as it is read); read feature values through
-    `rows`.
+    `features` is an array, or an array-like with `shape` whose `[index]`
+    gives the selected rows' feature values as numpy selects rows (CIFAR-10's
+    `MappedPixels` decodes its stored bytes as it gathers them).
     """
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    decode: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.features.shape[0] == 0:
@@ -65,26 +59,28 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def rows(self, index) -> np.ndarray:
-        """Feature values of the rows selected by `index`, as numpy selects
-        rows; a fresh array when decoded."""
-        x = self.features[index]
-        return x if self.decode is None else self.decode(x)
-
 
 class MappedPixels:
-    """The (N, 3072) uint8 pixel rows of a CIFAR-10 split, over the read-only
-    mappings of its files, each a (records, 3073) array.
+    """The (N, 3072) feature rows of a CIFAR-10 split, kept as the uint8
+    pixels of its files' read-only mappings, each a (records, 3073) array.
 
     `[index]` selects rows as numpy selects them from an (N,) array (a slice,
-    a scalar, an integer array of any shape, a bool mask) and gathers them
-    into a new array.
+    a scalar, an integer array of any shape, a bool mask), gathers their
+    pixels into a new array and decodes it: cast to dtype, scaled to [0,1]
+    and, given mean and std (three each), each channel standardized. Each
+    pass is one correctly rounded operation per element that depends only on
+    the pixel byte and its channel, so a block equals the same rows of the
+    whole decoded split bit for bit.
     """
 
-    def __init__(self, files: list[np.ndarray]):
+    def __init__(self, files: list[np.ndarray], dtype, mean=None, std=None):
         self._pixels = [records[:, 1:] for records in files]
         self._records = files[0].shape[0]
         self.shape = (len(files) * self._records, CIFAR_DIM)
+        self._dtype = dtype
+        if mean is not None:
+            mean, std = (np.asarray(v, dtype=dtype).reshape(1, 3, 1) for v in (mean, std))
+        self._mean, self._std = mean, std
 
     def __getitem__(self, index) -> np.ndarray:
         rows = np.arange(self.shape[0])[index]
@@ -93,7 +89,13 @@ class MappedPixels:
         for f, pixels in enumerate(self._pixels):
             hit = file == f
             out[hit] = pixels[row[hit]]
-        return out
+        x = out.astype(self._dtype)
+        x /= 255.0
+        if self._mean is not None:
+            planes = x.reshape(-1, 3, CIFAR_DIM // 3)
+            planes -= self._mean
+            planes /= self._std
+        return x
 
 
 def _map_cifar_file(path: Path) -> np.ndarray:
@@ -111,7 +113,9 @@ def _train_paths(dir_path) -> list[Path]:
     return [Path(dir_path) / f"data_batch_{b}.bin" for b in range(1, 6)]
 
 
-def _load_split(paths: list[Path]) -> tuple[MappedPixels, np.ndarray]:
+def _load_split(
+    paths: list[Path], dtype, mean=None, std=None
+) -> tuple[MappedPixels, np.ndarray]:
     """Map each file read-only; its pixel rows stay in the page cache, and
     its labels are checked and copied."""
     files, labels = [], []
@@ -122,25 +126,7 @@ def _load_split(paths: list[Path]) -> tuple[MappedPixels, np.ndarray]:
             raise FormatError(f"{path}: label byte {file_labels.max()} exceeds {CIFAR_CLASSES - 1}")
         files.append(records)
         labels.append(file_labels)
-    return MappedPixels(files), np.concatenate(labels)
-
-
-def decode_pixels(pixels: np.ndarray, dtype, mean=None, std=None) -> np.ndarray:
-    """Feature values of a block of CIFAR-10 pixel rows, as a new array.
-
-    Casts to dtype and scales to [0,1]; with mean and std (dtype arrays of
-    shape (1, 3, 1)) it then standardizes each channel in place. Each pass
-    is one correctly rounded operation per element whose result depends only
-    on the pixel byte and its channel, so a block equals the same rows of the
-    whole decoded split bit for bit.
-    """
-    x = pixels.astype(dtype)
-    x /= 255.0
-    if mean is not None:
-        planes = x.reshape(-1, 3, CIFAR_DIM // 3)
-        planes -= mean
-        planes /= std
-    return x
+    return MappedPixels(files, dtype, mean, std), np.concatenate(labels)
 
 
 def channel_stats(dir_path) -> ChannelStats:
@@ -148,16 +134,17 @@ def channel_stats(dir_path) -> ChannelStats:
     read from the cache next to the data when it exists. Else they are
     computed from the single-precision [0,1] values at any load precision, so
     the cache never depends on which load wrote it, and cached
-    (`_cache_stats`); that decodes the whole training set once, plus a
-    float64 temporary of it. A sweep's pool calls this once, in the sweep
-    process, and hands the result to its workers (`load_cifar10`'s `stats`).
+    (`_cache_stats`); that decodes the whole training set once (a
+    `MappedPixels` without mean and std), plus a float64 temporary of it. A
+    sweep's pool calls this once, in the sweep process, and hands the result
+    to its workers (`load_cifar10`'s `stats`).
     A cache that is not a `_StatsCache` (`read_spec`) raises FormatError."""
     path = Path(dir_path) / STATS_FILENAME
     if path.exists():
         return _read_stats(path)
-    x_train, _ = _load_split(_train_paths(dir_path))
+    x_train, _ = _load_split(_train_paths(dir_path), np.float32)
     # Channels are the three contiguous planes of each record.
-    planes = decode_pixels(x_train[:], np.float32).reshape(-1, 3, CIFAR_DIM // 3)
+    planes = x_train[:].reshape(-1, 3, CIFAR_DIM // 3)
     mean = planes.mean(axis=(0, 2), dtype=np.float64).tolist()
     std = planes.std(axis=(0, 2), dtype=np.float64).tolist()
     _cache_stats(path, mean, std)
@@ -210,33 +197,24 @@ def load_cifar10(
 ) -> tuple[Dataset, Dataset]:
     """Load the six binary batches under dir_path.
 
-    Each split keeps its pixels as a read-only (N, 3072) uint8 array-like
-    over the mapped files (`MappedPixels`): no load-time copy, and every
-    process on the machine that loads the same files shares the one copy the
-    page cache holds (0.18 GB in all). Rows decode to dtype features as they
-    are read (`decode_pixels`): scaled to [0,1], then each channel
-    standardized with the training set's (mean, std). `stats` gives them;
-    None looks them up with `channel_stats`, which computes them once and
-    caches them as JSON next to the data (written atomically; skipped when
-    the directory is read-only).
+    Each split's features are a `MappedPixels` over the mapped files: no
+    load-time copy, and every process on the machine that loads the same
+    files shares the one copy the page cache holds (0.18 GB in all). Its
+    rows decode to dtype features as they are read: scaled to [0,1], then
+    each channel standardized with the training set's (mean, std). `stats`
+    gives them; None looks them up with `channel_stats` first, which
+    computes them once and caches them as JSON next to the data (written
+    atomically; skipped when the directory is read-only).
 
     The files must not change while the datasets are in use: after one is
     rewritten in place (a copy over it, a truncation), reading a row past its
     new end kills the process with SIGBUS, and rewritten rows change under
     it. Replacing a file by a rename is safe: the mapping keeps the old file.
     """
-    x_train, y_train = _load_split(_train_paths(dir_path))
-    x_test, y_test = _load_split([Path(dir_path) / "test_batch.bin"])
     mean, std = channel_stats(dir_path) if stats is None else stats
-    decode = partial(
-        decode_pixels,
-        dtype=dtype,
-        mean=np.asarray(mean, dtype=dtype).reshape(1, 3, 1),
-        std=np.asarray(std, dtype=dtype).reshape(1, 3, 1),
-    )
-    train = Dataset(x_train, y_train, CIFAR_CLASSES, decode)
-    test = Dataset(x_test, y_test, CIFAR_CLASSES, decode)
-    return train, test
+    x_train, y_train = _load_split(_train_paths(dir_path), dtype, mean, std)
+    x_test, y_test = _load_split([Path(dir_path) / "test_batch.bin"], dtype, mean, std)
+    return Dataset(x_train, y_train, CIFAR_CLASSES), Dataset(x_test, y_test, CIFAR_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -282,11 +260,11 @@ def synthetic_blobs(
 def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int):
     """Yield (x, y) minibatches under a fresh shuffle per (seed, epoch).
 
-    x holds feature values (`Dataset.rows`), decoded per batch for a coded
-    dataset. The trailing partial batch is kept.
+    x holds the batch's feature values (`features[idx]`, which CIFAR-10's
+    `MappedPixels` decodes per batch); the trailing partial batch is kept.
     """
     require_at_least(1, batch_size=batch_size)
     order = rng(child_seed(seed, epoch)).permutation(ds.n)
     for start in range(0, ds.n, batch_size):
         idx = order[start : start + batch_size]
-        yield ds.rows(idx), ds.labels[idx]
+        yield ds.features[idx], ds.labels[idx]

@@ -537,7 +537,8 @@ def read_records_csv(path) -> list[ExperimentRecord]:
     refuses (a field over its size limit, say) or a last line without its
     newline (a row cut mid-write) raises FormatError naming the line. Each
     cell is read by `_read_value` (`text_value`), so a value that is not
-    its column's type names the column too."""
+    its column's type names the column too, as does a status that is
+    neither ok nor error:<Name> and an ok row without a top1_error."""
     types = field_types(ExperimentRecord)
     records = []
     with open(path, newline="") as fh:
@@ -565,6 +566,11 @@ def read_records_csv(path) -> list[ExperimentRecord]:
                 else:  # an empty cell is the field's default, None where it has none
                     value = None if f.default is MISSING else f.default
                 values[f.name] = _read_value(kind, value, f.name, source)
+            status = values["status"]
+            if status != "ok" and not (status.startswith("error:") and status[6:].isidentifier()):
+                raise FormatError(f"{source('status')} must be ok or error:<Name>, got {status!r}")
+            if status == "ok" and values["top1_error"] is None:
+                raise FormatError(f"{source('top1_error')} must not be empty on an ok row")
             records.append(ExperimentRecord(**values))
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc

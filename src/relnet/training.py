@@ -173,8 +173,8 @@ def sgd_step(
 def evaluate(model: MlpModel, dataset: Dataset, batch_size: int = 1000) -> EvalResult:
     """Top-1 error and mean loss; argmax ties resolve to the lowest class.
 
-    Reads the feature values in blocks of batch_size rows (`Dataset.rows`),
-    so a coded dataset is decoded one block at a time. Each block goes
+    Reads the feature values in blocks of batch_size rows (`features[block]`),
+    so CIFAR-10's `MappedPixels` decodes one block at a time. Each block goes
     straight into a `forward` that keeps no cache, so at most one block and
     two layers' activations are alive at once.
     """
@@ -182,7 +182,7 @@ def evaluate(model: MlpModel, dataset: Dataset, batch_size: int = 1000) -> EvalR
     loss_sum = 0.0
     for start in range(0, dataset.n, batch_size):
         block = slice(start, start + batch_size)
-        logits, _ = forward(model, dataset.rows(block), keep_cache=False)
+        logits, _ = forward(model, dataset.features[block], keep_cache=False)
         y = dataset.labels[block]
         pred = np.argmax(logits, axis=1)
         wrong += int((pred != y).sum())

@@ -922,6 +922,56 @@ class TestSweepReport:
         assert err.splitlines() == [f"error: {line}"]
         assert os.listdir(tmp_path) == ["spec.json"]
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [(["report", "--csv", "r.csv", "--x", "p", "--aggregate-out", "r.csv"],
+          "--aggregate-out 'r.csv' names the same file as --csv"),
+         (["report", "--csv", "r.csv", "--x", "p", "--aggregate-out", "hard.csv"],
+          "--aggregate-out 'hard.csv' names the same file as --csv"),
+         (["report", "--csv", "link.csv", "--x", "p", "--aggregate-out", "r.csv"],
+          "--aggregate-out 'r.csv' names the same file as --csv"),
+         (["sweep", "--spec", "spec.json", "--out", "spec.json"],
+          "--out 'spec.json' names the same file as --spec"),
+         (["sweep", "--spec", "spec.json", "--out", "./spec.json", "--workers", "2"],
+          "--out './spec.json' names the same file as --spec"),
+         (["import", "--edges", "g.edges", "--out", "g.edges"],
+          "--out 'g.edges' names the same file as --edges"),
+         (["train", "--family", "complete", "--n", "4", "--width", "8", "--epochs", "1",
+           "--log", "run.out", "--ckpt-out", "run.out"],
+          "--ckpt-out 'run.out' names the same file as --log")],
+        ids=["report", "report-hard-link", "report-symlink", "sweep", "sweep-workers-2",
+             "import", "train-log-ckpt"],
+    )
+    def test_output_naming_another_flags_file_exits_2_and_leaves_it_unchanged(
+        self, capsys, tmp_path, monkeypatch, argv, line
+    ):
+        """An output flag that names the file of an input flag (by another
+        path, a hard link or a symlink too), or of another output flag, is
+        refused before anything is read or written."""
+        monkeypatch.chdir(tmp_path)
+        self.write_spec(tmp_path)
+        assert run(capsys, "sweep", "--spec", "spec.json", "--out", "r.csv")[0] == 0
+        os.link("r.csv", "hard.csv")
+        os.symlink("r.csv", "link.csv")
+        Path("g.edges").write_text("0 1\n1 2\n2 0\n")
+        before = {name: Path(name).read_bytes() for name in os.listdir(tmp_path)}
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: {line}"]
+        assert {name: Path(name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+    def test_report_on_an_ok_row_without_top1_error_exits_2(self, capsys, tmp_path):
+        out = self.edited_sweep_csv(capsys, tmp_path, "top1_error", "")
+        before = out.read_bytes()
+        for argv in (["report", "--csv", str(out), "--x", "p"],
+                     ["sweep", "--spec", str(self.write_spec(tmp_path)), "--out", str(out),
+                      "--resume"]):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (2, ""), argv
+            assert err == (f"error: {out}: line 2, column top1_error: "
+                           "must not be empty on an ok row\n")
+            assert out.read_bytes() == before
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="the killing cell function reaches the workers only by fork",

@@ -21,7 +21,6 @@ from relnet.datasets import (
     BlobsSpec,
     Dataset,
     batch_iter,
-    decode_pixels,
     load_cifar10,
     synthetic_blobs,
 )
@@ -87,7 +86,7 @@ class TestLoadCifar10:
 
     def test_raw_mode_range_and_values(self, cifar_dir):
         train, _ = load_cifar10(cifar_dir, stats=IDENTITY_STATS)
-        features = decode_pixels(train.features[:], np.float32)
+        features = train.features[:]
         assert features.min() >= 0.0
         assert features.max() <= 1.0
         # rows 0..199 come from the first training file, in record order
@@ -96,7 +95,7 @@ class TestLoadCifar10:
 
     def test_standard_mode_statistics(self, cifar_dir):
         train, _ = load_cifar10(cifar_dir)
-        planes = train.rows(slice(None)).reshape(-1, 3, 1024)
+        planes = train.features[:].reshape(-1, 3, 1024)
         mean = planes.mean(axis=(0, 2), dtype=np.float64)
         std = planes.std(axis=(0, 2), dtype=np.float64)
         assert np.abs(mean).max() <= 1e-6
@@ -121,7 +120,7 @@ class TestLoadCifar10:
         train, _ = load_cifar10(root)
         raw = _file_pixels01(root / "data_batch_1.bin", rows=200)
         expected = (raw.reshape(-1, 3, 1024) - 0.5) / 2.0
-        features = train.rows(slice(None))
+        features = train.features[:]
         assert np.abs(features[:200] - expected.reshape(-1, CIFAR_DIM)).max() <= 1e-6
 
     def test_test_set_uses_train_statistics(self, cifar_dir):
@@ -132,7 +131,7 @@ class TestLoadCifar10:
         expected = (planes - np.array(stats["mean"]).reshape(1, 3, 1)) / np.array(
             stats["std"]
         ).reshape(1, 3, 1)
-        features = test.rows(slice(None))
+        features = test.features[:]
         assert np.abs(features[:200] - expected.reshape(-1, CIFAR_DIM)).max() <= 1e-5
 
     def test_truncated_file_reports_counts(self, cifar_dir, tmp_path):
@@ -169,7 +168,7 @@ class TestLoadCifar10:
     )
     def test_real_channel_means(self):
         train, _ = load_cifar10(os.environ["RELNET_CIFAR10_DIR"], stats=IDENTITY_STATS)
-        planes = decode_pixels(train.features[:], np.float32).reshape(-1, 3, 1024)
+        planes = train.features[:].reshape(-1, 3, 1024)
         mean = planes.mean(axis=(0, 2), dtype=np.float64)
         # published per-channel means of the CIFAR-10 training set
         assert np.abs(mean - [0.4914, 0.4822, 0.4465]).max() < 5e-3
@@ -201,9 +200,9 @@ STANDARD_DTYPES = pytest.mark.parametrize(
 def _assert_same_bytes(train, test, expected):
     x_train, y_train, x_test, y_test, _ = expected
     for got, want in [
-        (train.rows(slice(None)), x_train),
+        (train.features[:], x_train),
         (train.labels, y_train),
-        (test.rows(slice(None)), x_test),
+        (test.features[:], x_test),
         (test.labels, y_test),
     ]:
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -292,18 +291,18 @@ class TestLoaderMatchesWholeArrayArithmetic:
         """With no statistics cache to share, a 2-worker sweep still decodes
         the training set for its statistics once, in the sweep process, and
         its rows equal those of a 1-worker sweep. The workers are forked, so
-        the counting wrapper runs in them too; each statistics decode (a
-        decode without mean and std) appends its pid to a file."""
+        the counting wrapper runs in them too; each `MappedPixels` built for
+        the statistics (one without mean and std) appends its pid to a file."""
         calls = tmp_path_factory.mktemp("calls") / "stats_decodes"
-        decode = relnet.datasets.decode_pixels
+        mapped = relnet.datasets.MappedPixels
 
-        def counted(pixels, dtype, mean=None, std=None):
+        def counted(files, dtype, mean=None, std=None):
             if mean is None:
                 with open(calls, "a") as fh:
                     fh.write(f"{os.getpid()}\n")
-            return decode(pixels, dtype, mean, std)
+            return mapped(files, dtype, mean, std)
 
-        monkeypatch.setattr(relnet.datasets, "decode_pixels", counted)
+        monkeypatch.setattr(relnet.datasets, "MappedPixels", counted)
         monkeypatch.setattr(relnet.datasets, "_cache_stats", lambda *args: None)
         spec = _cifar10_sweep(small_cifar_dir)
         pooled = run_sweep(spec, workers=2)
@@ -446,7 +445,8 @@ class TestCodedDataset:
         train, test = load_cifar10(cifar_dir, stats=IDENTITY_STATS)
         for ds, n in ((train, 50000), (test, 10000)):
             assert ds.features.shape == (n, CIFAR_DIM)
-            assert ds.features[n - 2 :].dtype == np.uint8
+            assert [part.dtype for part in ds.features._pixels] == [np.uint8] * (n // 10000)
+            assert ds.features[n - 2 :].dtype == np.float32
 
     @STANDARD_DTYPES
     def test_batches_match_oracle_rows(self, small_cifar_dir, dtype):
@@ -465,7 +465,7 @@ class TestCodedDataset:
         coded, _ = load_cifar10(small_cifar_dir)
         plain, _ = _oracle_datasets(small_cifar_dir, np.float32)
         index = make_index(coded.n)
-        got, want = coded.rows(index), plain.rows(index)
+        got, want = coded.features[index], plain.features[index]
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -477,7 +477,7 @@ class TestCodedDataset:
         plain, _ = _oracle_datasets(small_cifar_dir, np.float32)
         for ds in (coded, plain):
             with pytest.raises(IndexError):
-                ds.rows(make_index(ds.n))
+                ds.features[make_index(ds.n)]
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_training_matches_oracle_dataset(self, small_cifar_dir, precision):
@@ -527,8 +527,11 @@ class TestMappedPixels:
         return train.features, _split_pixels(cifar_dir, FILES[:5])
 
     def assert_rows(self, got, want):
-        assert got.dtype == np.uint8 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        """`got` is the decode of the pixel rows `want`: with the identity
+        statistics, their [0,1] float32 values."""
+        assert want.dtype == np.uint8
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == (want.astype(np.float32) / np.float32(255)).tobytes()
 
     def test_shape_and_block_dtype(self, mapped):
         pixels, want = mapped

@@ -926,6 +926,29 @@ class TestCsv:
         with pytest.raises(FormatError, match=rf"records.csv: line 2, column {column}: must be "):
             read_records_csv(path)
 
+    @pytest.mark.parametrize("column, text, says", [
+        ("top1_error", "", "column top1_error: must not be empty on an ok row"),
+        ("status", "done", "column status: must be ok or error:<Name>, got 'done'"),
+        ("status", "", "column status: must be ok or error:<Name>, got ''"),
+        ("status", "error:", "column status: must be ok or error:<Name>, got 'error:'"),
+        ("status", "error:Value Error",
+         "column status: must be ok or error:<Name>, got 'error:Value Error'"),
+        ("status", "OK", "column status: must be ok or error:<Name>, got 'OK'"),
+    ], ids=["ok-without-top1_error", "done", "empty", "error-without-name",
+            "error-name-not-a-word", "upper-case-ok"])
+    def test_status_and_result_are_checked(self, tmp_path, column, text, says):
+        """A row's status is ok or error:<exception name>, and an ok row has
+        its result: a report would average it, a resume skip its cell."""
+        path = tmp_path / "records.csv"
+        write_records_csv([make_record()], path)
+        header, line = path.read_text().splitlines()
+        row = line.split(",")
+        row[CSV_HEADER.index(column)] = text
+        path.write_text(f"{header}\n{','.join(row)}\n")
+        with pytest.raises(FormatError) as info:
+            read_records_csv(path)
+        assert str(info.value) == f"{path}: line 2, {says}"
+
     def test_append_keeps_single_header(self, tmp_path):
         path = tmp_path / "records.csv"
         records = self.sample_records()

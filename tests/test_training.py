@@ -8,7 +8,7 @@ import pytest
 
 from _oracles import DenseMlp, masked_mlp_loss_and_grads, masked_mlp_sgd_step
 import relnet.training
-from relnet.datasets import Dataset, decode_pixels, synthetic_blobs
+from relnet.datasets import CIFAR_DIM, Dataset, MappedPixels, synthetic_blobs
 from relnet.errors import InvalidValue, NumericError, ShapeError
 from relnet.generators import gen_complete, gen_er
 from relnet.graphs import from_edge_pairs
@@ -559,16 +559,20 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_evaluate_holds_one_block(self, dtype):
+        # One in-memory "file" of 2500 CIFAR-10 records. While a block is
+        # decoded its pixel bytes are alive too, a quarter of the block in
+        # single precision; at width 512, as in the paper, the bound's two
+        # and a half layers cover them.
         rng = np.random.default_rng(0)
+        records = rng.integers(0, 256, size=(2500, 1 + CIFAR_DIM), dtype=np.uint8)
         coded = Dataset(
-            features=rng.integers(0, 256, size=(2500, 768), dtype=np.uint8),
+            features=MappedPixels([records], dtype),
             labels=rng.integers(0, 10, size=2500),
             n_classes=10,
-            decode=lambda pixels: decode_pixels(pixels, dtype),
         )
-        model = init_model(gen_er(8, 0.5, seed=1), 256, 5, 768, 10, seed=1, dtype=dtype)
+        model = init_model(gen_er(8, 0.5, seed=1), 512, 5, CIFAR_DIM, 10, seed=1, dtype=dtype)
         item = np.dtype(dtype).itemsize
-        block, hidden = 1000 * 768 * item, 1000 * 256 * item
+        block, hidden = 1000 * CIFAR_DIM * item, 1000 * 512 * item
         tracemalloc.start()
         try:
             evaluate(model, coded)
