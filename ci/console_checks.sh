@@ -239,6 +239,20 @@ check "train on an empty blobs test split exits 2 with the one error line naming
 exits_2 empty_test_blobs relnet train --family complete --n 4 --width 8 --rounds 1 --epochs 1 --blob-test-n-per-class 0
 test "$(cat "$T/empty_test_blobs.err")" = "error: --blob-test-n-per-class must be >= 1, got 0"
 
+check "a sweep cell and a train run whose one update diverges end in NumericError (an error row at exit 0, and exit 2 with one error line), with no numpy warning; a normal train prints strict JSON"
+cat > "$T/diverge.json" <<'JSON'
+{"family": "er", "n": 8, "axis1": {"name": "p", "values": [0.5]}, "seeds": [0], "model": {"width": 16, "rounds": 1}, "train": {"epochs": 1, "batch_size": 50, "learning_rate": 1e30}, "dataset": {"kind": "blobs", "n_per_class": 5, "test_n_per_class": 2}}
+JSON
+relnet sweep --spec "$T/diverge.json" --out "$T/diverge.csv" 2> "$T/diverge_sweep.err"
+cat "$T/diverge_sweep.err" "$T/diverge.csv"
+test ! -s "$T/diverge_sweep.err"
+python3 -c 'import csv, sys; rows = list(csv.DictReader(open(sys.argv[1], newline=""))); sys.exit(0 if [r["status"] for r in rows] == ["error:NumericError"] else 1)' "$T/diverge.csv"
+exits_2 diverge_train relnet train --family er --n 8 --p 0.5 --width 16 --rounds 1 --epochs 1 --blob-n-per-class 5 --blob-test-n-per-class 2 --learning-rate 1e30
+one_line diverge_train
+relnet train --family er --n 8 --p 0.5 --width 16 --rounds 1 --epochs 1 --blob-n-per-class 5 --blob-test-n-per-class 2 > "$T/strict.out"
+cat "$T/strict.out"
+python3 -c 'import json, sys; json.load(open(sys.argv[1]), parse_constant=lambda c: sys.exit(f"not JSON: {c}"))' "$T/strict.out"
+
 check "train --ckpt-out writes a checkpoint that relnet.load_checkpoint reads with its width and every masked entry zero"
 relnet train --family er --n 12 --p 0.5 --width 30 --rounds 2 --epochs 1 --blob-n-per-class 20 --seed 3 --ckpt-out "$T/model.npz"
 python3 -c 'import sys, relnet; m = relnet.load_checkpoint(sys.argv[1]); print("width", m.width, "rounds", m.rounds); sys.exit(0 if m.masked_entries_zero() and m.width == 30 and m.rounds == 2 else 1)' "$T/model.npz"

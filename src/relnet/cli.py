@@ -103,8 +103,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    summary = _metrics_dict(read_edge_list(args.edges))
-    print(json.dumps(summary))
+    print(json.dumps(_metrics_dict(read_edge_list(args.edges))))
     return 0
 
 

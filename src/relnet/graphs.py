@@ -191,9 +191,7 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     for v in kept:
         if not (0 <= v < g.node_count):
             raise InvalidNodeId(f"node {v} out of range")
-    labels = None
-    if g.community_of is not None:
-        labels = [g.community_of[v] for v in kept]
+    labels = None if g.community_of is None else [g.community_of[v] for v in kept]
     return from_adjacency(g.adjacency[np.ix_(kept, kept)], community_of=labels)
 
 
@@ -306,11 +304,8 @@ def compute_metrics(g: Graph) -> GraphMetrics:
 
 def write_edge_list(g: Graph, path) -> None:
     lines = [f"# nodes {g.node_count}"]
-    if g.community_of is not None:
-        for v in range(g.node_count):
-            lines.append(f"# community {v} {g.community_of[v]}")
-    for i, j in sorted(g.edges):
-        lines.append(f"{i} {j}")
+    lines += [f"# community {v} {label}" for v, label in enumerate(g.community_of or ())]
+    lines += [f"{i} {j}" for i, j in sorted(g.edges)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -304,17 +304,17 @@ def _execute_cell(
 _WORKER_ARGS: tuple[SweepSpec, Dataset, Dataset] | Exception | None = None
 
 
-def _worker_init(spec: SweepSpec, workers: int, stats: ChannelStats | None) -> None:
+def _worker_init(spec: SweepSpec, stats: ChannelStats | None) -> None:
     """Take the sweep-wide settings and load the worker's datasets, with the
     CIFAR-10 channel `stats` the sweep process resolved (None for blobs). Unless
-    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, give the worker's
-    OpenBLAS an equal share of the usable CPUs, so the pool's BLAS threads do
-    not outnumber the cores."""
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, run the worker's OpenBLAS on
+    one thread, so a pool row (whose bytes the count moves under `Haswell`) is
+    the same at any `workers`, after any resume and on any host."""
     global _WORKER_ARGS
     if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
         set_threads = _openblas_function("set_num_threads")
         if set_threads is not None:
-            set_threads(max(1, len(os.sched_getaffinity(0)) // workers))
+            set_threads(1)
     try:
         _WORKER_ARGS = (spec, *build_dataset(spec.dataset, dtype=spec.train.dtype, stats=stats))
     except Exception as exc:  # raised by every cell, so the sweep ends as at --workers 1
@@ -328,15 +328,15 @@ def _worker_run(cell: SweepCell) -> ExperimentRecord:
 
 
 def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
-    """The records of `cells` in their order: computed in this process when
-    `workers` or the number of cells is 1, else by a pool of one process per
-    cell up to `workers`. Before the pool starts, this process resolves the
+    """The records of `cells` in their order: computed in this process, at its
+    BLAS thread count, when `workers` is 1, else by a pool of min(`workers`,
+    cells) processes (one even for a lone cell), each on `_worker_init`'s
+    thread rule. Before the pool starts, this process resolves the
     CIFAR-10 channel statistics (`channel_stats`) and hands them to every
     worker, so a sweep computes them at most once, even on a read-only data
     directory. With no cell left, no dataset is read at any `workers`."""
     if not cells:
         return
-    workers = min(workers, len(cells))
     if workers == 1:
         train_ds, test_ds = build_dataset(spec.dataset, dtype=spec.train.dtype)
         for cell in cells:
@@ -345,7 +345,7 @@ def _records(spec: SweepSpec, cells: list[SweepCell], workers: int):
     dataset = read_dataset_spec(spec.dataset)
     stats = channel_stats(dataset.dir) if isinstance(dataset, Cifar10Spec) else None
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(spec, workers, stats)
+        max_workers=min(workers, len(cells)), initializer=_worker_init, initargs=(spec, stats)
     ) as pool:
         try:
             yield from pool.map(_worker_run, cells)
@@ -407,11 +407,8 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict]:
         key = tuple(getattr(rec, f) for f in GROUP_FIELDS)
         groups.setdefault(key, []).append(rec)
 
-    def sort_key(key):
-        return tuple((v is None, v) for v in key)
-
     rows = []
-    for key in sorted(groups, key=sort_key):
+    for key in sorted(groups, key=lambda key: tuple((v is None, v) for v in key)):
         recs = groups[key]
         ok = [r for r in recs if r.status == "ok"]
         row = dict(zip(GROUP_FIELDS, key))
@@ -419,10 +416,8 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict]:
         row["n_failed"] = len(recs) - len(ok)
         errors = [r.top1_error for r in ok]
         row["top1_mean"] = float(np.mean(errors)) if errors else None
-        if len(errors) > 1:
-            row["top1_std"] = float(np.std(errors, ddof=1))
-        else:
-            row["top1_std"] = 0.0 if errors else None
+        spread = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0
+        row["top1_std"] = spread if errors else None
         for metric in METRIC_FIELDS:
             values = [getattr(r, metric) for r in ok if getattr(r, metric) is not None]
             row[metric] = float(np.mean(values)) if values else None

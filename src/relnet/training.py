@@ -172,6 +172,7 @@ def sgd_step(
 
 def evaluate(model: MlpModel, dataset: Dataset, batch_size: int = 1000) -> EvalResult:
     """Top-1 error and mean loss; argmax ties resolve to the lowest class.
+    A loss that is not finite (a diverged model) raises NumericError.
 
     Reads the feature values in blocks of batch_size rows (`features[block]`),
     so CIFAR-10's `MappedPixels` decodes one block at a time. Each block goes
@@ -188,6 +189,8 @@ def evaluate(model: MlpModel, dataset: Dataset, batch_size: int = 1000) -> EvalR
         wrong += int((pred != y).sum())
         losses, _ = _softmax_stats(logits, y)
         loss_sum += float(losses.sum())
+    if not math.isfinite(loss_sum):
+        raise NumericError(f"non-finite evaluation loss {loss_sum}")
     n = dataset.n
     return EvalResult(
         top1_error_percent=100.0 * wrong / n,
@@ -196,6 +199,7 @@ def evaluate(model: MlpModel, dataset: Dataset, batch_size: int = 1000) -> EvalR
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every non-finite outcome is checked
 def train(
     model: MlpModel,
     train_set: Dataset,
@@ -214,6 +218,9 @@ def train(
     weights are the same either way. Epoch e shuffles with
     `batch_iter(train_set, config.batch_size, seed, e)`, so a run is
     deterministic for a fixed model, config and seed.
+
+    A step or evaluation loss that is not finite, or a masked weight off
+    zero, raises NumericError naming the epoch, with no numpy warning.
 
     Besides the model, a run holds the momentum buffers, one step's
     gradients (released once applied) and one step's activations.
@@ -246,7 +253,10 @@ def train(
             raise NumericError(f"mask violated at epoch {epoch}")
         evaluated = eval_every_epoch or epoch == config.epochs - 1
         if evaluated:
-            result = evaluate(model, test_set)
+            try:
+                result = evaluate(model, test_set)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}: {exc}") from exc
         log.append(
             {
                 "epoch": epoch,

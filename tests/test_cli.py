@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -381,6 +382,19 @@ class TestTrain:
         )
         assert code == 2
         assert "exactly one of --edges or --family" in err
+
+    def test_diverging_train_exits_2_with_one_error_line(self, capsys):
+        """The run's one update sends the weights to NaN: an error, not a
+        summary with "loss": NaN (not JSON), and no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(
+                capsys, "train", "--family", "er", "--n", "8", "--p", "0.5", "--width", "16",
+                "--rounds", "1", "--epochs", "1", "--blob-n-per-class", "5",
+                "--blob-test-n-per-class", "2", "--learning-rate", "1e30",
+            )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == ["error: epoch 0: non-finite evaluation loss nan"]
 
     def test_train_cifar_requires_data_dir(self, capsys):
         code, stdout, err = run(

@@ -356,6 +356,14 @@ class TestRunSweep:
                            model=ModelSpec(width=4, rounds=1))
         assert [r.status for r in run_sweep(narrow)] == ["error:TooManyNodes"]
 
+    def test_a_diverging_last_update_is_an_error_row(self):
+        """A 1-epoch cell whose only update sends the weights to NaN fails at
+        its evaluation, not with the 90% error of NaN logits' argmax."""
+        spec = tiny_spec(axis1=Axis("p", (0.5,)), axis2=None, communities=(1,), seeds=(0,),
+                         train=replace(TINY_TRAIN, learning_rate=1e30))
+        (record,) = run_sweep(spec)
+        assert (record.status, record.top1_error) == ("error:NumericError", None)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_rows_do_not_abort_mixed_sweeps(self, workers):
         spec = tiny_spec(
@@ -411,23 +419,27 @@ class TestRunSweep:
         reason="the counting initializer reaches the workers only by fork",
     )
     def test_pool_starts_one_worker_per_cell_left(self, monkeypatch, tmp_path):
-        """Each worker loads the datasets and takes its share of the BLAS
-        threads, so 2 cells at workers=3 start 2 workers sharing the CPUs by 2,
-        and 1 cell runs in this process."""
+        """Each worker loads the datasets and runs OpenBLAS on one thread, so
+        2 cells at workers=3 start 2 workers on one thread each, and a resume
+        with 1 cell left at workers=3 starts one worker."""
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         worker_init = relnet.sweep._worker_init
+        get_threads = relnet.graphs._openblas_function("get_num_threads")
 
-        def counting_init(spec, workers, stats):
-            (tmp_path / str(os.getpid())).write_text(str(workers))
-            worker_init(spec, workers, stats)
+        def counting_init(spec, stats):
+            worker_init(spec, stats)
+            threads = get_threads() if get_threads else 1
+            (tmp_path / f"{os.getpid()}.{time.monotonic_ns()}").write_text(str(threads))
 
         monkeypatch.setattr(relnet.sweep, "_worker_init", counting_init)
         spec = tiny_spec(axis2=None, seeds=(0,))
         pooled = [replace(r, wall_ms=0.0) for r in run_sweep(spec, workers=3)]
-        assert sorted(path.read_text() for path in tmp_path.iterdir()) == ["2", "2"]
+        assert sorted(path.read_text() for path in tmp_path.iterdir()) == ["1", "1"]
         inline = run_sweep(spec, workers=1)
         assert pooled == [replace(r, wall_ms=0.0) for r in inline]
         assert run_sweep(spec, workers=3, finished=inline[:1])[0].status == "ok"
-        assert len(list(tmp_path.iterdir())) == 2
+        assert sorted(path.read_text() for path in tmp_path.iterdir()) == ["1", "1", "1"]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -442,9 +454,9 @@ class TestRunSweep:
         pids.mkdir()
         worker_init, execute_cell = relnet.sweep._worker_init, relnet.sweep._execute_cell
 
-        def recording_init(spec, workers, stats):
+        def recording_init(spec, stats):
             (pids / str(os.getpid())).touch()
-            worker_init(spec, workers, stats)
+            worker_init(spec, stats)
 
         def held_after_first_cell(cell, *args):
             if (cell.p, cell.seed) != (0.4, 0):
@@ -531,17 +543,16 @@ class TestPoolBlasThreads:
         with ProcessPoolExecutor(
             max_workers=2,
             initializer=relnet.sweep._worker_init,
-            initargs=(tiny_spec(), 2, None),
+            initargs=(tiny_spec(), None),
         ) as pool:
             counts = list(pool.map(_blas_threads_once_both_arrive, [str(tmp_path)] * 2))
         assert len(os.listdir(tmp_path)) == 2  # two workers answered
         return counts
 
-    def test_workers_share_the_usable_cpus(self, tmp_path, monkeypatch):
+    def test_workers_run_one_thread_with_both_variables_unset(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        expected = max(1, len(os.sched_getaffinity(0)) // 2)
-        assert self.pool_counts(tmp_path) == [expected, expected]
+        assert self.pool_counts(tmp_path) == [1, 1]
 
     @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     def test_a_set_variable_is_left_to_openblas(self, tmp_path, monkeypatch, variable):

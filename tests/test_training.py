@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +405,18 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=r"^epoch 0, step 0: non-finite loss nan$"):
                 train(model, ds, ds, self.config(), seed=11)
+
+    def test_a_diverging_last_update_fails_the_evaluation(self):
+        """Each step checks the loss of the weights it starts from, so the
+        last update is checked by the evaluation after it; no numpy warning
+        is printed on the way."""
+        ds = self.blobs()  # 160 rows: one step
+        model = init_model(gen_complete(4), 8, 1, 12, 4, seed=0, dtype=np.float32)
+        config = self.config(epochs=1, batch_size=160, learning_rate=1e30, precision="single")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^epoch 0: non-finite evaluation loss nan$"):
+                train(model, ds, ds, config, seed=11)
 
     def test_full_batch_loss_non_increasing(self):
         rng = np.random.default_rng(31)
